@@ -20,10 +20,11 @@ problem difficulty from the true mean gaps.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -222,6 +223,15 @@ class _Campaign:
         for i, req in enumerate(requests):
             self.fold(results[req.sequence], extras[i] if extras else None)
 
+    def start_round(self, index: int, survivors: Sequence[ModelId], per_model: int) -> list[ModelId]:
+        """Announce a round and return its batch: ``per_model`` evaluations
+        of every survivor, interleaved."""
+        self.emit(
+            EventKind.ROUND_STARTED,
+            {"round": index, "survivors": [m.name for m in survivors], "evals_per_model": per_model},
+        )
+        return [m for _ in range(per_model) for m in survivors]
+
     def update_belief(self) -> Belief:
         belief = estimate_pi(self.stats, self.mc_samples, self._posterior_rng)
         self.emit(
@@ -266,7 +276,18 @@ def _draw_index(win_counts: Sequence[int], rng: np.random.Generator, exclude: Op
     raise AssertionError("empty belief support")
 
 
-def _require_safeguard_capacity(conf: ConfidencePolicy, n: int) -> None:
+def _confidence_campaign(
+    models: Sequence[ModelId],
+    conf: ConfidencePolicy,
+    evaluator: Evaluator,
+    campaign_seed: int,
+    mc_samples: int,
+    transform: TransformMode,
+) -> _Campaign:
+    models = tuple(models)
+    n = len(models)
+    if n < 1:
+        raise ValueError("need at least 1 candidate model")
     need = MIN_EVALS_FOR_POSTERIOR * n
     if conf.max_total_evals < need:
         raise ConfigError(
@@ -274,6 +295,44 @@ def _require_safeguard_capacity(conf: ConfidencePolicy, n: int) -> None:
             f"must be at least 3 evaluations per model ({need} for {n} models), "
             f"got {conf.max_total_evals}",
         )
+    return _Campaign(models, evaluator, campaign_seed, mc_samples=mc_samples, transform=transform)
+
+
+def _stop_reason(c: _Campaign, belief: Belief, conf: ConfidencePolicy, step: int) -> Optional[TerminationReason]:
+    """Why a fixed-confidence campaign stops now, or None to go on.
+
+    ``step`` is the number of evaluations the next proposal would add; the
+    safeguard trips when they would take the total past its cap.
+    """
+    if max(belief.pi) > 1.0 - conf.delta:
+        return TerminationReason.CONFIDENCE_REACHED
+    if c.total + step > conf.max_total_evals:
+        return TerminationReason.MAX_EVALS_SAFEGUARD
+    return None
+
+
+def _fixed_confidence(
+    c: _Campaign,
+    conf: ConfidencePolicy,
+    step: int,
+    propose: Callable[[Belief], tuple[list[ModelId], Optional[list[dict]]]],
+    retry_once: bool = False,
+) -> SelectionResult:
+    """The synchronous fixed-confidence loop shared by the sampling rules.
+
+    After 3 evaluations of every model, repeatedly: recompute the belief,
+    stop if it is confident enough or the next ``step`` evaluations would
+    trip the safeguard, otherwise evaluate the models ``propose`` returns
+    (with an optional per-evaluation trace extra) as one batch.
+    """
+    c.initialize_all(retry_once=retry_once)
+    while True:
+        belief = c.update_belief()
+        reason = _stop_reason(c, belief, conf, step)
+        if reason is not None:
+            return c.finish(c.models[belief.argmax()], reason, belief)
+        batch, extras = propose(belief)
+        c.run_batch(batch, retry_once=retry_once, extras=extras)
 
 
 def sequential_halving(
@@ -308,15 +367,7 @@ def sequential_halving(
     while len(survivors) > 1:
         round_index += 1
         per_model = budget.total_budget // (len(survivors) * rounds)
-        c.emit(
-            EventKind.ROUND_STARTED,
-            {
-                "round": round_index,
-                "survivors": [m.name for m in survivors],
-                "evals_per_model": per_model,
-            },
-        )
-        c.run_batch([m for _ in range(per_model) for m in survivors])
+        c.run_batch(c.start_round(round_index, survivors, per_model))
         drop = len(survivors) // 2
         # A uniform shuffle before the stable sort makes boundary ties fall
         # uniformly at random, at a fixed randomness cost per round.
@@ -359,30 +410,15 @@ def ttts(
     two distinct models from the belief (the second renormalized over the
     rest), flip a fair coin between them, and evaluate the winner once.
     """
-    models = tuple(models)
-    n = len(models)
-    if n < 1:
-        raise ValueError("need at least 1 candidate model")
-    _require_safeguard_capacity(conf, n)
-    c = _Campaign(models, evaluator, campaign_seed, mc_samples=mc_samples, transform=transform)
-    c.initialize_all()
-    while True:
-        belief = c.update_belief()
-        if max(belief.pi) > 1.0 - conf.delta:
-            reason = TerminationReason.CONFIDENCE_REACHED
-            break
-        if c.total + 1 > conf.max_total_evals:
-            reason = TerminationReason.MAX_EVALS_SAFEGUARD
-            break
+    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform)
+
+    def top_two(belief: Belief):
         first = _draw_index(belief.win_counts, c.algo_rng)
         second = _draw_index(belief.win_counts, c.algo_rng, exclude=first)
         pick = first if int(c.algo_rng.integers(2)) == 0 else second
-        c.run_batch(
-            [models[pick]],
-            extras=[{"candidates": [models[first].name, models[second].name]}],
-        )
-    winner = models[belief.argmax()]
-    return c.finish(winner, reason, belief)
+        return [c.models[pick]], [{"candidates": [c.models[first].name, c.models[second].name]}]
+
+    return _fixed_confidence(c, conf, 1, top_two)
 
 
 def bts(
@@ -405,59 +441,40 @@ def bts(
     once, then the campaign aborts. In-flight work is discarded at
     termination.
     """
-    models = tuple(models)
-    n = len(models)
-    if n < 1:
-        raise ValueError("need at least 1 candidate model")
-    _require_safeguard_capacity(conf, n)
+    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform)
     cap = evaluator.max_in_flight
     if cap is not None and batch.batch_size > cap:
         raise ConfigError(
             "batch_size",
             f"evaluator supports at most {cap} concurrent requests, got {batch.batch_size}",
         )
-    c = _Campaign(models, evaluator, campaign_seed, mc_samples=mc_samples, transform=transform)
-    c.initialize_all(retry_once=True)
-    belief = c.update_belief()
+
+    def draw(belief: Belief) -> ModelId:
+        return c.models[_draw_index(belief.win_counts, c.algo_rng)]
 
     if batch.mode is BatchMode.SYNCHRONOUS:
+
+        def iid_batch(belief: Belief):
+            return [draw(belief) for _ in range(batch.batch_size)], None
+
+        return _fixed_confidence(c, conf, batch.batch_size, iid_batch, retry_once=True)
+    c.initialize_all(retry_once=True)
+    # The first pass fills all B workers; each later pass refills the one
+    # whose evaluation was just folded in.
+    refill = batch.batch_size
+    try:
         while True:
-            if max(belief.pi) > 1.0 - conf.delta:
-                reason = TerminationReason.CONFIDENCE_REACHED
-                break
-            if c.total + batch.batch_size > conf.max_total_evals:
-                reason = TerminationReason.MAX_EVALS_SAFEGUARD
-                break
-            drawn = [models[_draw_index(belief.win_counts, c.algo_rng)] for _ in range(batch.batch_size)]
-            c.run_batch(drawn, retry_once=True)
             belief = c.update_belief()
-    else:
-        reason = None
-        if max(belief.pi) > 1.0 - conf.delta:
-            reason = TerminationReason.CONFIDENCE_REACHED
-        elif c.total + 1 > conf.max_total_evals:
-            reason = TerminationReason.MAX_EVALS_SAFEGUARD
-        else:
-            try:
-                for _ in range(batch.batch_size):
-                    i = _draw_index(belief.win_counts, c.algo_rng)
-                    c.evaluator.submit(c.next_request(models[i]))
-                while True:
-                    res = c._collect_with_retry(retry_once=True)
-                    c.fold(res)
-                    belief = c.update_belief()
-                    if max(belief.pi) > 1.0 - conf.delta:
-                        reason = TerminationReason.CONFIDENCE_REACHED
-                        break
-                    if c.total >= conf.max_total_evals:
-                        reason = TerminationReason.MAX_EVALS_SAFEGUARD
-                        break
-                    i = _draw_index(belief.win_counts, c.algo_rng)
-                    c.evaluator.submit(c.next_request(models[i]))
-            except EVALUATOR_ERRORS as e:
-                c._attach_and_raise(e)
-    winner = models[belief.argmax()]
-    return c.finish(winner, reason, belief)
+            reason = _stop_reason(c, belief, conf, 1)
+            if reason is not None:
+                break
+            for _ in range(refill):
+                c.evaluator.submit(c.next_request(draw(belief)))
+            refill = 1
+            c.fold(c._collect_with_retry(retry_once=True))
+    except EVALUATOR_ERRORS as e:
+        c._attach_and_raise(e)
+    return c.finish(c.models[belief.argmax()], reason, belief)
 
 
 def nonadaptive_fixed_budget(
@@ -474,13 +491,14 @@ def nonadaptive_fixed_budget(
     n = len(models)
     if n < 1:
         raise ValueError("need at least 1 candidate model")
+    if budget.total_budget < n:
+        raise BudgetTooSmallError(
+            f"budget too small: {n} models need at least {n} evaluations, "
+            f"got {budget.total_budget}"
+        )
     per_model = budget.total_budget // n
     c = _Campaign(models, evaluator, campaign_seed, transform=transform)
-    c.emit(
-        EventKind.ROUND_STARTED,
-        {"round": 1, "survivors": [m.name for m in models], "evals_per_model": per_model},
-    )
-    c.run_batch([m for _ in range(per_model) for m in models])
+    c.run_batch(c.start_round(1, models, per_model))
     means = [c.stats[m.index].mean for m in models]
     winner = models[max(range(n), key=lambda i: means[i])]
     belief = point_mass_belief(c.stats, winner.index)
@@ -507,31 +525,13 @@ def nonadaptive_fixed_confidence(
     belief is recomputed after each full round. Same 3-per-model start and
     stopping threshold as top-two Thompson sampling.
     """
-    models = tuple(models)
-    n = len(models)
-    if n < 1:
-        raise ValueError("need at least 1 candidate model")
-    _require_safeguard_capacity(conf, n)
-    c = _Campaign(models, evaluator, campaign_seed, mc_samples=mc_samples, transform=transform)
-    c.initialize_all()
-    belief = c.update_belief()
-    round_index = 0
-    while True:
-        if max(belief.pi) > 1.0 - conf.delta:
-            reason = TerminationReason.CONFIDENCE_REACHED
-            break
-        if c.total + n > conf.max_total_evals:
-            reason = TerminationReason.MAX_EVALS_SAFEGUARD
-            break
-        round_index += 1
-        c.emit(
-            EventKind.ROUND_STARTED,
-            {"round": round_index, "survivors": [m.name for m in models], "evals_per_model": 1},
-        )
-        c.run_batch(list(models))
-        belief = c.update_belief()
-    winner = models[belief.argmax()]
-    return c.finish(winner, reason, belief)
+    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform)
+    rounds = itertools.count(1)
+
+    def every_model(belief: Belief):
+        return c.start_round(next(rounds), c.models, 1), None
+
+    return _fixed_confidence(c, conf, len(c.models), every_model)
 
 
 def complexity_h(true_means: Sequence[float]) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .algorithms import (
+    EVALUATOR_ERRORS,
     BatchMode,
     BatchPolicy,
     BudgetPolicy,
@@ -29,10 +30,7 @@ from .algorithms import (
 )
 from .core import (
     ConfigError,
-    EvaluatorFailure,
     ModelId,
-    PoolExhaustedError,
-    ProtocolError,
     SelectionResult,
     TerminationReason,
     TraceEvent,
@@ -372,7 +370,7 @@ def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     models, evaluator = _resolve(config)
     try:
         result = _dispatch(config, models, evaluator)
-    except (EvaluatorFailure, ProtocolError, PoolExhaustedError) as e:
+    except EVALUATOR_ERRORS as e:
         partial = getattr(e, "partial_trace", None)
         if config.trace_path and partial is not None:
             write_trace(config.trace_path, config, partial, models)
@@ -624,7 +622,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         _, code = run_campaign(config)
         return code
-    except (EvaluatorFailure, ProtocolError, PoolExhaustedError) as e:
+    except EVALUATOR_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         stderr = getattr(e, "stderr", None)
         if stderr:

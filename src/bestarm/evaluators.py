@@ -178,29 +178,27 @@ class Evaluator(ABC):
         """Release any resources; safe to call more than once."""
 
 
-class SyntheticEvaluator(Evaluator):
-    """Scores drawn from per-model reward distributions.
+class _InOrderEvaluator(Evaluator):
+    """In-process back-end whose responses complete in submit order.
 
-    Each request's draw comes from a stream keyed by (campaign seed, model
-    index, request sequence), so scores are reproducible across processes
-    and independent of dispatch interleaving. Responses complete in submit
-    order, which doubles as the deterministic scheduler for asynchronous
-    batch campaigns.
+    Each request is scored at submit time by the back-end's ``_score`` and
+    queued; ``collect`` pops the queue. Submit order doubles as the
+    deterministic scheduler for asynchronous batch campaigns.
     """
 
-    def __init__(self, arms: Sequence[ArmSpec], campaign_seed: int):
-        self._arms = {a.model.index: a for a in arms}
+    def __init__(self, campaign_seed: int):
         self._seed = int(campaign_seed)
         self._queue: deque[EvaluationScore] = deque()
+
+    @abstractmethod
+    def _score(self, request: EvaluationRequest) -> float: ...
 
     @property
     def max_in_flight(self) -> Optional[int]:
         return None
 
     def submit(self, request: EvaluationRequest) -> None:
-        arm = self._arms[request.model.index]
-        rng = rng_stream(self._seed, StreamPurpose.SYNTHETIC, request.model.index, request.sequence)
-        self._queue.append(EvaluationScore(request=request, score=arm.dist.sample(rng)))
+        self._queue.append(EvaluationScore(request=request, score=self._score(request)))
 
     def collect(self) -> EvaluationScore:
         if not self._queue:
@@ -209,6 +207,24 @@ class SyntheticEvaluator(Evaluator):
 
     def pending(self) -> int:
         return len(self._queue)
+
+
+class SyntheticEvaluator(_InOrderEvaluator):
+    """Scores drawn from per-model reward distributions.
+
+    Each request's draw comes from a stream keyed by (campaign seed, model
+    index, request sequence), so scores are reproducible across processes
+    and independent of dispatch interleaving.
+    """
+
+    def __init__(self, arms: Sequence[ArmSpec], campaign_seed: int):
+        super().__init__(campaign_seed)
+        self._arms = {a.model.index: a for a in arms}
+
+    def _score(self, request: EvaluationRequest) -> float:
+        arm = self._arms[request.model.index]
+        rng = rng_stream(self._seed, StreamPurpose.SYNTHETIC, request.model.index, request.sequence)
+        return arm.dist.sample(rng)
 
 
 class ExhaustionPolicy(str, Enum):
@@ -234,16 +250,6 @@ class ReplayTable:
         self._pools = {m.index: list(scores[m.name]) for m in models}
         self._cursors = {m.index: 0 for m in models}
         self.policy = ExhaustionPolicy(exhaustion_policy)
-
-    @classmethod
-    def from_csv(
-        cls,
-        path: str,
-        models: Sequence[ModelId],
-        exhaustion_policy: ExhaustionPolicy = ExhaustionPolicy.RESAMPLE,
-    ) -> "ReplayTable":
-        scores = read_replay_csv(path, known={m.name for m in models})
-        return cls(scores, models, exhaustion_policy)
 
     def next_score(self, request: EvaluationRequest, campaign_seed: int) -> float:
         idx = request.model.index
@@ -285,6 +291,8 @@ def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, li
                 value = float(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: score {row[1]!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: score {row[1]!r} is not finite")
             if known is not None and name not in known:
                 unknown.add(name)
                 continue
@@ -294,29 +302,15 @@ def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, li
     return scores
 
 
-class ReplayEvaluator(Evaluator):
-    """Serves recorded scores; completion order is submit order."""
+class ReplayEvaluator(_InOrderEvaluator):
+    """Serves recorded scores from a ``ReplayTable``."""
 
     def __init__(self, table: ReplayTable, campaign_seed: int):
+        super().__init__(campaign_seed)
         self._table = table
-        self._seed = int(campaign_seed)
-        self._queue: deque[EvaluationScore] = deque()
 
-    @property
-    def max_in_flight(self) -> Optional[int]:
-        return None
-
-    def submit(self, request: EvaluationRequest) -> None:
-        score = self._table.next_score(request, self._seed)
-        self._queue.append(EvaluationScore(request=request, score=score))
-
-    def collect(self) -> EvaluationScore:
-        if not self._queue:
-            raise RuntimeError("collect() with no pending requests")
-        return self._queue.popleft()
-
-    def pending(self) -> int:
-        return len(self._queue)
+    def _score(self, request: EvaluationRequest) -> float:
+        return self._table.next_score(request, self._seed)
 
 
 class SubprocessEvaluator(Evaluator):
@@ -443,7 +437,8 @@ class SubprocessEvaluator(Evaluator):
             raise RuntimeError("collect() with no pending requests")
         obj = self._read_object()
         rid = obj.get("id")
-        if rid not in self._pending:
+        # JSON true would otherwise match request 1, and a list is unhashable.
+        if isinstance(rid, bool) or not isinstance(rid, int) or rid not in self._pending:
             raise ProtocolError(f"response id {rid!r} does not match any outstanding request")
         request = self._pending.pop(rid)
         if "error" in obj:

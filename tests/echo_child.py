@@ -10,6 +10,7 @@ Speaks the line-delimited JSON protocol on stdin/stdout. Behavior knobs:
   --flaky             answer the first attempt of every id with an error,
                       succeed on the retry
   --wrong-id          answer with id+1 (protocol violation)
+  --id-json VALUE     answer with this JSON value as the id (protocol violation)
   --bad-handshake     reply nonsense to the handshake
   --const-score X     fixed score instead of the id hash
 
@@ -59,6 +60,7 @@ def main() -> int:
     ap.add_argument("--error-model", default=None)
     ap.add_argument("--flaky", action="store_true")
     ap.add_argument("--wrong-id", action="store_true")
+    ap.add_argument("--id-json", default=None)
     ap.add_argument("--bad-handshake", action="store_true")
     ap.add_argument("--const-score", type=float, default=None)
     args = ap.parse_args()
@@ -87,6 +89,8 @@ def main() -> int:
             send({"id": rid, "error": "transient failure"})
         elif args.wrong_id:
             send({"id": rid + 1, "score": 0.5})
+        elif args.id_json is not None:
+            send({"id": json.loads(args.id_json), "score": 0.5})
         else:
             score = args.const_score if args.const_score is not None else score_for(rid)
             send({"id": rid, "score": score})

@@ -213,6 +213,19 @@ class TestMain:
         assert code == 1
         assert "budget too small" in captured.err
 
+    def test_baseline_fb_budget_below_one_per_model_exits_one(self, tmp_path, capsys):
+        arms = tmp_path / "three.json"
+        arms.write_text(
+            json.dumps(
+                [{"name": n, "family": "gaussian", "mean": 0.5, "sd": 0.01} for n in "abc"]
+            )
+        )
+        code = main(["baseline-fb", "--budget", "2", "--synthetic", str(arms)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "budget too small" in captured.err and "got 2" in captured.err
+        assert captured.out == ""
+
     def test_missing_evaluator_exits_one(self, capsys):
         code = main(["fc", "--delta", "0.1"])
         captured = capsys.readouterr()

@@ -217,6 +217,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="abc"):
             read_replay_csv(str(path))
 
+    @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
+    def test_csv_rejects_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"model,score\nm1,0.6\nm1,{score}\n")
+        with pytest.raises(ValueError, match=r"scores\.csv:3: .*not finite"):
+            read_replay_csv(str(path))
+
 
 class TestSubprocessEvaluator:
     def make(self, *flags, models=("tdlstm", "ian"), **kwargs):
@@ -248,6 +255,16 @@ class TestSubprocessEvaluator:
         try:
             with pytest.raises(ProtocolError, match="id"):
                 ev.evaluate(request(ids[0], 7))
+        finally:
+            ev.close()
+
+    @pytest.mark.parametrize("rid", ["[1]", "true"])
+    def test_non_integer_id_is_protocol_error(self, rid):
+        # Request 1 is outstanding, so a bool id must not be taken for it.
+        ids, ev = self.make("--id-json", rid)
+        try:
+            with pytest.raises(ProtocolError, match="id"):
+                ev.evaluate(request(ids[0], 1))
         finally:
             ev.close()
 
