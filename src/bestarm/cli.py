@@ -2,18 +2,19 @@
 algorithm against the configured evaluator, and emit the summary, the
 JSON-lines trace, and (for replicated sweeps) the aggregate report.
 
-Configuration is a single JSON document; every field can also be set by a
+Configuration is a single JSON document; most fields can also be set by a
 command-line flag, and flags win.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .algorithms import (
     EVALUATOR_ERRORS,
@@ -49,200 +50,211 @@ from .evaluators import (
 )
 from .posterior import DEFAULT_MC_SAMPLES, IDENTITY, TransformMode
 
-MODE_KINDS = ("fb", "fc", "fc-batch", "baseline-fb", "baseline-fc")
+_MODE_HELP = {
+    "fb": "fixed budget via sequential halving",
+    "fc": "fixed confidence via top-two Thompson sampling",
+    "fc-batch": "fixed confidence via batch Thompson sampling",
+    "baseline-fb": "non-adaptive equal budget split",
+    "baseline-fc": "non-adaptive evaluate-all until confident",
+}
+MODE_KINDS = tuple(_MODE_HELP)
 EVALUATOR_KINDS = ("synthetic", "subprocess", "replay")
+_CONFIDENCE_KINDS = ("fc", "fc-batch", "baseline-fc")
 
 # 99% two-sided normal quantile, for the binomial interval in reports.
 _Z99 = 2.5758293035489004
 
+# How error messages name the JSON type of a leaf.
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               list[str]: "a list of strings", type(None): "null"}
+
+
+def _leaf(default=MISSING, *, kinds=None, required=False, check=None, load=None, dump=None,
+          flag=None, **flag_args):
+    """Declare one config leaf; its annotation is its type.
+
+    ``kinds`` names the mode or evaluator kinds the leaf belongs to (None:
+    all); only they ``check`` it (a predicate and what it demands), serialise
+    it (unless None) and, if ``required``, demand it. ``load(path, value)`` and
+    ``dump`` convert a leaf whose JSON form is not its type.
+    """
+    meta = dict(kinds=kinds, required=required, check=check, load=load, dump=dump,
+                flag=flag, flag_args=flag_args)
+    return field(default=default, metadata=meta)
+
+
+# Checks: a predicate on a well-typed value, and what the value must be.
+_POSITIVE = (lambda n: n >= 1, "must be positive")
+_NON_EMPTY = (bool, "must not be empty")
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, f"must be one of {choices}")
+
+
+def _load_transform(path: str, value) -> TransformMode:
+    if isinstance(value, str):
+        value = {"kind": value}
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"must be a string or object, got {value!r}")
+    extra = [k for k in value if k not in ("kind", "epsilon")]
+    if extra:
+        raise ConfigError(f"{path}.{extra[0]}", "unknown key")
+    epsilon = value.get("epsilon", 1e-6)
+    if not _is_a(epsilon, float):
+        raise ConfigError(f"{path}.epsilon", f"must be a number, got {epsilon!r}")
+    kind = value.get("kind")
+    try:
+        return TransformMode.logit(epsilon) if kind == "logit" else TransformMode(kind)
+    except ValueError as e:
+        raise ConfigError(path, str(e)) from None
+
+
+def _dump_transform(t: TransformMode) -> dict:
+    return {"kind": t.kind, "epsilon": t.epsilon} if t.kind == "logit" else {"kind": t.kind}
+
+
+class _Section:
+    """A config section: validated and serialised by walking its declared leaves."""
+
+    def validate(self, _path: str = "") -> None:
+        kind = getattr(self, "kind", None)
+        for f, hint in _fields(type(self)):
+            name, value, meta = _path + f.name, getattr(self, f.name), f.metadata
+            if _is_section(hint):
+                value.validate(name + ".")
+            elif not _is_a(value, hint):
+                types = get_args(hint) if get_origin(hint) is Union else (hint,)
+                must = " or ".join(_TYPE_NAMES.get(t, t.__name__) for t in types)
+                raise ConfigError(name, f"must be {must}, got {value!r}")
+            elif meta["kinds"] is not None and kind not in meta["kinds"]:
+                continue
+            elif value is None:
+                if meta["required"]:
+                    raise ConfigError(name, f"required when kind is {kind!r}")
+            elif meta["check"] and not meta["check"][0](value):
+                raise ConfigError(name, f"{meta['check'][1]}, got {value!r}")
+
+    def to_dict(self) -> dict:
+        kind = getattr(self, "kind", None)
+        out = {}
+        for f, hint in _fields(type(self)):
+            value, kinds = getattr(self, f.name), f.metadata.get("kinds")
+            if kinds is not None and (kind not in kinds or value is None):
+                continue
+            if _is_section(hint):
+                value = value.to_dict()
+            elif f.metadata["dump"] and value is not None:
+                value = f.metadata["dump"](value)
+            out[f.name] = value
+        return out
+
 
 @dataclass
-class ModeConfig:
+class ModeConfig(_Section):
     """Which algorithm runs, and its policy parameters."""
 
-    kind: str
-    budget: Optional[int] = None
-    delta: Optional[float] = None
-    max_evals: int = DEFAULT_MAX_TOTAL_EVALS
-    batch_size: Optional[int] = None
-    sync: bool = True
-
-    def validate(self) -> None:
-        if self.kind not in MODE_KINDS:
-            raise ConfigError("mode.kind", f"must be one of {MODE_KINDS}, got {self.kind!r}")
-        if self.kind in ("fb", "baseline-fb"):
-            if self.budget is None or self.budget < 1:
-                raise ConfigError("mode.budget", f"must be a positive integer, got {self.budget}")
-        else:
-            if self.delta is None or not (0.0 < self.delta < 1.0):
-                raise ConfigError("mode.delta", f"must be in (0, 1), got {self.delta}")
-            if self.max_evals < 1:
-                raise ConfigError("mode.max_evals", f"must be positive, got {self.max_evals}")
-        if self.kind == "fc-batch" and (self.batch_size is None or self.batch_size < 1):
-            raise ConfigError(
-                "mode.batch_size", f"must be a positive integer, got {self.batch_size}"
-            )
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind in ("fb", "baseline-fb"):
-            d["budget"] = self.budget
-        else:
-            d["delta"] = self.delta
-            d["max_evals"] = self.max_evals
-        if self.kind == "fc-batch":
-            d["batch_size"] = self.batch_size
-            d["sync"] = self.sync
-        return d
+    kind: str = _leaf(check=_one_of(MODE_KINDS))
+    budget: Optional[int] = _leaf(None, kinds=("fb", "baseline-fb"), required=True, check=_POSITIVE,
+                                  flag="--budget", type=int, metavar="T", help="evaluation budget")
+    delta: Optional[float] = _leaf(
+        None, kinds=_CONFIDENCE_KINDS, required=True,
+        check=(lambda d: 0.0 < d < 1.0, "must be in (0, 1)"),
+        flag="--delta", type=float, metavar="D", help="target error probability")
+    max_evals: int = _leaf(DEFAULT_MAX_TOTAL_EVALS, kinds=_CONFIDENCE_KINDS, check=_POSITIVE,
+                           flag="--max-evals", type=int, metavar="M", help="total-evaluation safeguard")
+    batch_size: Optional[int] = _leaf(None, kinds=("fc-batch",), required=True, check=_POSITIVE,
+                                      flag="--batch-size", type=int, metavar="B", help="batch size")
+    sync: bool = _leaf(True, kinds=("fc-batch",), flag="--async", action="store_const", const=False,
+                       help="asynchronous workers")
 
 
 @dataclass
-class EvaluatorConfig:
+class EvaluatorConfig(_Section):
     """Which score back-end serves the campaign."""
 
-    kind: str
-    arms_file: Optional[str] = None
-    command: Optional[str] = None
-    max_in_flight: Optional[int] = None
-    csv_file: Optional[str] = None
-    exhaustion: str = ExhaustionPolicy.RESAMPLE.value
-
-    def validate(self) -> None:
-        if self.kind not in EVALUATOR_KINDS:
-            raise ConfigError(
-                "evaluator.kind", f"must be one of {EVALUATOR_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "synthetic" and not self.arms_file:
-            raise ConfigError("evaluator.arms_file", "required for the synthetic evaluator")
-        if self.kind == "subprocess" and not self.command:
-            raise ConfigError("evaluator.command", "required for the subprocess evaluator")
-        if self.kind == "replay":
-            if not self.csv_file:
-                raise ConfigError("evaluator.csv_file", "required for the replay evaluator")
-            try:
-                ExhaustionPolicy(self.exhaustion)
-            except ValueError:
-                raise ConfigError(
-                    "evaluator.exhaustion",
-                    f"must be one of {[p.value for p in ExhaustionPolicy]}, "
-                    f"got {self.exhaustion!r}",
-                ) from None
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ConfigError(
-                "evaluator.max_in_flight", f"must be positive, got {self.max_in_flight}"
-            )
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "synthetic":
-            d["arms_file"] = self.arms_file
-        elif self.kind == "subprocess":
-            d["command"] = self.command
-            if self.max_in_flight is not None:
-                d["max_in_flight"] = self.max_in_flight
-        else:
-            d["csv_file"] = self.csv_file
-            d["exhaustion"] = self.exhaustion
-        return d
+    kind: str = _leaf(check=_one_of(EVALUATOR_KINDS))
+    arms_file: Optional[str] = _leaf(None, kinds=("synthetic",), required=True, check=_NON_EMPTY,
+                                     flag="--synthetic", metavar="ARMS_JSON",
+                                     help="synthetic evaluator arm file")
+    command: Optional[str] = _leaf(None, kinds=("subprocess",), required=True, check=_NON_EMPTY,
+                                   flag="--exec", metavar="CMD", help="subprocess evaluator command")
+    max_in_flight: Optional[int] = _leaf(None, kinds=("subprocess",), check=_POSITIVE)
+    csv_file: Optional[str] = _leaf(None, kinds=("replay",), required=True, check=_NON_EMPTY,
+                                    flag="--replay", metavar="SCORES_CSV",
+                                    help="replay evaluator score file")
+    exhaustion: str = _leaf(ExhaustionPolicy.RESAMPLE.value, kinds=("replay",),
+                            check=_one_of(tuple(p.value for p in ExhaustionPolicy)))
 
 
 @dataclass
-class CampaignConfig:
+class CampaignConfig(_Section):
     """Full resolved configuration of one selection campaign."""
 
     mode: ModeConfig
     evaluator: EvaluatorConfig
-    models: Optional[list[str]] = None
-    campaign_seed: int = 0
-    mc_samples: int = DEFAULT_MC_SAMPLES
-    transform: TransformMode = IDENTITY
-    trace_path: Optional[str] = None
-
-    def validate(self) -> None:
-        self.mode.validate()
-        self.evaluator.validate()
-        if self.models is not None and len(self.models) == 0:
-            raise ConfigError("models", "must not be an empty list")
-        if not (0 <= self.campaign_seed < 2**64):
-            raise ConfigError("campaign_seed", f"must fit in 64 bits, got {self.campaign_seed}")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples", f"must be positive, got {self.mc_samples}")
-
-    def to_dict(self) -> dict:
-        t: dict = {"kind": self.transform.kind}
-        if self.transform.kind == "logit":
-            t["epsilon"] = self.transform.epsilon
-        return {
-            "mode": self.mode.to_dict(),
-            "evaluator": self.evaluator.to_dict(),
-            "models": list(self.models) if self.models is not None else None,
-            "campaign_seed": self.campaign_seed,
-            "mc_samples": self.mc_samples,
-            "transform": t,
-            "trace_path": self.trace_path,
-        }
+    models: Optional[list[str]] = _leaf(
+        None, check=_NON_EMPTY, dump=list, flag="--models", metavar="a,b,c",
+        type=lambda text: [m for m in text.split(",") if m] if text else None,
+        help="comma-separated candidate model names")
+    campaign_seed: int = _leaf(0, check=(lambda s: 0 <= s < 2**64, "must fit in 64 bits"),
+                               flag="--seed", type=int, metavar="U64", help="campaign seed")
+    mc_samples: int = _leaf(DEFAULT_MC_SAMPLES, check=_POSITIVE, flag="--mc-samples", type=int,
+                            metavar="N", help="Monte-Carlo rounds per belief update")
+    transform: TransformMode = _leaf(IDENTITY, load=_load_transform, dump=_dump_transform,
+                                     flag="--transform", choices=["identity", "logit"],
+                                     help="score transform")
+    trace_path: Optional[str] = _leaf(None, flag="--trace", metavar="PATH",
+                                      help="write the JSON-lines trace here")
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config", "must be a JSON object")
-        mode_d = data.get("mode")
-        if not isinstance(mode_d, dict) or "kind" not in mode_d:
-            raise ConfigError("mode", "must be an object with a 'kind'")
-        mode = ModeConfig(
-            kind=mode_d["kind"],
-            budget=mode_d.get("budget"),
-            delta=mode_d.get("delta"),
-            max_evals=mode_d.get("max_evals", DEFAULT_MAX_TOTAL_EVALS),
-            batch_size=mode_d.get("batch_size"),
-            sync=mode_d.get("sync", True),
-        )
-        ev_d = data.get("evaluator")
-        if not isinstance(ev_d, dict) or "kind" not in ev_d:
-            raise ConfigError("evaluator", "must be an object with a 'kind'")
-        evaluator = EvaluatorConfig(
-            kind=ev_d["kind"],
-            arms_file=ev_d.get("arms_file"),
-            command=ev_d.get("command"),
-            max_in_flight=ev_d.get("max_in_flight"),
-            csv_file=ev_d.get("csv_file"),
-            exhaustion=ev_d.get("exhaustion", ExhaustionPolicy.RESAMPLE.value),
-        )
-        transform = _parse_transform(data.get("transform", "identity"))
-        models = data.get("models")
-        if models is not None:
-            models = [str(m) for m in models]
-        config = cls(
-            mode=mode,
-            evaluator=evaluator,
-            models=models,
-            campaign_seed=int(data.get("campaign_seed", 0)),
-            mc_samples=int(data.get("mc_samples", DEFAULT_MC_SAMPLES)),
-            transform=transform,
-            trace_path=data.get("trace_path"),
-        )
+        config = _from_dict(cls, data)
         config.validate()
         return config
 
 
-def _parse_transform(value) -> TransformMode:
-    try:
-        if isinstance(value, str):
-            if value == "identity":
-                return TransformMode.identity()
-            if value == "logit":
-                return TransformMode.logit()
-            raise ValueError(f"unknown transform {value!r}")
-        if isinstance(value, dict):
-            kind = value.get("kind")
-            if kind == "identity":
-                return TransformMode.identity()
-            if kind == "logit":
-                return TransformMode.logit(float(value.get("epsilon", 1e-6)))
-            raise ValueError(f"unknown transform kind {kind!r}")
-        raise ValueError(f"transform must be a string or object, got {value!r}")
-    except ValueError as e:
-        raise ConfigError("transform", str(e)) from None
+@functools.cache
+def _fields(cls) -> list:
+    """The dataclass fields of a config class, each with its resolved type."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls)]
+
+
+def _is_section(hint) -> bool:
+    return isinstance(hint, type) and issubclass(hint, _Section)
+
+
+def _is_a(value, hint) -> bool:
+    """Whether a JSON value has a leaf's type: a bool is no number, an int is a float."""
+    if get_origin(hint) is Union:
+        return any(_is_a(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_is_a(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _from_dict(cls, data, path: str = ""):
+    if not isinstance(data, dict):
+        raise ConfigError(path.rstrip(".") or "config", "must be a JSON object")
+    extra = [k for k in data if k not in {f.name for f in fields(cls)}]
+    if extra:
+        raise ConfigError(f"{path}{extra[0]}", "unknown key")
+    values = {}
+    for f, hint in _fields(cls):
+        name = path + f.name
+        if f.name not in data:
+            if f.default is MISSING:
+                check = f.metadata.get("check")
+                raise ConfigError(name, f"required, {check[1]}" if check else "required")
+        elif _is_section(hint):
+            values[f.name] = _from_dict(hint, data[f.name], name + ".")
+        else:
+            load = f.metadata["load"]
+            values[f.name] = load(name, data[f.name]) if load else data[f.name]
+    return cls(**values)
 
 
 def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
@@ -482,21 +494,15 @@ def run_replications(
     )
 
 
-def _add_common_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", metavar="PATH", help="campaign config JSON (flags override it)")
-    sp.add_argument("--seed", type=int, metavar="U64", help="campaign seed")
-    sp.add_argument("--trace", metavar="PATH", help="write the JSON-lines trace here")
-    sp.add_argument("--mc-samples", type=int, metavar="N", help="Monte-Carlo rounds per belief update")
-    sp.add_argument("--transform", choices=["identity", "logit"], help="score transform")
-    sp.add_argument("--models", metavar="a,b,c", help="comma-separated candidate model names")
-    sp.add_argument("--synthetic", metavar="ARMS_JSON", help="synthetic evaluator arm file")
-    sp.add_argument("--exec", dest="exec_cmd", metavar="CMD", help="subprocess evaluator command")
-    sp.add_argument("--replay", metavar="SCORES_CSV", help="replay evaluator score file")
-
-
-def _add_fc_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--delta", type=float, metavar="D", help="target error probability")
-    sp.add_argument("--max-evals", type=int, metavar="M", help="total-evaluation safeguard")
+def _add_flags(sp: argparse.ArgumentParser, command: str, cls=CampaignConfig, path="") -> None:
+    """Add the leaves' flags, each with its leaf's dotted path as dest; a
+    subcommand that is one of a section's kinds gets only that kind's flags."""
+    names_kind = any(command in (f.metadata.get("kinds") or ()) for f, _ in _fields(cls))
+    for f, hint in _fields(cls):
+        if _is_section(hint):
+            _add_flags(sp, command, hint, f"{path}{f.name}.")
+        elif f.metadata["flag"] and not (names_kind and command not in f.metadata["kinds"]):
+            sp.add_argument(f.metadata["flag"], dest=path + f.name, **f.metadata["flag_args"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,41 +511,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive selection of the best noisy candidate model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("fb", help="fixed budget via sequential halving")
-    sp.add_argument("--budget", type=int, metavar="T")
-    _add_common_flags(sp)
-
-    sp = sub.add_parser("fc", help="fixed confidence via top-two Thompson sampling")
-    _add_fc_flags(sp)
-    _add_common_flags(sp)
-
-    sp = sub.add_parser("fc-batch", help="fixed confidence via batch Thompson sampling")
-    _add_fc_flags(sp)
-    sp.add_argument("--batch-size", type=int, metavar="B")
-    sp.add_argument("--async", dest="async_mode", action="store_true", help="asynchronous workers")
-    _add_common_flags(sp)
-
-    sp = sub.add_parser("baseline-fb", help="non-adaptive equal budget split")
-    sp.add_argument("--budget", type=int, metavar="T")
-    _add_common_flags(sp)
-
-    sp = sub.add_parser("baseline-fc", help="non-adaptive evaluate-all until confident")
-    _add_fc_flags(sp)
-    _add_common_flags(sp)
-
-    sp = sub.add_parser("replicate", help="repeat a campaign over consecutive seeds")
-    sp.add_argument("--mode", choices=MODE_KINDS, help="algorithm to replicate")
-    sp.add_argument("--replications", type=int, required=True, metavar="R")
-    sp.add_argument("--true-best", metavar="NAME", help="model treated as the true optimum")
-    sp.add_argument("--allow-exec", action="store_true", help="permit replicating a subprocess campaign")
-    sp.add_argument("--budget", type=int, metavar="T")
-    _add_fc_flags(sp)
-    sp.add_argument("--batch-size", type=int, metavar="B")
-    sp.add_argument("--async", dest="async_mode", action="store_true")
-    _add_common_flags(sp)
-
+    for command, help_text in {**_MODE_HELP, "replicate": "repeat a campaign over consecutive seeds"}.items():
+        sp = sub.add_parser(command, help=help_text)
+        if command == "replicate":
+            sp.add_argument("--mode", dest="mode.kind", choices=MODE_KINDS, help="algorithm to replicate")
+            sp.add_argument("--replications", type=int, required=True, metavar="R")
+            sp.add_argument("--true-best", metavar="NAME", help="model treated as the true optimum")
+            sp.add_argument("--allow-exec", action="store_true", help="permit replicating a subprocess campaign")
+        else:
+            sp.set_defaults(**{"mode.kind": command})
+        sp.add_argument("--config", metavar="PATH", help="campaign config JSON (flags override it)")
+        _add_flags(sp, command)
     return parser
+
+
+def _with_flags(cls, data, args: argparse.Namespace, path=""):
+    """Lay the flags given in ``args`` over one section of the config file.
+
+    Where no flag sets the section's kind, a flag implies its leaf's kind, so
+    at most one such flag may be given.
+    """
+    data = {} if data is None else data
+    if not isinstance(data, dict):
+        raise ConfigError(path.rstrip(".") or "config", "must be a JSON object")
+    out, implied = dict(data), 0
+    for f, hint in _fields(cls):
+        name, kinds = path + f.name, f.metadata.get("kinds")
+        if _is_section(hint):
+            out[f.name] = _with_flags(hint, out.get(f.name), args, name + ".")
+        elif getattr(args, name, None) is not None:
+            if kinds and not hasattr(args, path + "kind"):
+                implied += 1
+                if out.get("kind") not in kinds:
+                    out = {"kind": kinds[0]}
+            out[f.name] = getattr(args, name)
+    if implied > 1:
+        flags = [f.metadata["flag"] for f, _ in _fields(cls) if f.metadata.get("flag")]
+        raise ConfigError(path.rstrip("."), f"choose exactly one of {', '.join(flags)}")
+    return out
 
 
 def config_from_args(args: argparse.Namespace) -> CampaignConfig:
@@ -553,58 +562,7 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
             raise ConfigError("config", str(e)) from None
         except json.JSONDecodeError as e:
             raise ConfigError("config", f"invalid JSON: {e}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config", "must be a JSON object")
-
-    mode = dict(data.get("mode") or {})
-    if args.command == "replicate":
-        if args.mode:
-            mode["kind"] = args.mode
-        if "kind" not in mode:
-            raise ConfigError("mode.kind", "replicate needs --mode or a config with one")
-    else:
-        mode["kind"] = args.command
-    for flag, key in (("budget", "budget"), ("delta", "delta"), ("max_evals", "max_evals"),
-                      ("batch_size", "batch_size")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            mode[key] = value
-    if getattr(args, "async_mode", False):
-        mode["sync"] = False
-
-    evaluator = dict(data.get("evaluator") or {})
-    picked = [f for f in ("synthetic", "exec_cmd", "replay") if getattr(args, f, None)]
-    if len(picked) > 1:
-        raise ConfigError("evaluator", "choose exactly one of --synthetic, --exec, --replay")
-    if args.synthetic:
-        if evaluator.get("kind") != "synthetic":
-            evaluator = {"kind": "synthetic"}
-        evaluator["arms_file"] = args.synthetic
-    elif args.exec_cmd:
-        if evaluator.get("kind") != "subprocess":
-            evaluator = {"kind": "subprocess"}
-        evaluator["command"] = args.exec_cmd
-    elif args.replay:
-        if evaluator.get("kind") != "replay":
-            evaluator = {"kind": "replay"}
-        evaluator["csv_file"] = args.replay
-    if not evaluator.get("kind"):
-        raise ConfigError("evaluator", "no evaluator configured (use --synthetic, --exec or --replay)")
-
-    merged = dict(data)
-    merged["mode"] = mode
-    merged["evaluator"] = evaluator
-    if args.models:
-        merged["models"] = [m for m in args.models.split(",") if m]
-    if args.seed is not None:
-        merged["campaign_seed"] = args.seed
-    if args.mc_samples is not None:
-        merged["mc_samples"] = args.mc_samples
-    if args.transform is not None:
-        merged["transform"] = args.transform
-    if args.trace is not None:
-        merged["trace_path"] = args.trace
-    return CampaignConfig.from_dict(merged)
+    return CampaignConfig.from_dict(_with_flags(CampaignConfig, data, args))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -137,23 +137,6 @@ def stats_update(stats: ModelStats, score: float) -> ModelStats:
     return ModelStats(count=count, mean=mean, sq_dev_sum=sq_dev_sum)
 
 
-def stats_merge(a: ModelStats, b: ModelStats) -> ModelStats:
-    """Combine statistics over two disjoint score sequences.
-
-    Equivalent to statistics over the concatenation of both sequences; empty
-    stats are the identity element.
-    """
-    if a.count == 0:
-        return b
-    if b.count == 0:
-        return a
-    count = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / count)
-    sq_dev_sum = a.sq_dev_sum + b.sq_dev_sum + delta * delta * (a.count * b.count / count)
-    return ModelStats(count=count, mean=mean, sq_dev_sum=sq_dev_sum)
-
-
 class StreamPurpose(IntEnum):
     """Independent randomness substreams of a campaign."""
 

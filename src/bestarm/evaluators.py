@@ -121,6 +121,11 @@ def parse_arm_entries(entries: list) -> list[tuple[str, Distribution]]:
         if family not in _FAMILIES:
             raise ValueError(f"arm entry {i}: unknown family {family!r}")
         params = {k: v for k, v in entry.items() if k not in ("name", "family")}
+        for k, v in params.items():
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ValueError(
+                    f"arm entry {i} ({entry['name']}): {k} must be a finite number, got {v!r}"
+                )
         try:
             dist = _FAMILIES[family](**params)
         except TypeError as e:

@@ -97,12 +97,6 @@ def _t_draws(dofs: np.ndarray, shape: tuple, stream: np.random.Generator) -> np.
     return z / np.sqrt(v / dofs)
 
 
-def posterior_sample(params: PosteriorParams, stream: np.random.Generator) -> float:
-    """Draw one value of the model's true mean from its posterior."""
-    t = _t_draws(np.asarray(params.dof, dtype=float), (), stream)
-    return params.center + params.scale * float(t)
-
-
 def estimate_pi(
     stats_all: Sequence[ModelStats],
     mc_samples: int,

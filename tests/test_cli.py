@@ -3,6 +3,8 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestarm import (
     CampaignConfig,
@@ -119,6 +121,121 @@ class TestConfig:
             config_from_args(args)
 
 
+POSITIVE = st.integers(1, 2**40)
+DELTA = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+NAMES = st.text(min_size=1, max_size=12)
+VALID_CONFIGS = st.fixed_dictionaries(
+    {
+        "mode": st.one_of(
+            st.fixed_dictionaries({"kind": st.sampled_from(["fb", "baseline-fb"]), "budget": POSITIVE}),
+            st.fixed_dictionaries({"kind": st.sampled_from(["fc", "baseline-fc"]), "delta": DELTA},
+                                  optional={"max_evals": POSITIVE}),
+            st.fixed_dictionaries({"kind": st.just("fc-batch"), "delta": DELTA, "batch_size": POSITIVE},
+                                  optional={"max_evals": POSITIVE, "sync": st.booleans()}),
+        ),
+        "evaluator": st.one_of(
+            st.fixed_dictionaries({"kind": st.just("synthetic"), "arms_file": NAMES}),
+            st.fixed_dictionaries({"kind": st.just("subprocess"), "command": NAMES},
+                                  optional={"max_in_flight": POSITIVE}),
+            st.fixed_dictionaries({"kind": st.just("replay"), "csv_file": NAMES},
+                                  optional={"exhaustion": st.sampled_from(["resample", "cycle", "error"])}),
+        ),
+    },
+    optional={
+        "models": st.one_of(st.none(), st.lists(NAMES, min_size=1, max_size=5)),
+        "campaign_seed": st.integers(0, 2**64 - 1),
+        "mc_samples": POSITIVE,
+        "transform": st.one_of(
+            st.sampled_from(["identity", "logit"]),
+            st.fixed_dictionaries({"kind": st.just("logit"),
+                                   "epsilon": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)}),
+        ),
+        "trace_path": st.one_of(st.none(), NAMES),
+    },
+)
+
+
+class TestConfigSchema:
+    @settings(max_examples=300, deadline=None)
+    @given(VALID_CONFIGS)
+    def test_to_dict_round_trips(self, data):
+        config = CampaignConfig.from_dict(data)
+        assert CampaignConfig.from_dict(config.to_dict()) == config
+        assert CampaignConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+    # (subcommand, evaluator kind, dotted path, value put there): each value has
+    # the wrong type for its leaf, or its key is unknown.
+    @pytest.mark.parametrize(
+        "command, evaluator, path, value",
+        [
+            ("replicate", "synthetic", "mode.kind", 5),
+            ("fb", "synthetic", "mode.budget", "10"),
+            ("fb", "synthetic", "mode.budget", 20.5),
+            ("fb", "synthetic", "mode.budget", True),
+            ("fc", "synthetic", "mode.delta", "0.1"),
+            ("fc", "synthetic", "mode.delta", True),
+            ("fc", "synthetic", "mode.max_evals", "100"),
+            ("fc", "synthetic", "mode.max_evals", 100.0),
+            ("fc", "synthetic", "mode.max_evals", True),
+            ("fc-batch", "synthetic", "mode.batch_size", "2"),
+            ("fc-batch", "synthetic", "mode.batch_size", 2.0),
+            ("fc-batch", "synthetic", "mode.batch_size", False),
+            ("fc-batch", "synthetic", "mode.sync", "false"),
+            ("fc-batch", "synthetic", "mode.sync", 0),
+            ("fc", "synthetic", "evaluator.kind", 1),
+            ("fc", "synthetic", "evaluator.arms_file", 5),
+            ("fc", "subprocess", "evaluator.command", ["python3"]),
+            ("fc", "subprocess", "evaluator.max_in_flight", "2"),
+            ("fc", "subprocess", "evaluator.max_in_flight", 2.5),
+            ("fc", "subprocess", "evaluator.max_in_flight", True),
+            ("fc", "replay", "evaluator.csv_file", 5),
+            ("fc", "replay", "evaluator.exhaustion", 1),
+            ("fc", "synthetic", "models", "abc"),
+            ("fc", "synthetic", "models", ["a", 1]),
+            ("fc", "synthetic", "campaign_seed", True),
+            ("fc", "synthetic", "campaign_seed", "7"),
+            ("fc", "synthetic", "campaign_seed", 7.0),
+            ("fc", "synthetic", "mc_samples", "1000"),
+            ("fc", "synthetic", "mc_samples", 1000.0),
+            ("fc", "synthetic", "mc_samples", False),
+            ("fc", "synthetic", "transform", 5),
+            ("fc", "synthetic", "transform.epsilon", "0.01"),
+            ("fc", "synthetic", "trace_path", 5),
+            ("fc", "synthetic", "max_evals", 50),
+            ("fc", "synthetic", "mode.max_eval", 50),
+            ("fc", "synthetic", "evaluator.arm_file", "arms.json"),
+            ("fc", "synthetic", "transform.eps", 0.1),
+        ],
+    )
+    def test_wrong_type_or_unknown_key_exits_one_naming_path(
+        self, command, evaluator, path, value, tmp_path, capsys
+    ):
+        data = {
+            "mode": {"fb": {"kind": "fb", "budget": 10},
+                     "fc-batch": {"kind": "fc-batch", "delta": 0.1, "batch_size": 2}}.get(
+                         command, {"kind": "fc", "delta": 0.1}),
+            "evaluator": {"synthetic": {"kind": "synthetic", "arms_file": "arms.json"},
+                          "subprocess": {"kind": "subprocess", "command": "child"},
+                          "replay": {"kind": "replay", "csv_file": "scores.csv"}}[evaluator],
+            "models": ["a", "b"],
+            "transform": {"kind": "logit", "epsilon": 0.01},
+        }
+        *parents, leaf = path.split(".")
+        section = data
+        for key in parents:
+            section = section[key]
+        section[leaf] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        argv = [command, "--config", str(config_path)]
+        code = main(argv + ["--replications", "1"] if command == "replicate" else argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {path}: " in err
+        assert "must be" in err or "unknown key" in err
+        assert "Traceback" not in err
+
+
 class TestRunCampaign:
     def test_summary_matches_result(self, arms_file, capsys):
         config = fc_config(arms_file)
@@ -225,6 +342,27 @@ class TestMain:
         assert code == 1
         assert "budget too small" in captured.err and "got 2" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "arm, param",
+        [
+            ({"family": "gaussian", "mean": float("nan"), "sd": 0.01}, "mean"),
+            ({"family": "beta", "alpha": float("inf"), "beta": 2.0}, "alpha"),
+            ({"family": "gaussian", "mean": "0.5", "sd": 0.01}, "mean"),
+            ({"family": "gaussian", "mean": 0.5, "sd": True}, "sd"),
+        ],
+    )
+    def test_bad_arm_parameter_exits_one_naming_entry(self, arm, param, tmp_path, capsys):
+        arms = tmp_path / "arms.json"
+        arms.write_text(
+            json.dumps([{"name": "ok", "family": "gaussian", "mean": 0.5, "sd": 0.01},
+                        {"name": "bad", **arm}])
+        )
+        code = main(["fc", "--delta", "0.2", "--synthetic", str(arms), "--mc-samples", "500"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"arm entry 1 (bad): {param} must be a finite number" in err
+        assert "Traceback" not in err
 
     def test_missing_evaluator_exits_one(self, capsys):
         code = main(["fc", "--delta", "0.1"])

@@ -12,7 +12,6 @@ from bestarm import (
     StreamPurpose,
     make_model_ids,
     rng_stream,
-    stats_merge,
     stats_update,
 )
 from bestarm.core import point_mass_belief
@@ -79,39 +78,6 @@ class TestStatsUpdate:
         for x in rng.normal(1e6, 1e-8, size=500):
             stats = stats_update(stats, float(x))
             assert stats.sq_dev_sum >= 0.0
-
-
-class TestStatsMerge:
-    def test_identity_left(self):
-        x = fold([0.6, 0.7])
-        assert stats_merge(ModelStats(), x) == x
-
-    def test_identity_right(self):
-        x = fold([0.6, 0.7])
-        assert stats_merge(x, ModelStats()) == x
-
-    def test_merge_equals_concatenation(self):
-        merged = stats_merge(fold([0.6, 0.7]), fold([0.8]))
-        assert_stats_close(merged, two_pass([0.6, 0.7, 0.8]))
-
-    def test_merge_random_splits(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(1, 400))
-            cut = int(rng.integers(0, n + 1))
-            values = rng.uniform(-1e6, 1e6, size=n).tolist()
-            merged = stats_merge(fold(values[:cut]), fold(values[cut:]))
-            assert_stats_close(merged, two_pass(values))
-
-    def test_associative(self):
-        rng = np.random.default_rng(13)
-        for _ in range(30):
-            parts = [rng.uniform(-1e3, 1e3, size=int(rng.integers(0, 60))).tolist()
-                     for _ in range(3)]
-            a, b, c = (fold(p) for p in parts)
-            left = stats_merge(stats_merge(a, b), c)
-            right = stats_merge(a, stats_merge(b, c))
-            assert_stats_close(left, right)
 
 
 class TestRngStream:

@@ -7,14 +7,15 @@ from scipy import stats as scistats
 from bestarm import (
     InsufficientDataError,
     ModelStats,
+    PosteriorParams,
     TransformMode,
     VARIANCE_FLOOR,
     estimate_pi,
     posterior_from_stats,
-    posterior_sample,
     stats_update,
     transform_score,
 )
+from bestarm.posterior import _t_draws
 
 
 def fold(values):
@@ -47,33 +48,29 @@ class TestPosteriorFromStats:
         assert p.dof == 3
 
 
+def posterior_draws(params, n, rng):
+    """n draws of a model's true mean: its posterior's location-scale t, via the t-draw kernel."""
+    return params.center + params.scale * _t_draws(np.full(n, params.dof), (n,), rng)
+
+
 class TestPosteriorSample:
     def test_tiny_scale_concentrates_at_center(self):
-        from bestarm import PosteriorParams
-
         params = PosteriorParams(center=0.7, scale=1e-12, dof=5.0)
-        rng = np.random.default_rng(3)
-        draws = [posterior_sample(params, rng) for _ in range(1000)]
-        assert max(abs(d - 0.7) for d in draws) < 1e-9
+        draws = posterior_draws(params, 1000, np.random.default_rng(3))
+        assert np.max(np.abs(draws - 0.7)) < 1e-9
 
     def test_ks_against_analytic_t_cdf(self):
         # 1e5 standardized draws at dof 5 must be consistent with the t CDF
-        from bestarm import PosteriorParams
-
         params = PosteriorParams(center=0.3, scale=0.02, dof=5.0)
-        rng = np.random.default_rng(17)
-        draws = np.array([posterior_sample(params, rng) for _ in range(100_000)])
+        draws = posterior_draws(params, 100_000, np.random.default_rng(17))
         standardized = (draws - params.center) / params.scale
         result = scistats.kstest(standardized, scistats.t(df=5).cdf)
         assert result.pvalue > 0.01
 
     def test_dof_one_is_cauchy(self):
         # Cauchy quantile oracle: median at center, quartiles at center +- scale
-        from bestarm import PosteriorParams
-
         params = PosteriorParams(center=2.0, scale=0.5, dof=1.0)
-        rng = np.random.default_rng(23)
-        draws = np.array([posterior_sample(params, rng) for _ in range(100_000)])
+        draws = posterior_draws(params, 100_000, np.random.default_rng(23))
         q25, q50, q75 = np.quantile(draws, [0.25, 0.5, 0.75])
         assert q50 == pytest.approx(2.0, abs=0.5 * 0.02)
         assert q25 == pytest.approx(2.0 - 0.5, abs=0.5 * 0.05)
