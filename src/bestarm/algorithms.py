@@ -16,6 +16,10 @@ more exploitative and degrades as B grows.
 Two non-adaptive baselines mirror conventional practice (equal budget split;
 evaluate everything each round until confident), and ``complexity_h`` scores
 problem difficulty from the true mean gaps.
+
+Every entry point takes an optional ``on_event`` callable, which receives
+each trace event as it is emitted, so a caller can stream the trace of a
+campaign that is still running or that fails.
 """
 
 from __future__ import annotations
@@ -34,13 +38,10 @@ from .core import (
     ConfigError,
     EvaluationRequest,
     EvaluationScore,
-    EvaluatorFailure,
     EvaluationError,
     EventKind,
     ModelId,
     ModelStats,
-    PoolExhaustedError,
-    ProtocolError,
     SelectionResult,
     StreamPurpose,
     TerminationReason,
@@ -62,9 +63,8 @@ from .posterior import (
 
 DEFAULT_MAX_TOTAL_EVALS = 10_000
 
-# Everything an evaluator back-end can raise mid-campaign; the campaign
-# attaches its partial trace to these before they propagate.
-EVALUATOR_ERRORS = (EvaluatorFailure, ProtocolError, PoolExhaustedError)
+# Receives each trace event as the campaign emits it.
+EventSink = Callable[[TraceEvent], None]
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,9 @@ class _Campaign:
     """Single-coordinator mutable state of one selection run.
 
     Owns the per-purpose randomness substreams, the online statistics, the
-    evaluation counters, and the ordered trace. Algorithms drive it; all
-    shared values it hands out (stats, beliefs) are immutable.
+    evaluation counters, and the ordered trace, each event of which also
+    goes to ``on_event`` as it is emitted. Algorithms drive it; all shared
+    values it hands out (stats, beliefs) are immutable.
     """
 
     def __init__(
@@ -128,6 +129,7 @@ class _Campaign:
         campaign_seed: int,
         mc_samples: int = DEFAULT_MC_SAMPLES,
         transform: TransformMode = IDENTITY,
+        on_event: Optional[EventSink] = None,
     ):
         self.models = tuple(models)
         n = len(self.models)
@@ -140,7 +142,7 @@ class _Campaign:
         self.eval_counts = [0] * n
         self.total = 0
         self.trace: list[TraceEvent] = []
-        self._event_seq = 0
+        self._on_event = on_event
         self._request_seq = 0
         self._split_rng = rng_stream(campaign_seed, StreamPurpose.SPLIT_SEED)
         self._model_seed_rng = rng_stream(campaign_seed, StreamPurpose.MODEL_SEED)
@@ -149,8 +151,10 @@ class _Campaign:
         self._retried: set[int] = set()
 
     def emit(self, kind: EventKind, payload: dict) -> None:
-        self.trace.append(TraceEvent(seq=self._event_seq, kind=kind, payload=payload))
-        self._event_seq += 1
+        event = TraceEvent(seq=len(self.trace), kind=kind, payload=payload)
+        self.trace.append(event)
+        if self._on_event is not None:
+            self._on_event(event)
 
     def next_request(self, model: ModelId) -> EvaluationRequest:
         req = EvaluationRequest(
@@ -179,11 +183,6 @@ class _Campaign:
             payload.update(extra)
         self.emit(EventKind.EVALUATED, payload)
 
-    def _attach_and_raise(self, e: Exception):
-        e.partial_trace = tuple(self.trace)
-        e.partial_counts = tuple(self.eval_counts)
-        raise e
-
     def _collect_with_retry(self, retry_once: bool) -> EvaluationScore:
         while True:
             try:
@@ -210,16 +209,13 @@ class _Campaign:
         requests = [self.next_request(m) for m in batch]
         window = self.evaluator.max_in_flight or len(requests)
         results: dict[int, EvaluationScore] = {}
-        try:
-            submitted = 0
-            while len(results) < len(requests):
-                while submitted < len(requests) and submitted - len(results) < window:
-                    self.evaluator.submit(requests[submitted])
-                    submitted += 1
-                res = self._collect_with_retry(retry_once)
-                results[res.request.sequence] = res
-        except EVALUATOR_ERRORS as e:
-            self._attach_and_raise(e)
+        submitted = 0
+        while len(results) < len(requests):
+            while submitted < len(requests) and submitted - len(results) < window:
+                self.evaluator.submit(requests[submitted])
+                submitted += 1
+            res = self._collect_with_retry(retry_once)
+            results[res.request.sequence] = res
         for i, req in enumerate(requests):
             self.fold(results[req.sequence], extras[i] if extras else None)
 
@@ -258,6 +254,12 @@ class _Campaign:
             terminated_by=reason,
         )
 
+    def finish_budget(self, winner: ModelId, budget: BudgetPolicy) -> SelectionResult:
+        """End a fixed-budget campaign with a point-mass belief on ``winner``."""
+        belief = point_mass_belief(self.stats, winner.index)
+        unused = budget.total_budget - self.total
+        return self.finish(winner, TerminationReason.BUDGET_EXHAUSTED, belief, unused_budget=unused)
+
 
 def _draw_index(win_counts: Sequence[int], rng: np.random.Generator, exclude: Optional[int] = None) -> int:
     # Sample proportionally to the integer win counts (exact, no float
@@ -283,6 +285,7 @@ def _confidence_campaign(
     campaign_seed: int,
     mc_samples: int,
     transform: TransformMode,
+    on_event: Optional[EventSink],
 ) -> _Campaign:
     models = tuple(models)
     n = len(models)
@@ -295,7 +298,7 @@ def _confidence_campaign(
             f"must be at least 3 evaluations per model ({need} for {n} models), "
             f"got {conf.max_total_evals}",
         )
-    return _Campaign(models, evaluator, campaign_seed, mc_samples=mc_samples, transform=transform)
+    return _Campaign(models, evaluator, campaign_seed, mc_samples, transform, on_event)
 
 
 def _stop_reason(c: _Campaign, belief: Belief, conf: ConfidencePolicy, step: int) -> Optional[TerminationReason]:
@@ -342,6 +345,7 @@ def sequential_halving(
     campaign_seed: int,
     *,
     transform: TransformMode = IDENTITY,
+    on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
     """Fixed-budget selection by halving the candidate set each round.
 
@@ -361,7 +365,7 @@ def sequential_halving(
             f"budget too small: {n} models over {rounds} rounds need at least "
             f"{n * rounds} evaluations, got {budget.total_budget}"
         )
-    c = _Campaign(models, evaluator, campaign_seed, transform=transform)
+    c = _Campaign(models, evaluator, campaign_seed, transform=transform, on_event=on_event)
     survivors = list(models)
     round_index = 0
     while len(survivors) > 1:
@@ -384,14 +388,7 @@ def sequential_halving(
             },
         )
         survivors = [m for m in survivors if m.index not in dropped]
-    winner = survivors[0]
-    belief = point_mass_belief(c.stats, winner.index)
-    return c.finish(
-        winner,
-        TerminationReason.BUDGET_EXHAUSTED,
-        belief,
-        unused_budget=budget.total_budget - c.total,
-    )
+    return c.finish_budget(survivors[0], budget)
 
 
 def ttts(
@@ -402,6 +399,7 @@ def ttts(
     *,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     transform: TransformMode = IDENTITY,
+    on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
     """Fixed-confidence selection by top-two Thompson sampling.
 
@@ -410,7 +408,7 @@ def ttts(
     two distinct models from the belief (the second renormalized over the
     rest), flip a fair coin between them, and evaluate the winner once.
     """
-    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform)
+    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
 
     def top_two(belief: Belief):
         first = _draw_index(belief.win_counts, c.algo_rng)
@@ -430,6 +428,7 @@ def bts(
     *,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     transform: TransformMode = IDENTITY,
+    on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
     """Fixed-confidence selection by batch Thompson sampling.
 
@@ -441,7 +440,7 @@ def bts(
     once, then the campaign aborts. In-flight work is discarded at
     termination.
     """
-    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform)
+    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
     cap = evaluator.max_in_flight
     if cap is not None and batch.batch_size > cap:
         raise ConfigError(
@@ -462,19 +461,15 @@ def bts(
     # The first pass fills all B workers; each later pass refills the one
     # whose evaluation was just folded in.
     refill = batch.batch_size
-    try:
-        while True:
-            belief = c.update_belief()
-            reason = _stop_reason(c, belief, conf, 1)
-            if reason is not None:
-                break
-            for _ in range(refill):
-                c.evaluator.submit(c.next_request(draw(belief)))
-            refill = 1
-            c.fold(c._collect_with_retry(retry_once=True))
-    except EVALUATOR_ERRORS as e:
-        c._attach_and_raise(e)
-    return c.finish(c.models[belief.argmax()], reason, belief)
+    while True:
+        belief = c.update_belief()
+        reason = _stop_reason(c, belief, conf, 1)
+        if reason is not None:
+            return c.finish(c.models[belief.argmax()], reason, belief)
+        for _ in range(refill):
+            c.evaluator.submit(c.next_request(draw(belief)))
+        refill = 1
+        c.fold(c._collect_with_retry(retry_once=True))
 
 
 def nonadaptive_fixed_budget(
@@ -484,6 +479,7 @@ def nonadaptive_fixed_budget(
     campaign_seed: int,
     *,
     transform: TransformMode = IDENTITY,
+    on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
     """Equal-split baseline: floor(T/N) evaluations per model, round-robin,
     then pick the highest empirical mean."""
@@ -497,17 +493,10 @@ def nonadaptive_fixed_budget(
             f"got {budget.total_budget}"
         )
     per_model = budget.total_budget // n
-    c = _Campaign(models, evaluator, campaign_seed, transform=transform)
+    c = _Campaign(models, evaluator, campaign_seed, transform=transform, on_event=on_event)
     c.run_batch(c.start_round(1, models, per_model))
     means = [c.stats[m.index].mean for m in models]
-    winner = models[max(range(n), key=lambda i: means[i])]
-    belief = point_mass_belief(c.stats, winner.index)
-    return c.finish(
-        winner,
-        TerminationReason.BUDGET_EXHAUSTED,
-        belief,
-        unused_budget=budget.total_budget - c.total,
-    )
+    return c.finish_budget(models[max(range(n), key=lambda i: means[i])], budget)
 
 
 def nonadaptive_fixed_confidence(
@@ -518,6 +507,7 @@ def nonadaptive_fixed_confidence(
     *,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     transform: TransformMode = IDENTITY,
+    on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
     """Evaluate-everything baseline under the same Bayesian stopping rule.
 
@@ -525,7 +515,7 @@ def nonadaptive_fixed_confidence(
     belief is recomputed after each full round. Same 3-per-model start and
     stopping threshold as top-two Thompson sampling.
     """
-    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform)
+    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
     rounds = itertools.count(1)
 
     def every_model(belief: Belief):

@@ -9,20 +9,21 @@ command-line flag, and flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .algorithms import (
-    EVALUATOR_ERRORS,
     BatchMode,
     BatchPolicy,
     BudgetPolicy,
     ConfidencePolicy,
     DEFAULT_MAX_TOTAL_EVALS,
+    EventSink,
     bts,
     nonadaptive_fixed_budget,
     nonadaptive_fixed_confidence,
@@ -31,6 +32,7 @@ from .algorithms import (
 )
 from .core import (
     ConfigError,
+    EvaluatorFailure,
     ModelId,
     SelectionResult,
     TerminationReason,
@@ -306,20 +308,16 @@ def _make_models(names: Sequence[str]) -> tuple[ModelId, ...]:
         raise ConfigError("models", str(e)) from None
 
 
-def _dispatch(
-    config: CampaignConfig, models: tuple[ModelId, ...], evaluator: Evaluator
-) -> SelectionResult:
+def _dispatch(config: CampaignConfig, models: tuple[ModelId, ...], evaluator: Evaluator,
+              on_event: Optional[EventSink]) -> SelectionResult:
     mode = config.mode
     seed = config.campaign_seed
-    common = dict(mc_samples=config.mc_samples, transform=config.transform)
+    common = dict(transform=config.transform, on_event=on_event)
     if mode.kind == "fb":
-        return sequential_halving(
-            models, BudgetPolicy(mode.budget), evaluator, seed, transform=config.transform
-        )
+        return sequential_halving(models, BudgetPolicy(mode.budget), evaluator, seed, **common)
     if mode.kind == "baseline-fb":
-        return nonadaptive_fixed_budget(
-            models, BudgetPolicy(mode.budget), evaluator, seed, transform=config.transform
-        )
+        return nonadaptive_fixed_budget(models, BudgetPolicy(mode.budget), evaluator, seed, **common)
+    common["mc_samples"] = config.mc_samples
     conf = ConfidencePolicy(delta=mode.delta, max_total_evals=mode.max_evals)
     if mode.kind == "fc":
         return ttts(models, conf, evaluator, seed, **common)
@@ -342,21 +340,29 @@ def _header_dict(config: CampaignConfig, models: Optional[Sequence[ModelId]] = N
     return {"config": d}
 
 
+@contextlib.contextmanager
 def write_trace(
-    path: str,
-    config: CampaignConfig,
-    events: Sequence[TraceEvent],
-    models: Optional[Sequence[ModelId]] = None,
-) -> None:
-    """Write the JSON-lines trace: one header line, then one line per event.
+    path: str, config: CampaignConfig, models: Optional[Sequence[ModelId]] = None
+) -> Iterator[EventSink]:
+    """Open the JSON-lines trace and write its header; yield the event writer.
 
     The header embeds the resolved configuration, including the candidate
-    set when it was derived from an evaluator source file.
+    set when it was derived from an evaluator source file. The writer
+    writes and flushes one line per event, so the file holds every event
+    emitted so far even if the campaign dies.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise ConfigError("trace_path", str(e)) from None
+    with fh:
         fh.write(json.dumps(_header_dict(config, models)) + "\n")
-        for ev in events:
-            fh.write(json.dumps(ev.to_dict()) + "\n")
+
+        def write(event: TraceEvent) -> None:
+            fh.write(json.dumps(event.to_dict()) + "\n")
+            fh.flush()
+
+        yield write
 
 
 def format_summary(models: Sequence[ModelId], result: SelectionResult) -> str:
@@ -370,27 +376,27 @@ def format_summary(models: Sequence[ModelId], result: SelectionResult) -> str:
     return "\n".join(lines)
 
 
+def _run(config: CampaignConfig) -> tuple[tuple[ModelId, ...], SelectionResult]:
+    """Resolve, open the trace (if configured), dispatch, close the evaluator."""
+    models, evaluator = _resolve(config)
+    try:
+        trace = write_trace(config.trace_path, config, models) if config.trace_path else contextlib.nullcontext()
+        with trace as on_event:
+            return models, _dispatch(config, models, evaluator, on_event)
+    finally:
+        evaluator.close()
+
+
 def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     """Validate, run, report: the one-campaign entry point.
 
-    Prints the human-readable summary to stdout, writes the trace when a
-    path is configured (including the partial trace on evaluator failure,
-    before the failure propagates), and returns the result with its exit
-    code: 0 for budget/confidence termination, 2 when the safeguard tripped.
+    Streams the trace when a path is configured (so a failed or interrupted
+    campaign leaves every event emitted so far), prints the human-readable
+    summary to stdout, and returns the result with its exit code: 0 for
+    budget/confidence termination, 2 when the safeguard tripped.
     """
     config.validate()
-    models, evaluator = _resolve(config)
-    try:
-        result = _dispatch(config, models, evaluator)
-    except EVALUATOR_ERRORS as e:
-        partial = getattr(e, "partial_trace", None)
-        if config.trace_path and partial is not None:
-            write_trace(config.trace_path, config, partial, models)
-        raise
-    finally:
-        evaluator.close()
-    if config.trace_path:
-        write_trace(config.trace_path, config, result.trace, models)
+    models, result = _run(config)
     print(format_summary(models, result))
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
     return result, code
@@ -468,11 +474,7 @@ def run_replications(
     correct = 0
     for i in range(replications):
         rep = replace(config, campaign_seed=config.campaign_seed + i, trace_path=None)
-        models, evaluator = _resolve(rep)
-        try:
-            result = _dispatch(rep, models, evaluator)
-        finally:
-            evaluator.close()
+        models, result = _run(rep)
         if name_list is None:
             name_list = [m.name for m in models]
             counts = [0] * len(models)
@@ -580,15 +582,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         _, code = run_campaign(config)
         return code
-    except EVALUATOR_ERRORS as e:
+    except (EvaluatorFailure, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        stderr = getattr(e, "stderr", None)
-        if stderr:
-            print(f"evaluator stderr:\n{stderr}", file=sys.stderr)
+        if isinstance(e, EvaluatorFailure) and e.stderr:
+            print(f"evaluator stderr:\n{e.stderr}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entrypoint() -> None:

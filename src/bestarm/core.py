@@ -28,14 +28,6 @@ class UndefinedComplexityError(ValueError):
     """The difficulty measure is undefined when the best mean is not unique."""
 
 
-class PoolExhaustedError(RuntimeError):
-    """A replay score pool ran out under the Error exhaustion policy."""
-
-
-class ProtocolError(RuntimeError):
-    """The external evaluator violated the wire protocol."""
-
-
 class ConfigError(ValueError):
     """A campaign configuration field failed validation."""
 
@@ -45,18 +37,19 @@ class ConfigError(ValueError):
 
 
 class EvaluatorFailure(RuntimeError):
-    """An evaluator back-end failed (dead child, timeout, aborted campaign).
-
-    When raised from inside a running campaign, ``partial_trace`` and
-    ``partial_counts`` carry whatever the campaign had recorded so far so the
-    caller can flush diagnostics.
-    """
+    """An evaluator back-end failed (dead child, timeout, aborted campaign)."""
 
     def __init__(self, message: str, *, stderr: Optional[str] = None):
         super().__init__(message)
         self.stderr = stderr
-        self.partial_trace: Optional[tuple] = None
-        self.partial_counts: Optional[tuple] = None
+
+
+class PoolExhaustedError(EvaluatorFailure):
+    """A replay score pool ran out under the Error exhaustion policy."""
+
+
+class ProtocolError(EvaluatorFailure):
+    """The external evaluator violated the wire protocol."""
 
 
 class EvaluationError(EvaluatorFailure):
@@ -65,7 +58,6 @@ class EvaluationError(EvaluatorFailure):
     def __init__(self, request: "EvaluationRequest", message: str):
         super().__init__(f"evaluation {request.sequence} of {request.model.name} failed: {message}")
         self.request = request
-        self.reason = message
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import math
 import queue
 import shlex
 import subprocess
+import sys
 import threading
 import warnings
 from abc import ABC, abstractmethod
@@ -44,6 +45,15 @@ PROTOCOL_VERSION = 1
 # Rejection sampling cap for truncated distributions; hit only by badly
 # mis-specified arms (support nearly disjoint from the parent distribution).
 _MAX_REJECTIONS = 100_000
+
+# Seconds an evaluator child gets to exit after closing its output or shutdown.
+_EXIT_WAIT_S = 5.0
+
+
+def _is_finite_number(value) -> bool:
+    """Whether a JSON value is a finite number: a bool is not, and an int must fit a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -77,7 +87,7 @@ class TruncatedGaussian:
             x = float(rng.normal(self.mean, self.sd))
             if self.lo <= x <= self.hi:
                 return x
-        raise RuntimeError(
+        raise EvaluatorFailure(
             f"rejection sampling failed after {_MAX_REJECTIONS} draws for "
             f"truncated Gaussian({self.mean}, {self.sd}) on [{self.lo}, {self.hi}]"
         )
@@ -122,7 +132,7 @@ def parse_arm_entries(entries: list) -> list[tuple[str, Distribution]]:
             raise ValueError(f"arm entry {i}: unknown family {family!r}")
         params = {k: v for k, v in entry.items() if k not in ("name", "family")}
         for k, v in params.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not _is_finite_number(v):
                 raise ValueError(
                     f"arm entry {i} ({entry['name']}): {k} must be a finite number, got {v!r}"
                 )
@@ -346,7 +356,6 @@ class SubprocessEvaluator(Evaluator):
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
-                encoding="utf-8",
             )
         except OSError as e:
             raise EvaluatorFailure(f"failed to spawn evaluator {argv!r}: {e}") from e
@@ -363,12 +372,13 @@ class SubprocessEvaluator(Evaluator):
             advertised = reply.get("max_in_flight")
             if not isinstance(advertised, int) or advertised < 1:
                 raise ProtocolError(f"handshake max_in_flight must be a positive integer: {reply}")
-        except Exception:
+        except BaseException:
             self._kill()
             raise
         self._max_in_flight = advertised if max_in_flight is None else min(advertised, max_in_flight)
 
     def _drain_stdout(self):
+        # Lines stay bytes: _read_object decodes them, so bad UTF-8 is a protocol error.
         try:
             for line in self._child.stdout:
                 self._lines.put(line)
@@ -379,7 +389,7 @@ class SubprocessEvaluator(Evaluator):
     def _drain_stderr(self):
         try:
             for line in self._child.stderr:
-                self._stderr_chunks.append(line)
+                self._stderr_chunks.append(line.decode("utf-8", "replace"))
         except ValueError:
             pass
 
@@ -388,7 +398,7 @@ class SubprocessEvaluator(Evaluator):
 
     def _send(self, obj: dict) -> None:
         try:
-            self._child.stdin.write(json.dumps(obj) + "\n")
+            self._child.stdin.write(json.dumps(obj).encode() + b"\n")
             self._child.stdin.flush()
         except (BrokenPipeError, OSError) as e:
             raise EvaluatorFailure(
@@ -404,15 +414,17 @@ class SubprocessEvaluator(Evaluator):
                 stderr=self._stderr_text(),
             ) from None
         if line is None:
-            code = self._child.wait()
+            try:
+                status = f"exited (code {self._child.wait(timeout=_EXIT_WAIT_S)})"
+            except subprocess.TimeoutExpired:
+                status = "closed its output"
             raise EvaluatorFailure(
-                f"evaluator child exited (code {code}) with {len(self._pending)} "
-                f"requests outstanding",
+                f"evaluator child {status} with {len(self._pending)} requests outstanding",
                 stderr=self._stderr_text(),
             )
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
+            obj = json.loads(line.decode("utf-8"))
+        except (ValueError, RecursionError):  # not UTF-8 or JSON, an over-long int, deep nesting
             raise ProtocolError(f"malformed response line: {line.strip()!r}") from None
         if not isinstance(obj, dict):
             raise ProtocolError(f"response must be a JSON object: {line.strip()!r}")
@@ -449,7 +461,7 @@ class SubprocessEvaluator(Evaluator):
         if "error" in obj:
             raise EvaluationError(request, str(obj["error"]))
         score = obj.get("score")
-        if not isinstance(score, (int, float)) or isinstance(score, bool) or not math.isfinite(score):
+        if not _is_finite_number(score):
             raise ProtocolError(f"response for id {rid} has no finite score: {obj}")
         return EvaluationScore(request=request, score=float(score))
 
@@ -472,6 +484,6 @@ class SubprocessEvaluator(Evaluator):
             except (EvaluatorFailure, OSError):
                 pass
             try:
-                self._child.wait(timeout=5)
+                self._child.wait(timeout=_EXIT_WAIT_S)
             except subprocess.TimeoutExpired:
                 self._kill()

@@ -11,6 +11,8 @@ Speaks the line-delimited JSON protocol on stdin/stdout. Behavior knobs:
                       succeed on the retry
   --wrong-id          answer with id+1 (protocol violation)
   --id-json VALUE     answer with this JSON value as the id (protocol violation)
+  --raw-reply HEX     answer with these bytes (hex-encoded) and a newline,
+                      whatever they are (e.g. not UTF-8), and stay alive
   --bad-handshake     reply nonsense to the handshake
   --const-score X     fixed score instead of the id hash
 
@@ -61,6 +63,7 @@ def main() -> int:
     ap.add_argument("--flaky", action="store_true")
     ap.add_argument("--wrong-id", action="store_true")
     ap.add_argument("--id-json", default=None)
+    ap.add_argument("--raw-reply", type=bytes.fromhex, default=None)
     ap.add_argument("--bad-handshake", action="store_true")
     ap.add_argument("--const-score", type=float, default=None)
     args = ap.parse_args()
@@ -91,6 +94,9 @@ def main() -> int:
             send({"id": rid + 1, "score": 0.5})
         elif args.id_json is not None:
             send({"id": json.loads(args.id_json), "score": 0.5})
+        elif args.raw_reply is not None:
+            sys.stdout.buffer.write(args.raw_reply + b"\n")
+            sys.stdout.buffer.flush()
         else:
             score = args.const_score if args.const_score is not None else score_for(rid)
             send({"id": rid, "score": score})

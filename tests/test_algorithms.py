@@ -216,14 +216,18 @@ class TestSequentialHalving:
         terminated = result.trace[-1]
         assert terminated.payload["unused_budget"] == 13 - result.total_evals
 
-    def test_failure_attaches_partial_trace(self):
+    def test_failure_keeps_emitted_events(self):
         models, inner = synthetic([0.3, 0.5, 0.7, 0.9], seed=13)
         evaluator = FailAfter(inner, fail_after=5)
-        with pytest.raises(EvaluatorFailure) as exc_info:
-            sequential_halving(models, BudgetPolicy(16), evaluator, campaign_seed=13)
-        assert exc_info.value.partial_trace is not None
-        evaluated = [e for e in exc_info.value.partial_trace if e.kind is EventKind.EVALUATED]
+        events = []
+        with pytest.raises(EvaluatorFailure):
+            sequential_halving(models, BudgetPolicy(16), evaluator, campaign_seed=13,
+                               on_event=events.append)
+        assert events[0].kind is EventKind.ROUND_STARTED
+        assert [e.seq for e in events] == list(range(len(events)))
+        evaluated = [e for e in events if e.kind is EventKind.EVALUATED]
         assert len(evaluated) <= 5
+        assert all(e.kind is not EventKind.TERMINATED for e in events)
 
     def test_reproducible(self):
         for _ in range(2):
@@ -419,11 +423,13 @@ class TestBts:
             [sys.executable, ECHO_CHILD, "--error-model", "b", "--max-in-flight", "4"],
             names,
         )
+        events = []
         try:
-            with pytest.raises(EvaluationError) as exc_info:
+            with pytest.raises(EvaluationError):
                 bts(models, ConfidencePolicy(delta=0.05), BatchPolicy(2), evaluator,
-                    campaign_seed=5, mc_samples=1000)
-            assert exc_info.value.partial_trace is not None
+                    campaign_seed=5, mc_samples=1000, on_event=events.append)
+            # It fails inside its first batch, so nothing may have been emitted.
+            assert all(e.kind is not EventKind.TERMINATED for e in events)
         finally:
             evaluator.close()
 
@@ -579,3 +585,26 @@ class TestLogitCampaign:
         assert all("transformed_score" in e.payload for e in evaluated)
         for e in evaluated:
             assert 0.0 <= e.payload["score"] <= 1.0
+
+
+class TestOnEvent:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda m, ev, sink: sequential_halving(m, BudgetPolicy(24), ev, 3, on_event=sink),
+            lambda m, ev, sink: ttts(m, ConfidencePolicy(0.2), ev, 3, mc_samples=1000, on_event=sink),
+            lambda m, ev, sink: bts(m, ConfidencePolicy(0.2), BatchPolicy(2, BatchMode.ASYNCHRONOUS),
+                                    ev, 3, mc_samples=1000, on_event=sink),
+            lambda m, ev, sink: nonadaptive_fixed_budget(m, BudgetPolicy(24), ev, 3, on_event=sink),
+            lambda m, ev, sink: nonadaptive_fixed_confidence(m, ConfidencePolicy(0.2), ev, 3,
+                                                             mc_samples=1000, on_event=sink),
+        ],
+        ids=["sequential_halving", "ttts", "bts", "nonadaptive_fixed_budget",
+             "nonadaptive_fixed_confidence"],
+    )
+    def test_receives_the_trace_in_order(self, run):
+        models, evaluator = synthetic([0.5, 0.55, 0.6], sd=0.05, seed=3)
+        events = []
+        result = run(models, evaluator, events.append)
+        assert tuple(events) == result.trace
+        assert events[-1].kind is EventKind.TERMINATED

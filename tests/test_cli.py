@@ -1,6 +1,9 @@
 import json
 import os
+import signal
+import subprocess as sp
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from bestarm import (
     run_replications,
 )
 from bestarm.cli import config_from_args, build_parser, main
+from bestarm.evaluators import SyntheticEvaluator
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
@@ -370,7 +374,7 @@ class TestMain:
         assert code == 1
         assert "evaluator" in captured.err
 
-    def test_child_crash_exits_one_with_partial_trace(self, tmp_path, capsys):
+    def test_child_crash_exits_one_with_streamed_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "partial.jsonl"
         cmd = f"{sys.executable} {ECHO_CHILD} --crash-after 3 --const-score 0.5"
         code = main(
@@ -384,6 +388,50 @@ class TestMain:
         assert "config" in lines[0]
         evaluated = [e for e in lines[1:] if e["kind"] == "evaluated"]
         assert len(evaluated) <= 3
+
+    def test_non_utf8_child_output_exits_one(self):
+        # The child stays alive after its undecodable reply.
+        reply = b'{"id": 0, "score": 0.5, "x": "\xff"}'
+        cmd = f"{sys.executable} {ECHO_CHILD} --raw-reply {reply.hex()}"
+        proc = sp.run(
+            [sys.executable, "-m", "bestarm.cli", "fc", "--delta", "0.1", "--exec", cmd,
+             "--models", "a,b", "--mc-samples", "500"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 1
+        assert "malformed response line" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_infeasible_truncated_gaussian_exits_one_with_header_only_trace(self, tmp_path):
+        arms = tmp_path / "arms.json"
+        arms.write_text(json.dumps([
+            {"name": "ok", "family": "gaussian", "mean": 0.5, "sd": 0.01},
+            {"name": "far", "family": "truncated_gaussian", "mean": 0, "sd": 0.01, "lo": 5, "hi": 6},
+        ]))
+        trace = tmp_path / "t.jsonl"
+        proc = sp.run(
+            [sys.executable, "-m", "bestarm.cli", "fc", "--delta", "0.1", "--synthetic", str(arms),
+             "--mc-samples", "500", "--trace", str(trace)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "rejection sampling failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert "config" in lines[0]
+        assert all(line["kind"] != "terminated" for line in lines[1:])
+
+    def test_unwritable_trace_path_exits_one_before_evaluating(self, arms_file, tmp_path, capsys,
+                                                               monkeypatch):
+        submitted = []
+        monkeypatch.setattr(SyntheticEvaluator, "submit", lambda self, req: submitted.append(req))
+        code = main(["fc", "--delta", "0.2", "--synthetic", arms_file,
+                     "--trace", str(tmp_path / "missing" / "t.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "trace_path" in captured.err
+        assert captured.out == ""
+        assert submitted == []
 
     def test_fb_runs_sequential_halving(self, arms_file, capsys):
         code = main(["fb", "--budget", "30", "--synthetic", arms_file, "--seed", "5"])
@@ -477,6 +525,37 @@ class TestCrossProcessDeterminism:
             assert proc.returncode == 0, proc.stderr
             blobs.append(trace.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestInterrupt:
+    def test_sigint_exits_130_and_keeps_the_streamed_trace(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        cmd = f"{sys.executable} {ECHO_CHILD} --delay-ms 20"
+        proc = sp.Popen(
+            [sys.executable, "-m", "bestarm.cli", "fc", "--delta", "0.001", "--exec", cmd,
+             "--models", "a,b", "--mc-samples", "1000", "--trace", str(trace)],
+            stdout=sp.PIPE, stderr=sp.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not trace.exists() or trace.read_text().count("\n") < 8:
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline, "trace did not reach 8 lines"
+                time.sleep(0.02)
+            # The campaign is still running, so those lines were streamed.
+            assert proc.poll() is None
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(lines) >= 8
+        assert "config" in lines[0]
+        assert [e["seq"] for e in lines[1:]] == list(range(len(lines) - 1))
 
 
 class TestReplications:

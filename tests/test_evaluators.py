@@ -1,8 +1,11 @@
+import json
 import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scistats
 
 from bestarm import (
@@ -268,6 +271,15 @@ class TestSubprocessEvaluator:
         finally:
             ev.close()
 
+    def test_non_utf8_reply_is_protocol_error(self):
+        # The child stays alive after replying, so this must not wait on its exit.
+        ids, ev = self.make("--raw-reply", b'{"id": 0, "score": 0.5, "x": "\xff"}'.hex(), timeout=10)
+        try:
+            with pytest.raises(ProtocolError, match="malformed"):
+                ev.evaluate(request(ids[0], 0))
+        finally:
+            ev.close()
+
     def test_bad_handshake(self):
         with pytest.raises(ProtocolError, match="handshake"):
             self.make("--bad-handshake")
@@ -351,3 +363,29 @@ class TestSubprocessEvaluator:
             assert score.score == child_score(5)
         finally:
             ev.close()
+
+
+# A reply that is close to valid explores more of the parser than random bytes.
+_REPLY_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from([0, 10**400, -(10**400)]), st.lists(st.integers(), max_size=2),
+)
+_JSON_REPLIES = st.dictionaries(
+    st.sampled_from(["id", "score", "error"]), _REPLY_VALUES, max_size=3
+).map(lambda obj: json.dumps(obj).encode())
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(reply=st.one_of(st.binary(max_size=48), _JSON_REPLIES,
+                      st.builds(bytes.__add__, _JSON_REPLIES, st.binary(max_size=4))))
+def test_any_reply_gives_a_score_or_an_evaluator_failure(reply):
+    (model,) = make_model_ids(["m"])
+    ev = SubprocessEvaluator(echo_command("--raw-reply", reply.hex()), ["m"], timeout=10)
+    try:
+        try:
+            score = ev.evaluate(request(model, 0))
+        except EvaluatorFailure:
+            return
+        assert score.request.sequence == 0 and np.isfinite(score.score)
+    finally:
+        ev.close()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import stats as scistats
 
 from bestarm import (
@@ -138,6 +139,62 @@ class TestEstimatePi:
         pi_base = estimate_pi(base, 100_000, np.random.default_rng(9)).pi[0]
         pi_shifted = estimate_pi(shifted, 100_000, np.random.default_rng(9)).pi[0]
         assert pi_shifted >= pi_base
+
+
+ORACLE_MC = 40_000
+
+
+def oracle_stats(case):
+    """Random statistics for 2 to 8 models: every other case has a dof-1
+    model, and every third case is a near-tie (means within a third of a
+    posterior scale)."""
+    rng = np.random.default_rng(1000 + case)
+    n = int(rng.integers(2, 9))
+    counts = rng.integers(3, 13, size=n)
+    if case % 2 == 0:
+        counts[rng.integers(n)] = 3
+    scale = rng.uniform(0.005, 0.05, size=n)
+    spread = 0.3 if case % 3 == 0 else 3.0
+    means = 0.7 + spread * float(np.median(scale)) * rng.standard_normal(n)
+    # sq_dev_sum chosen so that the posterior scale is exactly ``scale``.
+    return [ModelStats(count=int(t), mean=float(m), sq_dev_sum=float(s * s * t * (t - 2)))
+            for t, m, s in zip(counts, means, scale)]
+
+
+def exact_pi(stats):
+    """pi_i = integral over u in (0, 1) of prod_{j != i} F_j(F_i^-1(u))."""
+    params = [posterior_from_stats(s) for s in stats]
+    dof, loc, scale = (np.array([getattr(p, k) for p in params]) for k in ("dof", "center", "scale"))
+    out = []
+    for i in range(len(params)):
+        o = np.arange(len(params)) != i
+
+        def integrand(u):
+            x = scistats.t.ppf(u, dof[i], loc=loc[i], scale=scale[i])
+            return float(np.prod(scistats.t.cdf(x, dof[o], loc=loc[o], scale=scale[o])))
+
+        # Break the range where the other models' CDFs rise, so that quad
+        # cannot step over a narrow rise.
+        qs = scistats.t.ppf([[1e-4], [0.5], [1 - 1e-4]], dof[o], loc=loc[o], scale=scale[o])
+        points = np.unique(scistats.t.cdf(qs, dof[i], loc=loc[i], scale=scale[i]))
+        points = points[(points > 0) & (points < 1)]
+        out.append(integrate.quad(integrand, 0.0, 1.0, points=points, limit=200, epsabs=1e-6)[0])
+    return out
+
+
+class TestExactOracle:
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("case", range(20))
+    def test_estimate_pi_matches_exact_pi(self, case):
+        stats = oracle_stats(case)
+        exact = exact_pi(stats)
+        assert math.fsum(exact) == pytest.approx(1.0, abs=1e-4)
+        belief = estimate_pi(stats, ORACLE_MC, np.random.default_rng(case))
+        for estimate, p in zip(belief.pi, exact):
+            # The variance floor of 1/mc keeps p near 0 or 1 from demanding
+            # an exact match.
+            se = math.sqrt(max(p * (1 - p), 1 / ORACLE_MC) / ORACLE_MC)
+            assert abs(estimate - p) <= 4 * se, (stats, exact, belief.pi)
 
 
 class TestTransform:
