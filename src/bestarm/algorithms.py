@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -113,17 +113,6 @@ class BatchPolicy:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
 
-def _uint64_draws(rng: np.random.Generator, block: int = 64) -> Iterator[int]:
-    """``rng.integers(0, 2**64, dtype=np.uint64)`` draws, one at a time.
-
-    A full-range draw takes exactly one raw output of the generator, so
-    drawing a block at a time yields the same values at a fraction of the
-    per-call cost; the generator must not be used for anything else.
-    """
-    while True:
-        yield from rng.integers(0, 2**64, size=block, dtype=np.uint64).tolist()
-
-
 class _Campaign:
     """Single-coordinator mutable state of one selection run.
 
@@ -155,8 +144,8 @@ class _Campaign:
         self.trace: list[TraceEvent] = []
         self._on_event = on_event
         self._request_seq = 0
-        self._split_seeds = _uint64_draws(rng_stream(campaign_seed, StreamPurpose.SPLIT_SEED))
-        self._model_seeds = _uint64_draws(rng_stream(campaign_seed, StreamPurpose.MODEL_SEED))
+        self._split_rng = rng_stream(campaign_seed, StreamPurpose.SPLIT_SEED)
+        self._model_seed_rng = rng_stream(campaign_seed, StreamPurpose.MODEL_SEED)
         self._posterior_rng = rng_stream(campaign_seed, StreamPurpose.POSTERIOR)
         self.algo_rng = rng_stream(campaign_seed, StreamPurpose.ALGORITHM)
         self._retried: set[int] = set()
@@ -170,8 +159,8 @@ class _Campaign:
     def next_request(self, model: ModelId) -> EvaluationRequest:
         req = EvaluationRequest(
             model=model,
-            split_seed=next(self._split_seeds),
-            model_seed=next(self._model_seeds),
+            split_seed=int(self._split_rng.integers(0, 2**64, dtype=np.uint64)),
+            model_seed=int(self._model_seed_rng.integers(0, 2**64, dtype=np.uint64)),
             sequence=self._request_seq,
         )
         self._request_seq += 1

@@ -355,14 +355,16 @@ def write_trace(
         fh = open(path, "w", encoding="utf-8")
     except OSError as e:
         raise ConfigError("trace_path", str(e)) from None
-    with fh:
-        fh.write(json.dumps(_header_dict(config, models)) + "\n")
-
-        def write(event: TraceEvent) -> None:
-            fh.write(json.dumps(event.to_dict()) + "\n")
+    def write_line(obj: dict) -> None:
+        try:
+            fh.write(json.dumps(obj) + "\n")
             fh.flush()
+        except OSError as e:
+            raise ConfigError("trace_path", str(e)) from None
 
-        yield write
+    with fh:
+        write_line(_header_dict(config, models))
+        yield lambda event: write_line(event.to_dict())
 
 
 def format_summary(models: Sequence[ModelId], result: SelectionResult) -> str:

@@ -7,11 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 
 class NonFiniteScoreError(ValueError):
@@ -147,76 +145,10 @@ def rng_stream(campaign_seed: int, purpose: StreamPurpose, *key: int) -> np.rand
 
     Distinct purposes (and extra key parts, e.g. model index and request
     sequence) yield independent streams; the same arguments always reproduce
-    the same stream. It is the stream of
-    ``default_rng(SeedSequence(campaign_seed, spawn_key=(purpose, *key)))``.
+    the same stream.
     """
-    spawn_key = (int(purpose), *map(int, key))
-    if len(spawn_key) == 1:
-        return np.random.default_rng(np.random.SeedSequence(int(campaign_seed), spawn_key=spawn_key))
-    pool, hash_const = _mixed_pool(int(campaign_seed), spawn_key[:-1])
-    return np.random.Generator(np.random.PCG64(_PoolTail(pool, hash_const, spawn_key[-1])))
-
-
-# Per-request streams (one per synthetic draw) differ from each other only in
-# the last spawn-key word, and building a SeedSequence costs more than the
-# draw. SeedSequence hashes its entropy words one after another, so the pool
-# after all but the last word is cached, and the last word and the output
-# hash are replayed here with SeedSequence's own constants. The result is
-# the same generator state, bit for bit (tests/test_core.py checks this).
-_M32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _uint32_words(value: int) -> list[int]:
-    """SeedSequence's split of a non-negative int into uint32 words, low first."""
-    if value < 0:
-        raise ValueError(f"expected non-negative integer, got {value}")
-    words = [value & _M32]
-    while value > _M32:
-        value >>= 32
-        words.append(value & _M32)
-    return words
-
-
-@lru_cache(maxsize=256)
-def _mixed_pool(campaign_seed: int, spawn_key: tuple) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's entropy pool after ``spawn_key``, and its hash constant then."""
-    pool = np.random.SeedSequence(campaign_seed, spawn_key=spawn_key).pool
-    # With a spawn key the seed is padded to the 4-word pool; the pool is
-    # hashed 4 + 12 times, then 4 times per further word.
-    n_words = max(4, len(_uint32_words(campaign_seed))) + sum(len(_uint32_words(k)) for k in spawn_key)
-    calls = 16 + 4 * (n_words - 4)
-    return tuple(int(w) for w in pool), _INIT_A * pow(_MULT_A, calls, 1 << 32) & _M32
-
-
-class _PoolTail(ISeedSequence):
-    """Finishes a SeedSequence from a cached pool and the last spawn-key word."""
-
-    def __init__(self, pool: tuple[int, ...], hash_const: int, last: int):
-        self._pool, self._hash_const, self._last = pool, hash_const, last
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        pool, h = list(self._pool), self._hash_const
-        for word in _uint32_words(self._last):
-            for dst in range(4):
-                h_next = h * _MULT_A & _M32
-                value = (word ^ h) * h_next & _M32
-                value ^= value >> 16
-                mixed = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * value) & _M32
-                pool[dst] = mixed ^ (mixed >> 16)
-                h = h_next
-        wide = np.dtype(dtype) == np.uint64
-        out, h = [], _INIT_B
-        for i in range(2 * n_words if wide else n_words):
-            h_next = h * _MULT_B & _M32
-            value = (pool[i % 4] ^ h) * h_next & _M32
-            out.append(value ^ (value >> 16))
-            h = h_next
-        state = np.array(out, dtype="<u4")
-        # Pairs of words form little-endian uint64s on every platform.
-        return state.view("<u8").astype(np.uint64, copy=False) if wide else state.astype(np.uint32, copy=False)
+    ss = np.random.SeedSequence(int(campaign_seed), spawn_key=(int(purpose), *map(int, key)))
+    return np.random.default_rng(ss)
 
 
 @dataclass(frozen=True)

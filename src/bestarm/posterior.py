@@ -91,16 +91,10 @@ def posterior_from_stats(stats: ModelStats) -> PosteriorParams:
 
 def _t_draws(dofs: np.ndarray, shape: tuple, stream: np.random.Generator) -> np.ndarray:
     # Standard-t via a normal over the root of a scaled chi-square; exact for
-    # all dof >= 1 including the dof=1 Cauchy case. A chi-square with k dof is
-    # 2 * Gamma(k/2), so v/k is drawn as Gamma(k/2) / (k/2): the same stream
-    # use and the same bits as ``chisquare(dofs) / dofs``, with fewer passes.
+    # all dof >= 1 including the dof=1 Cauchy case.
     z = stream.standard_normal(shape)
-    half = dofs / 2
-    v = stream.standard_gamma(half, size=shape)
-    v /= half
-    np.sqrt(v, out=v)
-    z /= v
-    return z
+    v = stream.chisquare(dofs, size=shape)
+    return z / np.sqrt(v / dofs)
 
 
 def estimate_pi(
@@ -124,17 +118,15 @@ def estimate_pi(
     scales = np.array([p.scale for p in params])
     dofs = np.array([p.dof for p in params])
 
-    draws = _t_draws(dofs, (mc_samples, n), stream)
-    draws *= scales
-    draws += centers
+    draws = centers + scales * _t_draws(dofs, (mc_samples, n), stream)
+    row_max = draws.max(axis=1)
     winners = draws.argmax(axis=1)
-    is_max = draws == np.take_along_axis(draws, winners[:, None], axis=1)
     # Tie rows are resolved after the bulk draws so stream consumption is a
     # fixed layout plus one extra draw per actual tie.
-    if np.count_nonzero(is_max) > mc_samples:
-        for r in np.flatnonzero(is_max.sum(axis=1) > 1):
-            tied = np.flatnonzero(is_max[r])
-            winners[r] = tied[int(stream.integers(tied.size))]
+    tie_rows = np.flatnonzero((draws == row_max[:, None]).sum(axis=1) > 1)
+    for r in tie_rows:
+        tied = np.flatnonzero(draws[r] == row_max[r])
+        winners[r] = tied[int(stream.integers(tied.size))]
 
     counts = np.bincount(winners, minlength=n)
     return Belief(

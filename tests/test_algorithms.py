@@ -19,7 +19,6 @@ from bestarm import (
     Gaussian,
     ReplayEvaluator,
     ReplayTable,
-    StreamPurpose,
     SubprocessEvaluator,
     SyntheticEvaluator,
     TerminationReason,
@@ -30,7 +29,6 @@ from bestarm import (
     make_model_ids,
     nonadaptive_fixed_budget,
     nonadaptive_fixed_confidence,
-    rng_stream,
     sequential_halving,
     ttts,
 )
@@ -482,17 +480,6 @@ class TestRequestStream:
         seed_pairs = [(r.split_seed, r.model_seed) for r in reqs]
         assert len(set(seed_pairs)) == len(seed_pairs)
         assert all(0 <= r.split_seed < 2**64 and 0 <= r.model_seed < 2**64 for r in reqs)
-
-    def test_seeds_are_single_full_range_draws(self):
-        # Seeds are drawn a block at a time; they must be the values that one
-        # full-range draw per request gives.
-        models, inner = synthetic([0.6, 0.7], sd=0.01, seed=62)
-        evaluator = Recording(inner)
-        sequential_halving(models, BudgetPolicy(150), evaluator, campaign_seed=62)
-        for purpose, field in ((StreamPurpose.SPLIT_SEED, "split_seed"), (StreamPurpose.MODEL_SEED, "model_seed")):
-            rng = rng_stream(62, purpose)
-            expected = [int(rng.integers(0, 2**64, dtype=np.uint64)) for _ in evaluator.requests]
-            assert [getattr(r, field) for r in evaluator.requests] == expected
 
 
 class TestBaselines:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import signal
@@ -432,6 +433,22 @@ class TestMain:
         assert "trace_path" in captured.err
         assert captured.out == ""
         assert submitted == []
+
+    def test_trace_write_error_mid_campaign_exits_one(self, arms_file, tmp_path, capsys,
+                                                      monkeypatch):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.getvalue():
+                    raise OSError(28, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr("bestarm.cli.open", lambda *a, **k: FullDisk(), raising=False)
+        code = main(["fc", "--delta", "0.2", "--synthetic", arms_file,
+                     "--trace", str(tmp_path / "t.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "trace_path" in captured.err
+        assert "No space left on device" in captured.err
 
     def test_fb_runs_sequential_halving(self, arms_file, capsys):
         code = main(["fb", "--budget", "30", "--synthetic", arms_file, "--seed", "5"])

@@ -78,19 +78,6 @@ class TestPosteriorSample:
         assert q75 == pytest.approx(2.0 + 0.5, abs=0.5 * 0.05)
 
 
-class TestTDraws:
-    def test_same_bits_as_chi_square_form(self):
-        # The draws are built from Gamma(k/2) / (k/2); they must equal the
-        # textbook z / sqrt(chisquare(k) / k) bit for bit.
-        dofs = np.array([1.0, 2.0, 3.0, 7.0, 40.0])
-        a, b = np.random.default_rng(8), np.random.default_rng(8)
-        draws = _t_draws(dofs, (2000, dofs.size), a)
-        z = b.standard_normal((2000, dofs.size))
-        expected = z / np.sqrt(b.chisquare(dofs, size=(2000, dofs.size)) / dofs)
-        assert draws.tobytes() == expected.tobytes()
-        assert a.bit_generator.state == b.bit_generator.state
-
-
 class TestEstimatePi:
     def test_identical_stats_give_uniform_pi(self):
         stats = [fold([0.68, 0.70, 0.72]) for _ in range(5)]
