@@ -56,6 +56,7 @@ from .posterior import (
     DEFAULT_MC_SAMPLES,
     IDENTITY,
     MIN_EVALS_FOR_POSTERIOR,
+    PosteriorDraws,
     TransformMode,
     estimate_pi,
     transform_score,
@@ -116,8 +117,8 @@ class BatchPolicy:
 class _Campaign:
     """Single-coordinator mutable state of one selection run.
 
-    Owns the per-purpose randomness substreams, the online statistics, the
-    evaluation counters, and the ordered trace, each event of which also
+    Owns the per-purpose randomness substreams, the posterior draws reused
+    across belief updates, the online statistics, the evaluation counters, and the ordered trace, each event of which also
     goes to ``on_event`` as it is emitted. Algorithms drive it; all shared
     values it hands out (stats, beliefs) are immutable.
     """
@@ -146,7 +147,7 @@ class _Campaign:
         self._request_seq = 0
         self._split_rng = rng_stream(campaign_seed, StreamPurpose.SPLIT_SEED)
         self._model_seed_rng = rng_stream(campaign_seed, StreamPurpose.MODEL_SEED)
-        self._posterior_rng = rng_stream(campaign_seed, StreamPurpose.POSTERIOR)
+        self._draws = PosteriorDraws(campaign_seed)
         self.algo_rng = rng_stream(campaign_seed, StreamPurpose.ALGORITHM)
         self._retried: set[int] = set()
 
@@ -229,7 +230,7 @@ class _Campaign:
         return [m for _ in range(per_model) for m in survivors]
 
     def update_belief(self) -> Belief:
-        belief = estimate_pi(self.stats, self.mc_samples, self._posterior_rng)
+        belief = estimate_pi(self.stats, self.mc_samples, self._draws)
         self.emit(
             EventKind.BELIEF_UPDATED,
             {"pi": list(belief.pi), "eval_counts": list(self.eval_counts)},

@@ -7,18 +7,19 @@ mean, scaled by sqrt(T(T-2)/S), follows a Student-t with T-2 degrees of
 freedom, where S is the sum of squared deviations and T the evaluation
 count. The probability that a model's mean is the largest has no closed
 form for N t-distributions, so it is estimated by repeated joint posterior
-draws.
+draws, which a campaign keeps from one belief update to the next and redraws
+per model only when that model's statistics change.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Belief, InsufficientDataError, ModelStats
+from .core import Belief, InsufficientDataError, ModelStats, StreamPurpose, rng_stream
 
 # Substituted for the sum of squared deviations when a model's scores are
 # (near-)constant, so the posterior scale stays positive.
@@ -89,7 +90,7 @@ def posterior_from_stats(stats: ModelStats) -> PosteriorParams:
     return PosteriorParams(center=stats.mean, scale=scale, dof=float(dof))
 
 
-def _t_draws(dofs: np.ndarray, shape: tuple, stream: np.random.Generator) -> np.ndarray:
+def _t_draws(dofs: float | np.ndarray, shape: tuple, stream: np.random.Generator) -> np.ndarray:
     # Standard-t via a normal over the root of a scaled chi-square; exact for
     # all dof >= 1 including the dof=1 Cauchy case.
     z = stream.standard_normal(shape)
@@ -97,38 +98,70 @@ def _t_draws(dofs: np.ndarray, shape: tuple, stream: np.random.Generator) -> np.
     return z / np.sqrt(v / dofs)
 
 
+class PosteriorDraws:
+    """A campaign's (mc_samples x N) matrix of joint posterior draws, kept
+    across belief updates.
+
+    Column j holds draws of model j's true mean. Its standard-t noise comes
+    from ``rng_stream(seed, POSTERIOR, j, count_j)``, so it depends only on
+    the seed, the model and that model's evaluation count. A column is
+    redrawn only when its model's statistics differ from those it was drawn
+    for; in a campaign that happens exactly when the model's count rises,
+    so an update that evaluates one model redraws one column. Exact ties
+    between columns are broken from the unkeyed POSTERIOR stream.
+    """
+
+    def __init__(self, campaign_seed: int):
+        self.campaign_seed = int(campaign_seed)
+        self.matrix = np.empty((0, 0), order="F")
+        self.tie_stream = rng_stream(self.campaign_seed, StreamPurpose.POSTERIOR)
+        self._drawn_for: list[Optional[ModelStats]] = []
+
+    def refresh(self, stats_all: Sequence[ModelStats], mc_samples: int) -> None:
+        """Redraw every column whose model's statistics changed."""
+        n = len(stats_all)
+        if self.matrix.shape != (mc_samples, n):
+            # Column-major, so that redrawing a column writes contiguous memory.
+            self.matrix = np.empty((mc_samples, n), order="F")
+            self._drawn_for = [None] * n
+        for j, stats in enumerate(stats_all):
+            if self._drawn_for[j] != stats:
+                p = posterior_from_stats(stats)
+                stream = rng_stream(self.campaign_seed, StreamPurpose.POSTERIOR, j, stats.count)
+                self.matrix[:, j] = p.center + p.scale * _t_draws(p.dof, (mc_samples,), stream)
+                self._drawn_for[j] = stats
+
+
 def estimate_pi(
     stats_all: Sequence[ModelStats],
     mc_samples: int,
-    stream: np.random.Generator,
+    draws: PosteriorDraws,
 ) -> Belief:
     """Estimate the probability vector that each model is the best.
 
-    Runs ``mc_samples`` rounds; each round draws one posterior sample per
-    model and awards the round to the strict maximum, breaking exact ties
-    uniformly at random. ``pi`` is the resulting win frequency.
+    Brings ``draws`` up to date with ``stats_all`` and runs ``mc_samples``
+    rounds over its rows: each round holds one posterior sample per model
+    and is awarded to the strict maximum, breaking exact ties uniformly at
+    random. ``pi`` is the resulting win frequency. A fresh ``PosteriorDraws``
+    gives a one-shot estimate; a campaign passes the same one to every
+    update, so columns of models not evaluated since are reused.
     """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be positive, got {mc_samples}")
     if not stats_all:
         raise ValueError("need statistics for at least one model")
-    params = [posterior_from_stats(s) for s in stats_all]
-    n = len(params)
-    centers = np.array([p.center for p in params])
-    scales = np.array([p.scale for p in params])
-    dofs = np.array([p.dof for p in params])
+    draws.refresh(stats_all, mc_samples)
+    matrix = draws.matrix
+    winners = matrix.argmax(axis=1)
+    at_max = matrix == np.take_along_axis(matrix, winners[:, None], axis=1)
+    # Rows almost never tie, so one count decides whether the per-row pass
+    # runs at all; it costs one extra draw per tied row.
+    if np.count_nonzero(at_max) > mc_samples:
+        for r in np.flatnonzero(at_max.sum(axis=1) > 1):
+            tied = np.flatnonzero(at_max[r])
+            winners[r] = tied[int(draws.tie_stream.integers(tied.size))]
 
-    draws = centers + scales * _t_draws(dofs, (mc_samples, n), stream)
-    row_max = draws.max(axis=1)
-    winners = draws.argmax(axis=1)
-    # Tie rows are resolved after the bulk draws so stream consumption is a
-    # fixed layout plus one extra draw per actual tie.
-    tie_rows = np.flatnonzero((draws == row_max[:, None]).sum(axis=1) > 1)
-    for r in tie_rows:
-        tied = np.flatnonzero(draws[r] == row_max[r])
-        winners[r] = tied[int(stream.integers(tied.size))]
-
-    counts = np.bincount(winners, minlength=n)
+    counts = np.bincount(winners, minlength=len(stats_all))
     return Belief(
         pi=tuple((counts / mc_samples).tolist()),
         stats=tuple(stats_all),

@@ -23,6 +23,7 @@ from bestarm import (
     EventKind,
     Gaussian,
     ModelStats,
+    PosteriorDraws,
     SubprocessEvaluator,
     SyntheticEvaluator,
     bts,
@@ -110,7 +111,7 @@ def test_criterion_2_pi_symmetry():
             req = EvaluationRequest(model=m, split_seed=0, model_seed=0, sequence=seq)
             seq += 1
             stats[m.index] = stats_update(stats[m.index], evaluator.evaluate(req).score)
-    belief = estimate_pi([stats[i] for i in range(5)], 100_000, np.random.default_rng(99))
+    belief = estimate_pi([stats[i] for i in range(5)], 100_000, PosteriorDraws(99))
     worst = max(abs(p - 0.2) for p in belief.pi)
     report(
         "criterion-2 pi-symmetry",

@@ -8,6 +8,7 @@ from scipy import stats as scistats
 from bestarm import (
     InsufficientDataError,
     ModelStats,
+    PosteriorDraws,
     PosteriorParams,
     TransformMode,
     VARIANCE_FLOOR,
@@ -81,8 +82,7 @@ class TestPosteriorSample:
 class TestEstimatePi:
     def test_identical_stats_give_uniform_pi(self):
         stats = [fold([0.68, 0.70, 0.72]) for _ in range(5)]
-        rng = np.random.default_rng(101)
-        belief = estimate_pi(stats, 100_000, rng)
+        belief = estimate_pi(stats, 100_000, PosteriorDraws(101))
         sigma = math.sqrt((1 / 5) * (4 / 5) / 100_000)
         for p in belief.pi:
             assert abs(p - 0.2) <= 3 * sigma
@@ -92,39 +92,38 @@ class TestEstimatePi:
         # analytically: pi2 = 1 - P(Cauchy(0,2) > gap/scale) = 0.97407). The
         # heavy dof=1 tails keep pi2 well below 1 despite the wide gap.
         stats = [fold([0.60, 0.61, 0.62]), fold([0.80, 0.81, 0.82])]
-        rng = np.random.default_rng(55)
-        belief = estimate_pi(stats, 100_000, rng)
+        belief = estimate_pi(stats, 100_000, PosteriorDraws(55))
         assert belief.pi[1] == pytest.approx(0.97407, abs=0.003)
         assert belief.pi[1] > 0.95
 
     def test_single_model(self):
-        belief = estimate_pi([fold([0.5, 0.6, 0.7])], 1000, np.random.default_rng(1))
+        belief = estimate_pi([fold([0.5, 0.6, 0.7])], 1000, PosteriorDraws(1))
         assert belief.pi == (1.0,)
         assert belief.win_counts == (1000,)
 
     def test_requires_three_evals_everywhere(self):
         stats = [fold([0.5, 0.6, 0.7]), fold([0.5, 0.6])]
         with pytest.raises(InsufficientDataError):
-            estimate_pi(stats, 100, np.random.default_rng(1))
+            estimate_pi(stats, 100, PosteriorDraws(1))
 
     def test_rejects_non_positive_mc_samples(self):
         with pytest.raises(ValueError):
-            estimate_pi([fold([0.5, 0.6, 0.7])], 0, np.random.default_rng(1))
+            estimate_pi([fold([0.5, 0.6, 0.7])], 0, PosteriorDraws(1))
 
     def test_rejects_empty_candidate_set(self):
         with pytest.raises(ValueError, match="at least one"):
-            estimate_pi([], 100, np.random.default_rng(1))
+            estimate_pi([], 100, PosteriorDraws(1))
 
     def test_probability_vector_is_valid(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
+        for i in range(20):
             n = int(rng.integers(1, 8))
             stats = [
                 fold(rng.normal(rng.uniform(0, 1), rng.uniform(0.001, 0.3),
                                 size=int(rng.integers(3, 12))).tolist())
                 for _ in range(n)
             ]
-            belief = estimate_pi(stats, 2000, rng)
+            belief = estimate_pi(stats, 2000, PosteriorDraws(i))
             assert sum(belief.win_counts) == belief.mc_samples
             assert all(p >= 0.0 for p in belief.pi)
             assert math.fsum(belief.pi) == pytest.approx(1.0, abs=1e-12)
@@ -134,11 +133,22 @@ class TestEstimatePi:
         shifted = list(base)
         s = base[0]
         shifted[0] = ModelStats(count=s.count, mean=s.mean + 0.05, sq_dev_sum=s.sq_dev_sum)
-        # Shared stream: same seed means identical posterior noise, so the
+        # Same seed and counts mean identical posterior noise, so the
         # shifted model's win set is a superset of its unshifted one.
-        pi_base = estimate_pi(base, 100_000, np.random.default_rng(9)).pi[0]
-        pi_shifted = estimate_pi(shifted, 100_000, np.random.default_rng(9)).pi[0]
+        pi_base = estimate_pi(base, 100_000, PosteriorDraws(9)).pi[0]
+        pi_shifted = estimate_pi(shifted, 100_000, PosteriorDraws(9)).pi[0]
         assert pi_shifted >= pi_base
+
+
+    def test_exact_ties_split_evenly(self):
+        # At a centre of 1e10 one ulp is about 2e-6, twenty times the floored
+        # scale of about 1e-7, so most rows hold the same value in both columns.
+        stats = [ModelStats(count=12, mean=1e10, sq_dev_sum=0.0)] * 2
+        draws = PosteriorDraws(4)
+        belief = estimate_pi(stats, 20_000, draws)
+        assert np.count_nonzero(draws.matrix[:, 0] == draws.matrix[:, 1]) > 15_000
+        sigma = math.sqrt(0.25 / 20_000)
+        assert abs(belief.pi[0] - 0.5) <= 4 * sigma
 
 
 ORACLE_MC = 40_000
@@ -189,10 +199,74 @@ class TestExactOracle:
         stats = oracle_stats(case)
         exact = exact_pi(stats)
         assert math.fsum(exact) == pytest.approx(1.0, abs=1e-4)
-        belief = estimate_pi(stats, ORACLE_MC, np.random.default_rng(case))
+        belief = estimate_pi(stats, ORACLE_MC, PosteriorDraws(case))
         for estimate, p in zip(belief.pi, exact):
             # The variance floor of 1/mc keeps p near 0 or 1 from demanding
             # an exact match.
+            se = math.sqrt(max(p * (1 - p), 1 / ORACLE_MC) / ORACLE_MC)
+            assert abs(estimate - p) <= 4 * se, (stats, exact, belief.pi)
+
+
+def with_one_more_score(stats, models):
+    """``stats`` with one more evaluation, a tenth of a posterior scale
+    above the mean, folded into each model in ``models``."""
+    out = list(stats)
+    for j in models:
+        out[j] = stats_update(out[j], out[j].mean + 0.1 * posterior_from_stats(out[j]).scale)
+    return out
+
+
+class TestPosteriorDraws:
+    def test_columns_depend_only_on_seed_model_and_count(self):
+        # Two campaigns reach the same statistics with models 0 and 1
+        # evaluated in opposite orders; a fresh cache jumps straight there.
+        start = oracle_stats(1)
+        final = with_one_more_score(with_one_more_score(start, [0]), [1])
+        beliefs, matrices = [], []
+        for path in ([start, with_one_more_score(start, [0]), final],
+                     [start, with_one_more_score(start, [1]), final],
+                     [final]):
+            draws = PosteriorDraws(77)
+            for stats in path:
+                belief = estimate_pi(stats, 5000, draws)
+            beliefs.append(belief.win_counts)
+            matrices.append(draws.matrix.tobytes())
+        assert beliefs[0] == beliefs[1] == beliefs[2]
+        assert matrices[0] == matrices[1] == matrices[2]
+
+    def test_update_redraws_only_the_changed_columns(self):
+        stats = oracle_stats(4)
+        draws = PosteriorDraws(5)
+        estimate_pi(stats, 5000, draws)
+        before = draws.matrix.copy()
+        changed = {1, len(stats) - 1}
+        estimate_pi(with_one_more_score(stats, changed), 5000, draws)
+        for j in range(len(stats)):
+            same = draws.matrix[:, j].tobytes() == before[:, j].tobytes()
+            assert same == (j not in changed), j
+
+    def test_same_counts_with_other_statistics_redraw(self):
+        stats = oracle_stats(2)
+        draws = PosteriorDraws(6)
+        estimate_pi(stats, 1000, draws)
+        s = stats[0]
+        moved = [ModelStats(count=s.count, mean=s.mean + 1.0, sq_dev_sum=s.sq_dev_sum), *stats[1:]]
+        belief = estimate_pi(moved, 1000, draws)
+        assert belief.win_counts == estimate_pi(moved, 1000, PosteriorDraws(6)).win_counts
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("case", range(6))
+    def test_warm_cache_matches_exact_pi(self, case):
+        # Perturb a third of the models per warming step, so that at the
+        # final update the columns were last drawn at three different updates.
+        stats = oracle_stats(case)
+        n = len(stats)
+        draws = PosteriorDraws(500 + case)
+        for k in range(3):
+            estimate_pi(with_one_more_score(stats, range(k, n, 3)), ORACLE_MC, draws)
+        belief = estimate_pi(stats, ORACLE_MC, draws)
+        exact = exact_pi(stats)
+        for estimate, p in zip(belief.pi, exact):
             se = math.sqrt(max(p * (1 - p), 1 / ORACLE_MC) / ORACLE_MC)
             assert abs(estimate - p) <= 4 * se, (stats, exact, belief.pi)
 
