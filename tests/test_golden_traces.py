@@ -54,30 +54,30 @@ DIGESTS = {
     "baseline-fb/replay/11": "6f6964c4f3a1b85b00ca3cbc15dd83864a8e9c897c5453543e4e4125468a6e45",
     "baseline-fb/subprocess/3": "3b1157dd92b28240c2bbf7f4c5b4107b9baeb3ee1b446f80dab21d9ca10814f0",
     "baseline-fb/subprocess/11": "3b1157dd92b28240c2bbf7f4c5b4107b9baeb3ee1b446f80dab21d9ca10814f0",
-    "fc/synthetic/3": "5380d830dd5be541407947ef5fde32743918c7fc51a66a5dd83bb3c0f7fd4cd2",
-    "fc/synthetic/11": "ce4a7d0f2b7d7a60db53a025c0251782a16dbfa4a7edb6811a2b48da28c4043a",
-    "fc/replay/3": "ca75d0656428e78e22b41e0f942a625d315cd887260bb5cb5f7b9c734d35cb0b",
-    "fc/replay/11": "3b429eadecb6da31677cf7ec948b6da076715825ebdecd430a3a7db7d0c81139",
-    "fc/subprocess/3": "b574ef79d6050602b7bad77d166e01640e06d8b740e688140204158e3575b0f7",
-    "fc/subprocess/11": "4fc8b64e4c9943a4e4ce22b764690d1aecf59213f5c3dc5dbf04cc9957e9e28d",
-    "baseline-fc/synthetic/3": "596ac05255ef1ee87b1410a6ad2150e2129e178a25fbbb9657adbd780333e257",
-    "baseline-fc/synthetic/11": "21bbb478fe35030976566542be32b6ed49d6c1193ee23396b2ed7a777498c3f0",
-    "baseline-fc/replay/3": "8d14dd67822764e9a21dc8548f556a9e47ab07dd671d554737be71ee7cfbad98",
-    "baseline-fc/replay/11": "6c0891d9eb55f9fe1b4a07f88c3a8ca008dacefca1e0d8fab7c344347451df18",
-    "baseline-fc/subprocess/3": "1f981f6e8221eebfd0cf6569fb0cb565baf196cacf2323c9005263ff5a802c2c",
-    "baseline-fc/subprocess/11": "1e164159f1998ef54f760e20fd871e32c8a26b373fd09d1012d861a7a4cd55e4",
-    "fc-batch-sync/synthetic/3": "ec3d8835390a6ad79c886b0ebdecbf7ba3aae6e8bd0c5e5ae29d3f460e34507e",
-    "fc-batch-sync/synthetic/11": "6699e267b063ff52a3660ae393a38af0165aa2292a95bece92570918929dc9ec",
-    "fc-batch-sync/replay/3": "3a5646b631048510decf55ad53eff9faace5131608e96c18dd6e8e7dab8843c7",
-    "fc-batch-sync/replay/11": "fe506d56c9843b9ea4c65ed3cff3c92f89e1e313783771a0fb71502d5c334242",
-    "fc-batch-sync/subprocess/3": "ff7ac0b80b2cc862ba9de168ef4bfdfaf24e687c08ba84f5f786f688b4839399",
-    "fc-batch-sync/subprocess/11": "8274eafc1945dd0d7b968a006f50d423c5275a7cba05179be2b0e3fdcd1b48ea",
-    "fc-batch-async/synthetic/3": "441732eb45333c19ede8292a886bb9434167ee90c7ce1ebc081af1d69b8da29e",
-    "fc-batch-async/synthetic/11": "c100124ff42d3de5d9a5d6dc840e9f8235dc68365bd321c038ac3babc3005ec4",
-    "fc-batch-async/replay/3": "6253a12e357f215a2425545adea10288e787d22ef77e620d8f0b5d34b2304564",
-    "fc-batch-async/replay/11": "dd36bb8d9225bb2b775eb761fdc622bb827af9d5ff79f2533386935a7a0c4fe4",
-    "fc-batch-async/subprocess/3": "a702579fa15759ab01f27bbc715a6282e9ea5ecc2d75d6aa19f8b5361284f959",
-    "fc-batch-async/subprocess/11": "35c48a8afb38bb412237a4d121dabd492e33f8f46c6bcd7e679c59269441f957",
+    "fc/synthetic/3": "db5dbe4521c581f20c1f616d331113a4d41052bb96e9fea50a4e9d8abacd4b47",
+    "fc/synthetic/11": "d86082eda2d7c3c73b2d505dc0d8b8400f49414695fcc2710d200ad1875cda53",
+    "fc/replay/3": "81cc10ab32fff288fe3e611708e03cfbd55ac69749466102aff3c1224e6c300e",
+    "fc/replay/11": "2cc10a15c949e3e1da4f22f2cd8b65b6fb099d8c9dd468488982b861d43376ef",
+    "fc/subprocess/3": "9d9f85e9d112382d7ae1401f62b4e113fade09055c09d11a670c1b91e7c81a00",
+    "fc/subprocess/11": "8fdfab9dbd61cc8fc8f99360190e41feb1fa25f9bca0ce6164d18613ce1b1577",
+    "baseline-fc/synthetic/3": "78fed4226ec3ef6a83b13c3cdb7fcfecc0ca877e8d6566fe9703a03271ec65a5",
+    "baseline-fc/synthetic/11": "6ceb3283e7ba74b815675c0311e6d60e32a2510cb7adcf46bf0ecc318f7a6142",
+    "baseline-fc/replay/3": "5ceb869d514b03b3c02d6daca414988f39a2deaae2b5ed40cab2d5684475e4bf",
+    "baseline-fc/replay/11": "67d1470bf23a1ba4c4f5df58d626d2958a2909010164c4de43b8f614a8091b52",
+    "baseline-fc/subprocess/3": "7abe7b770eb2d0f8c1fe70d900f93285279734cf394d885c567b6ffdf017aee7",
+    "baseline-fc/subprocess/11": "42610109013dab8d32e0a7b1be9e417cbb47f24857ce9e78228043fcfb2ce9b6",
+    "fc-batch-sync/synthetic/3": "cc368b5a33f30978e9bb14617d78d2a8fece9d47d9c1afca4f49cebc99926eff",
+    "fc-batch-sync/synthetic/11": "701431675f33ef6017775e9ad37f3345cda9491c6f217a432c62c951b4b10e3c",
+    "fc-batch-sync/replay/3": "2caad0c9608daeb1188421ab71a8cf0d52609b4dd9357aadf92ec4ff9e51da0d",
+    "fc-batch-sync/replay/11": "d2e2bd98405ab55fac43edc2a3648f45534e2296421918fe99bdb30720940524",
+    "fc-batch-sync/subprocess/3": "ae7d579511980b77e46b9b56f35a870aa5ac62aca9c9c05e00d60655f8ab7e96",
+    "fc-batch-sync/subprocess/11": "1e0889d2244a42f54dc302f4f2070ff0a750bffd87a49075a2bcf35e614ad41e",
+    "fc-batch-async/synthetic/3": "011758d3020d8c3936361ba1e95365074a0b0ae1a3e6b4008aba2889d83431e7",
+    "fc-batch-async/synthetic/11": "c2dbd1e6721792c4040ce83d92e64c32d9a31e0604972aa44c100c7d56db8acf",
+    "fc-batch-async/replay/3": "6fb6bcce4f8bed567b93815c9819b61694b4e6317940ec174f9b33b1cd680a01",
+    "fc-batch-async/replay/11": "fb3e44cdf68321d1a8f9da2836f5b8b1a515862ff25a782529d436388f4e0af7",
+    "fc-batch-async/subprocess/3": "3c9c5598a8b2bb5eedaab6908f8555ddcbddc1e68a018ea6313d52177f9c37bc",
+    "fc-batch-async/subprocess/11": "7a200c5e8655a54dead7423e2e4b15c9b2a3bb8499c564467b84d22ebfb8bef3",
 }
 
 
