@@ -48,6 +48,8 @@ _MAX_REJECTIONS = 100_000
 
 # Seconds an evaluator child gets to exit after closing its output or shutdown.
 _EXIT_WAIT_S = 5.0
+# Seconds a drain thread of an exited child gets to reach end of file.
+_JOIN_WAIT_S = 1.0
 
 
 def _is_finite_number(value) -> bool:
@@ -374,6 +376,7 @@ class SubprocessEvaluator(Evaluator):
                 raise ProtocolError(f"handshake max_in_flight must be a positive integer: {reply}")
         except BaseException:
             self._kill()
+            self._release()
             raise
         self._max_in_flight = advertised if max_in_flight is None else min(advertised, max_in_flight)
 
@@ -473,6 +476,21 @@ class SubprocessEvaluator(Evaluator):
             self._child.kill()
         self._child.wait()
 
+    def _release(self) -> None:
+        """Close the three pipes of the exited child and join its drain threads."""
+        try:
+            self._child.stdin.close()
+        except OSError:  # a flush into the dead child's pipe
+            pass
+        for thread, pipe in ((self._stdout_thread, self._child.stdout),
+                             (self._stderr_thread, self._child.stderr)):
+            # The thread reaches end of file once the child has exited, unless
+            # a process the child started still holds the pipe; closing a
+            # pipe while its thread reads would block, so that one is left.
+            thread.join(timeout=_JOIN_WAIT_S)
+            if not thread.is_alive():
+                pipe.close()
+
     def close(self) -> None:
         if self._closed:
             return
@@ -487,3 +505,4 @@ class SubprocessEvaluator(Evaluator):
                 self._child.wait(timeout=_EXIT_WAIT_S)
             except subprocess.TimeoutExpired:
                 self._kill()
+        self._release()

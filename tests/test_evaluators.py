@@ -1,6 +1,9 @@
+import gc
 import json
 import os
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +286,25 @@ class TestSubprocessEvaluator:
     def test_bad_handshake(self):
         with pytest.raises(ProtocolError, match="handshake"):
             self.make("--bad-handshake")
+
+    @pytest.mark.parametrize("ending", ["close", "crash-then-close", "bad-handshake"])
+    def test_no_pipe_or_drain_thread_outlives_the_evaluator(self, ending):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            if ending == "bad-handshake":
+                with pytest.raises(ProtocolError):
+                    self.make("--bad-handshake")
+            else:
+                ids, ev = self.make(*(["--crash-after", "1"] if ending == "crash-then-close" else []))
+                if ending == "crash-then-close":
+                    ev.evaluate(request(ids[0], 1))
+                    with pytest.raises(EvaluatorFailure):
+                        ev.evaluate(request(ids[0], 2))
+                ev.close()
+                del ev
+            gc.collect()
+        assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert not [t.name for t in threading.enumerate() if "_drain_" in t.name]
 
     def test_advertised_capacity(self):
         _, ev = self.make("--max-in-flight", "3")
