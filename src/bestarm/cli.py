@@ -268,10 +268,7 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
     """
     ev = config.evaluator
     if ev.kind == "synthetic":
-        try:
-            entries = load_arm_file(ev.arms_file)
-        except (OSError, ValueError, json.JSONDecodeError) as e:
-            raise ConfigError("evaluator.arms_file", str(e)) from None
+        entries = _load_arms(ev.arms_file)
         names = config.models if config.models is not None else [n for n, _ in entries]
         models = _make_models(names)
         try:
@@ -280,11 +277,7 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
             raise ConfigError("models", str(e)) from None
         return models, SyntheticEvaluator(arms, config.campaign_seed)
     if ev.kind == "replay":
-        known = set(config.models) if config.models is not None else None
-        try:
-            pools = read_replay_csv(ev.csv_file, known=known)
-        except OSError as e:
-            raise ConfigError("evaluator.csv_file", str(e)) from None
+        pools = _load_pools(ev.csv_file, config.models)
         names = config.models if config.models is not None else list(pools.keys())
         models = _make_models(names)
         try:
@@ -299,6 +292,32 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
         ev.command, [m.name for m in models], max_in_flight=ev.max_in_flight
     )
     return models, evaluator
+
+
+def _load_arms(path: str) -> list:
+    try:
+        return load_arm_file(path)
+    except (OSError, ValueError, json.JSONDecodeError) as e:
+        raise ConfigError("evaluator.arms_file", str(e)) from None
+
+
+def _load_pools(path: str, models: Optional[Sequence[str]]) -> dict[str, list[float]]:
+    try:
+        return read_replay_csv(path, known=set(models) if models is not None else None)
+    except OSError as e:
+        raise ConfigError("evaluator.csv_file", str(e)) from None
+
+
+def _candidate_names(config: CampaignConfig) -> list[str]:
+    """The names ``_resolve`` gives the candidates, without building an evaluator."""
+    ev = config.evaluator
+    if config.models is not None:
+        return list(config.models)
+    if ev.kind == "synthetic":
+        return [n for n, _ in _load_arms(ev.arms_file)]
+    if ev.kind == "replay":
+        return list(_load_pools(ev.csv_file, None))
+    raise ConfigError("models", "required for the subprocess evaluator")
 
 
 def _make_models(names: Sequence[str]) -> tuple[ModelId, ...]:
@@ -470,6 +489,8 @@ def run_replications(
             "replications against a subprocess evaluator are refused "
             "(pass --allow-exec to override)",
         )
+    if true_best is not None and true_best not in _candidate_names(config):
+        raise ConfigError("true_best", f"{true_best!r} is not a candidate model")
     name_list: Optional[list[str]] = None
     counts: Optional[list[int]] = None
     totals: list[int] = []
@@ -480,8 +501,6 @@ def run_replications(
         if name_list is None:
             name_list = [m.name for m in models]
             counts = [0] * len(models)
-            if true_best is not None and true_best not in name_list:
-                raise ConfigError("true_best", f"{true_best!r} is not a candidate model")
         counts[result.chosen.index] += 1
         totals.append(result.total_evals)
         if true_best is not None and result.chosen.name == true_best:

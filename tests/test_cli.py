@@ -16,6 +16,7 @@ from bestarm import (
     run_campaign,
     run_replications,
 )
+from bestarm import cli
 from bestarm.cli import config_from_args, build_parser, main
 from bestarm.evaluators import SyntheticEvaluator
 
@@ -621,6 +622,37 @@ class TestReplications:
     def test_unknown_true_best_rejected(self, arms_file):
         with pytest.raises(ConfigError, match="true_best"):
             run_replications(fc_config(arms_file), replications=1, true_best="nope")
+
+    @pytest.mark.parametrize("source", ["arm-file", "models", "csv", "exec"])
+    def test_true_best_checked_before_any_campaign(self, source, arms_file, tmp_path, monkeypatch):
+        # (evaluator, models, a name that is not a candidate, one that is)
+        csv_path = tmp_path / "scores.csv"
+        csv_path.write_text("model,score\na,0.5\nb,0.6\n")
+        evaluator, models, bad, good = {
+            "arm-file": ({"kind": "synthetic", "arms_file": arms_file}, None, "nope", "m4"),
+            "models": ({"kind": "synthetic", "arms_file": arms_file}, ["m3", "m4"], "m0", "m3"),
+            "csv": ({"kind": "replay", "csv_file": str(csv_path)}, None, "c", "b"),
+            "exec": ({"kind": "subprocess", "command": "never-started"}, ["a", "b"], "c", "a"),
+        }[source]
+        config = CampaignConfig.from_dict(
+            {"mode": {"kind": "fc", "delta": 0.2}, "evaluator": evaluator, "models": models}
+        )
+        runs = []
+
+        class CampaignStarted(Exception):
+            pass
+
+        def first_campaign(config):
+            runs.append(config)
+            raise CampaignStarted
+
+        monkeypatch.setattr(cli, "_run", first_campaign)
+        with pytest.raises(ConfigError, match="true_best"):
+            run_replications(config, replications=2, true_best=bad, allow_subprocess=True)
+        assert runs == []
+        with pytest.raises(CampaignStarted):
+            run_replications(config, replications=2, true_best=good, allow_subprocess=True)
+        assert len(runs) == 1
 
     def test_allow_exec_override(self, capsys):
         cmd = f"{sys.executable} {ECHO_CHILD} --const-score 0.5"
