@@ -118,9 +118,10 @@ class _Campaign:
     """Single-coordinator mutable state of one selection run.
 
     Owns the per-purpose randomness substreams, the posterior draws reused
-    across belief updates, the online statistics, the evaluation counters, and the ordered trace, each event of which also
-    goes to ``on_event`` as it is emitted. Algorithms drive it; all shared
-    values it hands out (stats, beliefs) are immutable.
+    across belief updates, the online statistics, the evaluation counters,
+    and the ordered trace, each event of which also goes to ``on_event`` as
+    it is emitted. Algorithms drive it; all shared values it hands out
+    (stats, beliefs) are immutable.
     """
 
     def __init__(

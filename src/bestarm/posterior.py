@@ -112,9 +112,9 @@ class PosteriorDraws:
     """
 
     def __init__(self, campaign_seed: int):
-        self.campaign_seed = int(campaign_seed)
+        self._seed = int(campaign_seed)
         self.matrix = np.empty((0, 0), order="F")
-        self.tie_stream = rng_stream(self.campaign_seed, StreamPurpose.POSTERIOR)
+        self.tie_stream = rng_stream(self._seed, StreamPurpose.POSTERIOR)
         self._drawn_for: list[Optional[ModelStats]] = []
 
     def refresh(self, stats_all: Sequence[ModelStats], mc_samples: int) -> None:
@@ -127,7 +127,7 @@ class PosteriorDraws:
         for j, stats in enumerate(stats_all):
             if self._drawn_for[j] != stats:
                 p = posterior_from_stats(stats)
-                stream = rng_stream(self.campaign_seed, StreamPurpose.POSTERIOR, j, stats.count)
+                stream = rng_stream(self._seed, StreamPurpose.POSTERIOR, j, stats.count)
                 self.matrix[:, j] = p.center + p.scale * _t_draws(p.dof, (mc_samples,), stream)
                 self._drawn_for[j] = stats
 

@@ -14,9 +14,11 @@ from bestarm import (
     VARIANCE_FLOOR,
     estimate_pi,
     posterior_from_stats,
+    rng_stream,
     stats_update,
     transform_score,
 )
+from bestarm import posterior
 from bestarm.posterior import _t_draws
 
 
@@ -139,7 +141,6 @@ class TestEstimatePi:
         pi_shifted = estimate_pi(shifted, 100_000, PosteriorDraws(9)).pi[0]
         assert pi_shifted >= pi_base
 
-
     def test_exact_ties_split_evenly(self):
         # At a centre of 1e10 one ulp is about 2e-6, twenty times the floored
         # scale of about 1e-7, so most rows hold the same value in both columns.
@@ -234,13 +235,21 @@ class TestPosteriorDraws:
         assert beliefs[0] == beliefs[1] == beliefs[2]
         assert matrices[0] == matrices[1] == matrices[2]
 
-    def test_update_redraws_only_the_changed_columns(self):
+    def test_update_redraws_only_the_changed_columns(self, monkeypatch):
         stats = oracle_stats(4)
         draws = PosteriorDraws(5)
         estimate_pi(stats, 5000, draws)
         before = draws.matrix.copy()
+        keys = []
+
+        def recording_stream(seed, purpose, *key):
+            keys.append(key)
+            return rng_stream(seed, purpose, *key)
+
+        monkeypatch.setattr(posterior, "rng_stream", recording_stream)
         changed = {1, len(stats) - 1}
         estimate_pi(with_one_more_score(stats, changed), 5000, draws)
+        assert sorted(keys) == [(j, stats[j].count + 1) for j in sorted(changed)]
         for j in range(len(stats)):
             same = draws.matrix[:, j].tobytes() == before[:, j].tobytes()
             assert same == (j not in changed), j
