@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -118,10 +119,10 @@ class _Campaign:
     """Single-coordinator mutable state of one selection run.
 
     Owns the per-purpose randomness substreams, the posterior draws reused
-    across belief updates, the online statistics, the evaluation counters,
-    and the ordered trace, each event of which also goes to ``on_event`` as
-    it is emitted. Algorithms drive it; all shared values it hands out
-    (stats, beliefs) are immutable.
+    across belief updates, the online statistics (whose counts are the
+    evaluation counters) and the ordered trace, each event of which also
+    goes to ``on_event`` as it is emitted. Algorithms drive it; all shared
+    values it hands out (stats, beliefs) are immutable.
     """
 
     def __init__(
@@ -135,14 +136,14 @@ class _Campaign:
     ):
         self.models = tuple(models)
         n = len(self.models)
+        if n < 1:
+            raise ValueError("need at least 1 candidate model")
         if [m.index for m in self.models] != list(range(n)):
             raise ValueError("model indices must be contiguous from 0 in candidate order")
         self.evaluator = evaluator
         self.mc_samples = mc_samples
         self.transform = transform
         self.stats: list[ModelStats] = [ModelStats() for _ in range(n)]
-        self.eval_counts = [0] * n
-        self.total = 0
         self.trace: list[TraceEvent] = []
         self._on_event = on_event
         self._request_seq = 0
@@ -151,6 +152,15 @@ class _Campaign:
         self._draws = PosteriorDraws(campaign_seed)
         self.algo_rng = rng_stream(campaign_seed, StreamPurpose.ALGORITHM)
         self._retried: set[int] = set()
+        self._extras: dict[int, dict] = {}
+
+    @property
+    def eval_counts(self) -> tuple[int, ...]:
+        return tuple(s.count for s in self.stats)
+
+    @property
+    def total(self) -> int:
+        return sum(s.count for s in self.stats)
 
     def emit(self, kind: EventKind, payload: dict) -> None:
         event = TraceEvent(seq=len(self.trace), kind=kind, payload=payload)
@@ -172,8 +182,6 @@ class _Campaign:
         model = result.request.model
         value = transform_score(result.score, self.transform)
         self.stats[model.index] = stats_update(self.stats[model.index], value)
-        self.eval_counts[model.index] += 1
-        self.total += 1
         payload = {
             "model": model.name,
             "request": result.request.sequence,
@@ -185,41 +193,38 @@ class _Campaign:
             payload.update(extra)
         self.emit(EventKind.EVALUATED, payload)
 
-    def _collect_with_retry(self, retry_once: bool) -> EvaluationScore:
-        while True:
-            try:
-                return self.evaluator.collect()
-            except EvaluationError as e:
-                if retry_once and e.request.sequence not in self._retried:
-                    self._retried.add(e.request.sequence)
-                    self.evaluator.submit(e.request)
-                    continue
-                raise
-
     def run_batch(
         self,
         batch: Sequence[ModelId],
         retry_once: bool = False,
         extras: Optional[Sequence[Optional[dict]]] = None,
+        keep: int = 0,
     ) -> None:
-        """Evaluate ``batch``, pipelined up to the evaluator's capacity.
+        """Submit ``batch`` and collect until ``keep`` evaluations remain in flight.
 
-        Scores are folded into the statistics in request-sequence order no
-        matter the completion order, keeping campaigns reproducible under
-        concurrent dispatch.
+        Submissions are pipelined up to the evaluator's capacity, and with
+        ``retry_once`` a failed evaluation is resubmitted once. What was
+        collected is folded in request-sequence order whatever the completion
+        order, keeping campaigns reproducible under concurrent dispatch; a
+        request's trace extra waits until its score is folded.
         """
-        requests = [self.next_request(m) for m in batch]
-        window = self.evaluator.max_in_flight or len(requests)
-        results: dict[int, EvaluationScore] = {}
-        submitted = 0
-        while len(results) < len(requests):
-            while submitted < len(requests) and submitted - len(results) < window:
-                self.evaluator.submit(requests[submitted])
-                submitted += 1
-            res = self._collect_with_retry(retry_once)
-            results[res.request.sequence] = res
-        for i, req in enumerate(requests):
-            self.fold(results[req.sequence], extras[i] if extras else None)
+        queue = deque(self.next_request(m) for m in batch)
+        if extras:
+            self._extras.update((req.sequence, extra) for req, extra in zip(queue, extras))
+        window = self.evaluator.max_in_flight or math.inf
+        collected: list[EvaluationScore] = []
+        while queue or self.evaluator.pending() > keep:
+            while queue and self.evaluator.pending() < window:
+                self.evaluator.submit(queue.popleft())
+            try:
+                collected.append(self.evaluator.collect())
+            except EvaluationError as e:
+                if not retry_once or e.request.sequence in self._retried:
+                    raise
+                self._retried.add(e.request.sequence)
+                queue.appendleft(e.request)
+        for res in sorted(collected, key=lambda r: r.request.sequence):
+            self.fold(res, self._extras.pop(res.request.sequence, None))
 
     def start_round(self, index: int, survivors: Sequence[ModelId], per_model: int) -> list[ModelId]:
         """Announce a round and return its batch: ``per_model`` evaluations
@@ -238,11 +243,6 @@ class _Campaign:
         )
         return belief
 
-    def initialize_all(self, retry_once: bool = False) -> None:
-        """Give every model the 3 evaluations its posterior requires."""
-        batch = [m for _ in range(MIN_EVALS_FOR_POSTERIOR) for m in self.models]
-        self.run_batch(batch, retry_once=retry_once)
-
     def finish(self, winner: ModelId, reason: TerminationReason, belief: Belief, **extra) -> SelectionResult:
         payload = {"reason": reason.value, "chosen": winner.name, "total_evals": self.total}
         payload.update(extra)
@@ -250,7 +250,7 @@ class _Campaign:
         return SelectionResult(
             chosen=winner,
             final_belief=belief,
-            eval_counts=tuple(self.eval_counts),
+            eval_counts=self.eval_counts,
             total_evals=self.total,
             trace=tuple(self.trace),
             terminated_by=reason,
@@ -290,54 +290,47 @@ def _confidence_campaign(
     on_event: Optional[EventSink],
 ) -> _Campaign:
     models = tuple(models)
-    n = len(models)
-    if n < 1:
-        raise ValueError("need at least 1 candidate model")
-    need = MIN_EVALS_FOR_POSTERIOR * n
+    need = MIN_EVALS_FOR_POSTERIOR * len(models)
     if conf.max_total_evals < need:
         raise ConfigError(
             "max_total_evals",
-            f"must be at least 3 evaluations per model ({need} for {n} models), "
+            f"must be at least 3 evaluations per model ({need} for {len(models)} models), "
             f"got {conf.max_total_evals}",
         )
     return _Campaign(models, evaluator, campaign_seed, mc_samples, transform, on_event)
 
 
-def _stop_reason(c: _Campaign, belief: Belief, conf: ConfidencePolicy, step: int) -> Optional[TerminationReason]:
-    """Why a fixed-confidence campaign stops now, or None to go on.
-
-    ``step`` is the number of evaluations the next proposal would add; the
-    safeguard trips when they would take the total past its cap.
-    """
-    if max(belief.pi) > 1.0 - conf.delta:
-        return TerminationReason.CONFIDENCE_REACHED
-    if c.total + step > conf.max_total_evals:
-        return TerminationReason.MAX_EVALS_SAFEGUARD
-    return None
-
-
 def _fixed_confidence(
     c: _Campaign,
     conf: ConfidencePolicy,
-    step: int,
-    propose: Callable[[Belief], tuple[list[ModelId], Optional[list[dict]]]],
+    depth: int,
+    propose: Callable[[Belief, int], tuple[list[ModelId], Optional[list[dict]]]],
+    step: Optional[int] = None,
     retry_once: bool = False,
 ) -> SelectionResult:
-    """The synchronous fixed-confidence loop shared by the sampling rules.
+    """The one fixed-confidence loop; the rules differ in proposal, depth and step.
 
-    After 3 evaluations of every model, repeatedly: recompute the belief,
-    stop if it is confident enough or the next ``step`` evaluations would
-    trip the safeguard, otherwise evaluate the models ``propose`` returns
-    (with an optional per-evaluation trace extra) as one batch.
+    After 3 evaluations of every model, repeatedly: recompute the belief;
+    stop if it is confident enough or if ``step`` more evaluations would take
+    the total past the safeguard's cap; otherwise top the evaluations in
+    flight up to ``depth`` with the k models ``propose(belief, k)`` returns
+    (and their optional trace extras), and collect until ``depth - step``
+    remain in flight. ``step`` defaults to ``depth``: each proposal is
+    folded whole before the next belief.
     """
-    c.initialize_all(retry_once=retry_once)
+    step = depth if step is None else step
+    c.run_batch([m for _ in range(MIN_EVALS_FOR_POSTERIOR) for m in c.models], retry_once)
     while True:
         belief = c.update_belief()
-        reason = _stop_reason(c, belief, conf, step)
-        if reason is not None:
-            return c.finish(c.models[belief.argmax()], reason, belief)
-        batch, extras = propose(belief)
-        c.run_batch(batch, retry_once=retry_once, extras=extras)
+        if max(belief.pi) > 1.0 - conf.delta:
+            reason = TerminationReason.CONFIDENCE_REACHED
+        elif c.total + step > conf.max_total_evals:
+            reason = TerminationReason.MAX_EVALS_SAFEGUARD
+        else:
+            batch, extras = propose(belief, depth - c.evaluator.pending())
+            c.run_batch(batch, retry_once, extras, keep=depth - step)
+            continue
+        return c.finish(c.models[belief.argmax()], reason, belief)
 
 
 def sequential_halving(
@@ -412,7 +405,7 @@ def ttts(
     """
     c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
 
-    def top_two(belief: Belief):
+    def top_two(belief: Belief, k: int):
         first = _draw_index(belief.win_counts, c.algo_rng)
         second = _draw_index(belief.win_counts, c.algo_rng, exclude=first)
         pick = first if int(c.algo_rng.integers(2)) == 0 else second
@@ -450,28 +443,11 @@ def bts(
             f"evaluator supports at most {cap} concurrent requests, got {batch.batch_size}",
         )
 
-    def draw(belief: Belief) -> ModelId:
-        return c.models[_draw_index(belief.win_counts, c.algo_rng)]
+    def iid_draws(belief: Belief, k: int):
+        return [c.models[_draw_index(belief.win_counts, c.algo_rng)] for _ in range(k)], None
 
-    if batch.mode is BatchMode.SYNCHRONOUS:
-
-        def iid_batch(belief: Belief):
-            return [draw(belief) for _ in range(batch.batch_size)], None
-
-        return _fixed_confidence(c, conf, batch.batch_size, iid_batch, retry_once=True)
-    c.initialize_all(retry_once=True)
-    # The first pass fills all B workers; each later pass refills the one
-    # whose evaluation was just folded in.
-    refill = batch.batch_size
-    while True:
-        belief = c.update_belief()
-        reason = _stop_reason(c, belief, conf, 1)
-        if reason is not None:
-            return c.finish(c.models[belief.argmax()], reason, belief)
-        for _ in range(refill):
-            c.evaluator.submit(c.next_request(draw(belief)))
-        refill = 1
-        c.fold(c._collect_with_retry(retry_once=True))
+    step = batch.batch_size if batch.mode is BatchMode.SYNCHRONOUS else 1
+    return _fixed_confidence(c, conf, batch.batch_size, iid_draws, step, retry_once=True)
 
 
 def nonadaptive_fixed_budget(
@@ -487,15 +463,13 @@ def nonadaptive_fixed_budget(
     then pick the highest empirical mean."""
     models = tuple(models)
     n = len(models)
-    if n < 1:
-        raise ValueError("need at least 1 candidate model")
     if budget.total_budget < n:
         raise BudgetTooSmallError(
             f"budget too small: {n} models need at least {n} evaluations, "
             f"got {budget.total_budget}"
         )
-    per_model = budget.total_budget // n
     c = _Campaign(models, evaluator, campaign_seed, transform=transform, on_event=on_event)
+    per_model = budget.total_budget // n
     c.run_batch(c.start_round(1, models, per_model))
     means = [c.stats[m.index].mean for m in models]
     return c.finish_budget(models[max(range(n), key=lambda i: means[i])], budget)
@@ -520,7 +494,7 @@ def nonadaptive_fixed_confidence(
     c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
     rounds = itertools.count(1)
 
-    def every_model(belief: Belief):
+    def every_model(belief: Belief, k: int):
         return c.start_round(next(rounds), c.models, 1), None
 
     return _fixed_confidence(c, conf, len(c.models), every_model)

@@ -268,7 +268,10 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
     """
     ev = config.evaluator
     if ev.kind == "synthetic":
-        entries = _load_arms(ev.arms_file)
+        try:
+            entries = load_arm_file(ev.arms_file)
+        except (OSError, ValueError, json.JSONDecodeError) as e:
+            raise ConfigError("evaluator.arms_file", str(e)) from None
         names = config.models if config.models is not None else [n for n, _ in entries]
         models = _make_models(names)
         try:
@@ -277,7 +280,11 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
             raise ConfigError("models", str(e)) from None
         return models, SyntheticEvaluator(arms, config.campaign_seed)
     if ev.kind == "replay":
-        pools = _load_pools(ev.csv_file, config.models)
+        known = set(config.models) if config.models is not None else None
+        try:
+            pools = read_replay_csv(ev.csv_file, known=known)
+        except OSError as e:
+            raise ConfigError("evaluator.csv_file", str(e)) from None
         names = config.models if config.models is not None else list(pools.keys())
         models = _make_models(names)
         try:
@@ -294,30 +301,13 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
     return models, evaluator
 
 
-def _load_arms(path: str) -> list:
-    try:
-        return load_arm_file(path)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
-        raise ConfigError("evaluator.arms_file", str(e)) from None
-
-
-def _load_pools(path: str, models: Optional[Sequence[str]]) -> dict[str, list[float]]:
-    try:
-        return read_replay_csv(path, known=set(models) if models is not None else None)
-    except OSError as e:
-        raise ConfigError("evaluator.csv_file", str(e)) from None
-
-
 def _candidate_names(config: CampaignConfig) -> list[str]:
-    """The names ``_resolve`` gives the candidates, without building an evaluator."""
-    ev = config.evaluator
+    """The names ``_resolve`` gives the candidates; an evaluator it builds is closed."""
     if config.models is not None:
         return list(config.models)
-    if ev.kind == "synthetic":
-        return [n for n, _ in _load_arms(ev.arms_file)]
-    if ev.kind == "replay":
-        return list(_load_pools(ev.csv_file, None))
-    raise ConfigError("models", "required for the subprocess evaluator")
+    models, evaluator = _resolve(config)
+    evaluator.close()
+    return [m.name for m in models]
 
 
 def _make_models(names: Sequence[str]) -> tuple[ModelId, ...]:

@@ -160,7 +160,6 @@ class Belief:
     """
 
     pi: tuple[float, ...]
-    stats: tuple[ModelStats, ...]
     mc_samples: int
     win_counts: tuple[int, ...]
 
@@ -182,7 +181,6 @@ def point_mass_belief(stats: Sequence[ModelStats], winner_index: int) -> Belief:
     counts = tuple(1 if i == winner_index else 0 for i in range(len(stats)))
     return Belief(
         pi=tuple(float(c) for c in counts),
-        stats=tuple(stats),
         mc_samples=1,
         win_counts=counts,
     )

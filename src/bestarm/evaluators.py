@@ -16,10 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import queue
 import shlex
 import subprocess
 import sys
+import tempfile
 import threading
 import warnings
 from abc import ABC, abstractmethod
@@ -48,7 +50,7 @@ _MAX_REJECTIONS = 100_000
 
 # Seconds an evaluator child gets to exit after closing its output or shutdown.
 _EXIT_WAIT_S = 5.0
-# Seconds a drain thread of an exited child gets to reach end of file.
+# Seconds the stdout drain thread of an exited child gets to reach end of file.
 _JOIN_WAIT_S = 1.0
 
 
@@ -351,20 +353,20 @@ class SubprocessEvaluator(Evaluator):
         self._pending: dict[int, EvaluationRequest] = {}
         self._closed = False
         self._lines: queue.Queue = queue.Queue()
-        self._stderr_chunks: list[str] = []
+        # A file, not a pipe: the child can never block on a full stderr.
+        self._stderr = tempfile.TemporaryFile()
         try:
             self._child = subprocess.Popen(
                 argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
+                stderr=self._stderr,
             )
         except OSError as e:
+            self._stderr.close()
             raise EvaluatorFailure(f"failed to spawn evaluator {argv!r}: {e}") from e
         self._stdout_thread = threading.Thread(target=self._drain_stdout, daemon=True)
-        self._stderr_thread = threading.Thread(target=self._drain_stderr, daemon=True)
         self._stdout_thread.start()
-        self._stderr_thread.start()
 
         try:
             self._send({"fiesta_protocol": PROTOCOL_VERSION, "models": list(model_names)})
@@ -389,15 +391,10 @@ class SubprocessEvaluator(Evaluator):
             pass
         self._lines.put(None)
 
-    def _drain_stderr(self):
-        try:
-            for line in self._child.stderr:
-                self._stderr_chunks.append(line.decode("utf-8", "replace"))
-        except ValueError:
-            pass
-
     def _stderr_text(self) -> str:
-        return "".join(self._stderr_chunks).strip()
+        # pread leaves alone the file offset the child writes at.
+        fd = self._stderr.fileno()
+        return os.pread(fd, os.fstat(fd).st_size, 0).decode("utf-8", "replace").strip()
 
     def _send(self, obj: dict) -> None:
         try:
@@ -477,19 +474,18 @@ class SubprocessEvaluator(Evaluator):
         self._child.wait()
 
     def _release(self) -> None:
-        """Close the three pipes of the exited child and join its drain threads."""
+        """Close the pipes and stderr file of the exited child and join its drain thread."""
         try:
             self._child.stdin.close()
         except OSError:  # a flush into the dead child's pipe
             pass
-        for thread, pipe in ((self._stdout_thread, self._child.stdout),
-                             (self._stderr_thread, self._child.stderr)):
-            # The thread reaches end of file once the child has exited, unless
-            # a process the child started still holds the pipe; closing a
-            # pipe while its thread reads would block, so that one is left.
-            thread.join(timeout=_JOIN_WAIT_S)
-            if not thread.is_alive():
-                pipe.close()
+        self._stderr.close()
+        # The thread reaches end of file once the child has exited, unless a
+        # process the child started still holds the pipe; closing a pipe
+        # while its thread reads would block, so that one is left.
+        self._stdout_thread.join(timeout=_JOIN_WAIT_S)
+        if not self._stdout_thread.is_alive():
+            self._child.stdout.close()
 
     def close(self) -> None:
         if self._closed:

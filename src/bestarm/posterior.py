@@ -164,7 +164,6 @@ def estimate_pi(
     counts = np.bincount(winners, minlength=len(stats_all))
     return Belief(
         pi=tuple((counts / mc_samples).tolist()),
-        stats=tuple(stats_all),
         mc_samples=int(mc_samples),
         win_counts=tuple(int(c) for c in counts),
     )

@@ -6,6 +6,7 @@ Speaks the line-delimited JSON protocol on stdin/stdout. Behavior knobs:
   --reorder           buffer up to K requests, answer them newest-first
   --delay-ms N        sleep before each response
   --crash-after N     exit(3) after N responses, leaving requests unanswered
+  --stderr-kib K      write K KiB to stderr before the --crash-after crash
   --error-model NAME  answer every request for NAME with an error
   --flaky             answer the first attempt of every id with an error,
                       succeed on the retry
@@ -59,6 +60,7 @@ def main() -> int:
     ap.add_argument("--reorder", action="store_true")
     ap.add_argument("--delay-ms", type=int, default=0)
     ap.add_argument("--crash-after", type=int, default=None)
+    ap.add_argument("--stderr-kib", type=int, default=0)
     ap.add_argument("--error-model", default=None)
     ap.add_argument("--flaky", action="store_true")
     ap.add_argument("--wrong-id", action="store_true")
@@ -79,6 +81,8 @@ def main() -> int:
     def answer(req):
         nonlocal responded
         if args.crash_after is not None and responded >= args.crash_after:
+            for _ in range(args.stderr_kib):
+                print("x" * 1023, file=sys.stderr)
             print("boom: simulated crash", file=sys.stderr, flush=True)
             os._exit(3)
         if args.delay_ms:

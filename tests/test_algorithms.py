@@ -386,6 +386,47 @@ class TestBts:
             )
         assert results[0].total_evals == results[1].total_evals
         assert results[0].chosen == results[1].chosen
+        assert results[0].trace == results[1].trace
+
+    @pytest.mark.parametrize("mode", list(BatchMode))
+    def test_b4_in_flight_against_a_reordering_child(self, mode):
+        names = ["a", "b"]
+        evaluator = Recording(SubprocessEvaluator(
+            [sys.executable, ECHO_CHILD, "--reorder", "--max-in-flight", "4"], names
+        ))
+        # The child scores by request id alone, so the campaign runs to the safeguard.
+        conf = ConfidencePolicy(delta=0.01, max_total_evals=40)
+        try:
+            result = bts(
+                make_model_ids(names), conf, BatchPolicy(4, mode), evaluator, campaign_seed=7,
+                mc_samples=200, on_event=lambda e: evaluator.log.append((e.kind, evaluator.pending())),
+            )
+            in_flight_at_end = evaluator.pending()
+        finally:
+            evaluator.close()
+        assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
+        assert max(n for _, n in evaluator.log) == 4
+        first_belief = evaluator.log.index((EventKind.BELIEF_UPDATED, 0))
+        after_init = evaluator.log[first_belief:]
+        beliefs = [n for kind, n in after_init if kind is EventKind.BELIEF_UPDATED]
+        folded = [e.payload["request"] for e in events_of(result, EventKind.EVALUATED)]
+        step = 4 if mode is BatchMode.SYNCHRONOUS else 1
+        assert len(beliefs) == 1 + (result.total_evals - 6) // step
+        if mode is BatchMode.SYNCHRONOUS:
+            assert set(beliefs) == {0} and in_flight_at_end == 0
+            assert folded == sorted(folded)
+        else:
+            # It stops at a belief, before topping up what it just collected.
+            assert beliefs == [0] + [3] * (len(beliefs) - 1) and in_flight_at_end == 3
+            filled = after_init[after_init.index(("submit", 4)):]
+            assert all(n == 4 for kind, n in filled if kind == "submit")
+            assert all(n == 3 for kind, n in filled if kind == "collect")
+            assert folded != sorted(folded)
+        submitted = [r.sequence for r in evaluator.requests]
+        assert len(set(submitted)) == len(submitted)
+        assert len(set(folded)) == len(folded) == result.total_evals
+        assert set(folded) <= set(submitted)
+        assert len(submitted) - len(folded) == in_flight_at_end
 
     def test_batch_size_beyond_capacity_rejected(self):
         names = ["a", "b"]
@@ -448,11 +489,13 @@ class TestBts:
 
 
 class Recording(Evaluator):
-    """Pass-through wrapper that keeps every request it sees."""
+    """Pass-through wrapper that keeps every request it sees, and logs
+    ("submit" or "collect", requests in flight after the call)."""
 
     def __init__(self, inner):
         self._inner = inner
         self.requests = []
+        self.log = []
 
     @property
     def max_in_flight(self):
@@ -461,12 +504,18 @@ class Recording(Evaluator):
     def submit(self, request):
         self.requests.append(request)
         self._inner.submit(request)
+        self.log.append(("submit", self._inner.pending()))
 
     def collect(self):
-        return self._inner.collect()
+        score = self._inner.collect()
+        self.log.append(("collect", self._inner.pending()))
+        return score
 
     def pending(self):
         return self._inner.pending()
+
+    def close(self):
+        self._inner.close()
 
 
 class TestRequestStream:

@@ -361,6 +361,18 @@ class TestSubprocessEvaluator:
         finally:
             ev.close()
 
+    def test_crash_after_a_full_pipe_of_stderr_keeps_its_last_line(self):
+        # 100 KiB would fill a 64 KiB pipe that nobody reads.
+        ids, ev = self.make("--crash-after", "0", "--stderr-kib", "100")
+        try:
+            with pytest.raises(EvaluatorFailure) as exc_info:
+                ev.evaluate(request(ids[0], 0))
+            stderr = exc_info.value.stderr or ""
+            assert len(stderr) > 100 * 1024
+            assert stderr.endswith("boom: simulated crash")
+        finally:
+            ev.close()
+
     def test_timeout(self):
         ids, ev = self.make("--delay-ms", "3000", timeout=0.3)
         try:
