@@ -132,6 +132,32 @@ class PosteriorDraws:
                 self._drawn_for[j] = stats
 
 
+def _row_winners(block: np.ndarray, tie_stream: np.random.Generator) -> np.ndarray:
+    """Column index of each row's maximum: the first one, unless the row ties
+    exactly, when the winner is drawn uniformly from the tied columns.
+
+    Walks the contiguous columns of a column-major block with a running
+    maximum instead of a strided row ``argmax``.
+    """
+    rows, n = block.shape
+    best = block[:, 0].copy()
+    winners = np.zeros(rows, dtype=np.intp)
+    beats = np.empty(rows, dtype=bool)
+    for j in range(1, n):
+        col = block[:, j]
+        np.greater(col, best, out=beats)
+        np.copyto(winners, j, where=beats)
+        np.maximum(best, col, out=best)
+    # Rows almost never tie, so one count decides whether the per-row pass
+    # runs at all; it costs one extra draw per tied row.
+    if sum(np.count_nonzero(block[:, j] == best) for j in range(n)) > rows:
+        at_max = block == best[:, None]
+        for r in np.flatnonzero(at_max.sum(axis=1) > 1):
+            tied = np.flatnonzero(at_max[r])
+            winners[r] = tied[int(tie_stream.integers(tied.size))]
+    return winners
+
+
 def estimate_pi(
     stats_all: Sequence[ModelStats],
     mc_samples: int,
@@ -151,16 +177,7 @@ def estimate_pi(
     if not stats_all:
         raise ValueError("need statistics for at least one model")
     draws.refresh(stats_all, mc_samples)
-    matrix = draws.matrix
-    winners = matrix.argmax(axis=1)
-    at_max = matrix == np.take_along_axis(matrix, winners[:, None], axis=1)
-    # Rows almost never tie, so one count decides whether the per-row pass
-    # runs at all; it costs one extra draw per tied row.
-    if np.count_nonzero(at_max) > mc_samples:
-        for r in np.flatnonzero(at_max.sum(axis=1) > 1):
-            tied = np.flatnonzero(at_max[r])
-            winners[r] = tied[int(draws.tie_stream.integers(tied.size))]
-
+    winners = _row_winners(draws.matrix, draws.tie_stream)
     counts = np.bincount(winners, minlength=len(stats_all))
     return Belief(
         pi=tuple((counts / mc_samples).tolist()),
