@@ -235,11 +235,13 @@ class _Campaign:
         )
         return [m for _ in range(per_model) for m in survivors]
 
-    def update_belief(self) -> Belief:
-        belief = estimate_pi(self.stats, self.mc_samples, self._draws)
+    def update_belief(self, confident_above: Optional[float] = None) -> Belief:
+        """Estimate and announce the belief; ``confident_above`` lets it use
+        fewer rows when it is clearly not above that threshold."""
+        belief = estimate_pi(self.stats, self.mc_samples, self._draws, confident_above)
         self.emit(
             EventKind.BELIEF_UPDATED,
-            {"pi": list(belief.pi), "eval_counts": list(self.eval_counts)},
+            {"pi": list(belief.pi), "eval_counts": list(self.eval_counts), "rows": belief.mc_samples},
         )
         return belief
 
@@ -310,9 +312,10 @@ def _fixed_confidence(
 ) -> SelectionResult:
     """The one fixed-confidence loop; the rules differ in proposal, depth and step.
 
-    After 3 evaluations of every model, repeatedly: recompute the belief;
-    stop if it is confident enough or if ``step`` more evaluations would take
-    the total past the safeguard's cap; otherwise top the evaluations in
+    After 3 evaluations of every model, repeatedly: recompute the belief
+    (on fewer rows when it is clearly short of 1 - delta); stop if it is
+    confident enough or if ``step`` more evaluations would take the total
+    past the safeguard's cap; otherwise top the evaluations in
     flight up to ``depth`` with the k models ``propose(belief, k)`` returns
     (and their optional trace extras), and collect until ``depth - step``
     remain in flight. ``step`` defaults to ``depth``: each proposal is
@@ -321,10 +324,13 @@ def _fixed_confidence(
     step = depth if step is None else step
     c.run_batch([m for _ in range(MIN_EVALS_FOR_POSTERIOR) for m in c.models], retry_once)
     while True:
-        belief = c.update_belief()
+        # The belief a campaign ends on uses every row: a confident one
+        # always does, and a safeguard stop asks for all of them.
+        last = c.total + step > conf.max_total_evals
+        belief = c.update_belief(None if last else 1.0 - conf.delta)
         if max(belief.pi) > 1.0 - conf.delta:
             reason = TerminationReason.CONFIDENCE_REACHED
-        elif c.total + step > conf.max_total_evals:
+        elif last:
             reason = TerminationReason.MAX_EVALS_SAFEGUARD
         else:
             batch, extras = propose(belief, depth - c.evaluator.pending())

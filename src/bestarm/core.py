@@ -157,6 +157,8 @@ class Belief:
 
     ``pi[m]`` is ``win_counts[m] / mc_samples``, so the entries are exact
     relative frequencies of a common denominator and sum to one.
+    ``mc_samples`` is the number of posterior rows the belief scored, at
+    most the campaign's ``mc_samples``.
     """
 
     pi: tuple[float, ...]

@@ -8,7 +8,9 @@ freedom, where S is the sum of squared deviations and T the evaluation
 count. The probability that a model's mean is the largest has no closed
 form for N t-distributions, so it is estimated by repeated joint posterior
 draws, which a campaign keeps from one belief update to the next and redraws
-per model only when that model's statistics change.
+per model only when that model's statistics change. Draws are made and
+scored in row chunks, and a belief that is clearly short of the stop
+threshold ends after the chunks it needed.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ VARIANCE_FLOOR = 1e-12
 DEFAULT_MC_SAMPLES = 100_000
 
 MIN_EVALS_FOR_POSTERIOR = 3
+
+# A belief's rows are drawn and scored in CHUNKS chunks; a belief held to a
+# stop threshold ends after the first chunk whose leader lies more than
+# EXIT_Z standard errors below the threshold.
+CHUNKS = 8
+EXIT_Z = 4.0
 
 
 @dataclass(frozen=True)
@@ -98,17 +106,24 @@ def _t_draws(dofs: float | np.ndarray, shape: tuple, stream: np.random.Generator
     return z / np.sqrt(v / dofs)
 
 
+def chunk_ends(mc_samples: int) -> list[int]:
+    """The end row of each non-empty chunk: mc*(c+1)//CHUNKS for c < CHUNKS."""
+    return sorted({mc_samples * (c + 1) // CHUNKS for c in range(CHUNKS)} - {0})
+
+
 class PosteriorDraws:
     """A campaign's (mc_samples x N) matrix of joint posterior draws, kept
-    across belief updates.
+    across belief updates and drawn in row chunks only as far as needed.
 
     Column j holds draws of model j's true mean. Its standard-t noise comes
-    from ``rng_stream(seed, POSTERIOR, j, count_j)``, so it depends only on
-    the seed, the model and that model's evaluation count. A column is
-    redrawn only when its model's statistics differ from those it was drawn
-    for; in a campaign that happens exactly when the model's count rises,
-    so an update that evaluates one model redraws one column. Exact ties
-    between columns are broken from the unkeyed POSTERIOR stream.
+    from one generator, ``rng_stream(seed, POSTERIOR, j, count_j)``, kept
+    with the number of rows drawn from it. Rows are drawn in whole chunks,
+    in order, so a row's value depends only on the seed, the model, that
+    model's evaluation count and the row. A column starts again at row 0
+    only when its model's statistics differ from those it was drawn for;
+    in a campaign that happens exactly when the model's count rises, so an
+    update that evaluates one model redraws one column. Exact ties between
+    columns are broken from the unkeyed POSTERIOR stream.
     """
 
     def __init__(self, campaign_seed: int):
@@ -116,20 +131,33 @@ class PosteriorDraws:
         self.matrix = np.empty((0, 0), order="F")
         self.tie_stream = rng_stream(self._seed, StreamPurpose.POSTERIOR)
         self._drawn_for: list[Optional[ModelStats]] = []
+        self._params: list[PosteriorParams] = []
+        self._streams: list[np.random.Generator] = []
+        self._filled: list[int] = []
 
     def refresh(self, stats_all: Sequence[ModelStats], mc_samples: int) -> None:
-        """Redraw every column whose model's statistics changed."""
+        """Start again at row 0 every column whose model's statistics changed."""
         n = len(stats_all)
         if self.matrix.shape != (mc_samples, n):
-            # Column-major, so that redrawing a column writes contiguous memory.
+            # Column-major, so that drawing a column writes contiguous memory.
             self.matrix = np.empty((mc_samples, n), order="F")
             self._drawn_for = [None] * n
+            self._params, self._streams, self._filled = [None] * n, [None] * n, [0] * n
         for j, stats in enumerate(stats_all):
             if self._drawn_for[j] != stats:
-                p = posterior_from_stats(stats)
-                stream = rng_stream(self._seed, StreamPurpose.POSTERIOR, j, stats.count)
-                self.matrix[:, j] = p.center + p.scale * _t_draws(p.dof, (mc_samples,), stream)
+                self._params[j] = posterior_from_stats(stats)
+                self._streams[j] = rng_stream(self._seed, StreamPurpose.POSTERIOR, j, stats.count)
+                self._filled[j] = 0
                 self._drawn_for[j] = stats
+
+    def fill(self, lo: int, hi: int) -> None:
+        """Draw the chunk of rows ``lo:hi`` in each column not yet drawn that
+        far. Chunks are filled in order from row 0, so such a column has
+        been drawn exactly to ``lo``."""
+        for j, p in enumerate(self._params):
+            if self._filled[j] < hi:
+                self.matrix[lo:hi, j] = p.center + p.scale * _t_draws(p.dof, (hi - lo,), self._streams[j])
+                self._filled[j] = hi
 
 
 def _row_winners(block: np.ndarray, tie_stream: np.random.Generator) -> np.ndarray:
@@ -162,25 +190,43 @@ def estimate_pi(
     stats_all: Sequence[ModelStats],
     mc_samples: int,
     draws: PosteriorDraws,
+    confident_above: Optional[float] = None,
 ) -> Belief:
     """Estimate the probability vector that each model is the best.
 
-    Brings ``draws`` up to date with ``stats_all`` and runs ``mc_samples``
-    rounds over its rows: each round holds one posterior sample per model
-    and is awarded to the strict maximum, breaking exact ties uniformly at
-    random. ``pi`` is the resulting win frequency. A fresh ``PosteriorDraws``
-    gives a one-shot estimate; a campaign passes the same one to every
-    update, so columns of models not evaluated since are reused.
+    Brings ``draws`` up to date with ``stats_all`` and scores its rows chunk
+    by chunk: each row holds one joint posterior sample and is awarded to
+    its strict maximum, breaking exact ties uniformly at random. ``pi`` is
+    the win frequency over the rows scored, and ``Belief.mc_samples`` their
+    number. Without ``confident_above`` all ``mc_samples`` rows are scored.
+    With it, scoring ends after any chunk whose leading estimate p has
+    p + EXIT_Z * sqrt(p(1-p)/rows) below ``confident_above``; such a belief
+    cannot pass the stop test ``max pi > confident_above``, and the winner
+    of a random row it scored is still an exact posterior draw.
+
+    A fresh ``PosteriorDraws`` gives a one-shot estimate; a campaign passes
+    the same one to every update, so columns of models not evaluated since
+    are reused.
     """
     if mc_samples < 1:
         raise ValueError(f"mc_samples must be positive, got {mc_samples}")
     if not stats_all:
         raise ValueError("need statistics for at least one model")
     draws.refresh(stats_all, mc_samples)
-    winners = _row_winners(draws.matrix, draws.tie_stream)
-    counts = np.bincount(winners, minlength=len(stats_all))
+    counts = np.zeros(len(stats_all), dtype=np.int64)
+    rows = 0
+    for end in chunk_ends(mc_samples):
+        draws.fill(rows, end)
+        counts += np.bincount(_row_winners(draws.matrix[rows:end], draws.tie_stream),
+                              minlength=len(stats_all))
+        rows = end
+        if confident_above is not None and rows < mc_samples:
+            # A leader at p = 1 has no spread, so it always reaches full rows.
+            p = counts.max() / rows
+            if p + EXIT_Z * math.sqrt(p * (1.0 - p) / rows) < confident_above:
+                break
     return Belief(
-        pi=tuple((counts / mc_samples).tolist()),
-        mc_samples=int(mc_samples),
+        pi=tuple((counts / rows).tolist()),
+        mc_samples=rows,
         win_counts=tuple(int(c) for c in counts),
     )

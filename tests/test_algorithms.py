@@ -32,6 +32,7 @@ from bestarm import (
     sequential_halving,
     ttts,
 )
+from bestarm import posterior
 from bestarm.evaluators import ArmSpec, Evaluator, ExhaustionPolicy
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
@@ -657,3 +658,38 @@ class TestOnEvent:
         result = run(models, evaluator, events.append)
         assert tuple(events) == result.trace
         assert events[-1].kind is EventKind.TERMINATED
+
+
+FIXED_CONFIDENCE_RULES = {
+    "ttts": lambda m, conf, ev, seed: ttts(m, conf, ev, seed, mc_samples=2000),
+    "bts-sync": lambda m, conf, ev, seed: bts(m, conf, BatchPolicy(3), ev, seed, mc_samples=2000),
+    "bts-async": lambda m, conf, ev, seed: bts(m, conf, BatchPolicy(3, BatchMode.ASYNCHRONOUS), ev, seed,
+                                               mc_samples=2000),
+    "evaluate-all": lambda m, conf, ev, seed: nonadaptive_fixed_confidence(m, conf, ev, seed, mc_samples=2000),
+}
+
+
+class TestChunkedBelief:
+    @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
+    def test_safeguard_termination_uses_every_row(self, rule):
+        models, evaluator = synthetic([0.60, 0.61, 0.62], sd=0.02, seed=5)
+        result = FIXED_CONFIDENCE_RULES[rule](models, ConfidencePolicy(0.01, max_total_evals=45), evaluator, 5)
+        assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
+        rows = [e.payload["rows"] for e in events_of(result, EventKind.BELIEF_UPDATED)]
+        assert min(rows) < 2000
+        assert rows[-1] == result.final_belief.mc_samples == 2000
+        assert sum(result.final_belief.win_counts) == 2000
+
+    @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
+    def test_confidence_is_reported_only_on_every_row(self, rule):
+        models, evaluator = synthetic([0.60, 0.63, 0.66], sd=0.02, seed=6)
+        result = FIXED_CONFIDENCE_RULES[rule](models, ConfidencePolicy(0.1), evaluator, 6)
+        assert result.terminated_by is TerminationReason.CONFIDENCE_REACHED
+        beliefs = events_of(result, EventKind.BELIEF_UPDATED)
+        assert max(beliefs[-1].payload["pi"]) > 0.9
+        assert beliefs[-1].payload["rows"] == result.final_belief.mc_samples == 2000
+        for e in beliefs:
+            counts = [round(p * e.payload["rows"]) for p in e.payload["pi"]]
+            assert sum(counts) == e.payload["rows"] in posterior.chunk_ends(2000)
+            if e.payload["rows"] < 2000:
+                assert max(e.payload["pi"]) < 0.9

@@ -280,6 +280,65 @@ class TestPosteriorDraws:
             assert abs(estimate - p) <= 4 * se, (stats, exact, belief.pi)
 
 
+class TestChunkedBelief:
+    MC = 4000
+
+    def test_never_confident_where_full_rows_are_not(self):
+        # Each case is judged at four fixed thresholds and at two just below
+        # the full-row leader, where an early exit is most likely to hide a
+        # stop. Measured at EXIT_Z = 4: 0 of 1200 decisions disagree (0 of
+        # 1800 over 300 cases); at EXIT_Z = 2 it is 0.6%, at 0 it is 21%.
+        decisions = disagree = early = 0
+        for case in range(200):
+            stats = oracle_stats(case)
+            full = estimate_pi(stats, self.MC, PosteriorDraws(case))
+            assert full.mc_samples == self.MC
+            top = max(full.pi)
+            for threshold in (0.8, 0.9, 0.95, 0.99, top - 1e-9, top - 0.01):
+                if not 0.0 < threshold < 1.0:
+                    continue
+                chunked = estimate_pi(stats, self.MC, PosteriorDraws(case), confident_above=threshold)
+                if max(chunked.pi) > threshold:
+                    # Confidence is only ever reported on the full-row belief.
+                    assert chunked == full, (case, threshold)
+                decisions += 1
+                disagree += (max(full.pi) > threshold) != (max(chunked.pi) > threshold)
+                early += chunked.mc_samples < self.MC
+        assert decisions >= 1000
+        assert early >= decisions // 4
+        assert disagree <= 2, f"{disagree} of {decisions} stop decisions differ"
+
+    def test_chunked_fill_equals_one_shot_fill(self):
+        # A near-tie exits after its first chunk at a threshold of 0.999; one
+        # column then moves and the next belief also exits early; the last
+        # call fills every column to full rows, some chunk by chunk across
+        # three updates, and must match a cache that went straight there.
+        start = oracle_stats(3)
+        moved = with_one_more_score(start, [0])
+        draws = PosteriorDraws(8)
+        assert estimate_pi(start, self.MC, draws, confident_above=0.999).mc_samples < self.MC
+        assert estimate_pi(moved, self.MC, draws, confident_above=0.999).mc_samples < self.MC
+        chunked = estimate_pi(moved, self.MC, draws)
+        fresh = PosteriorDraws(8)
+        one_shot = estimate_pi(moved, self.MC, fresh)
+        assert chunked == one_shot
+        assert draws.matrix.tobytes() == fresh.matrix.tobytes()
+
+    def test_rows_end_on_a_chunk_boundary(self):
+        belief = estimate_pi(oracle_stats(3), 1001, PosteriorDraws(2), confident_above=0.999)
+        assert belief.mc_samples in posterior.chunk_ends(1001)[:-1]
+        assert sum(belief.win_counts) == belief.mc_samples
+        assert math.fsum(belief.pi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_leader_at_pi_one_goes_to_full_rows(self):
+        # Model 1 is over a hundred posterior scales ahead at dof 28, so it wins
+        # every row of every chunk; p = 1 has no standard error to subtract.
+        stats = [ModelStats(count=30, mean=0.1, sq_dev_sum=0.03), ModelStats(count=30, mean=0.9, sq_dev_sum=0.03)]
+        belief = estimate_pi(stats, self.MC, PosteriorDraws(3), confident_above=1 - 1e-9)
+        assert belief.mc_samples == self.MC
+        assert belief.win_counts == (0, self.MC)
+
+
 class TestTransform:
     def test_logit_midpoint(self):
         assert transform_score(0.5, TransformMode.logit()) == pytest.approx(0.0, abs=1e-12)
