@@ -54,30 +54,30 @@ DIGESTS = {
     "baseline-fb/replay/11": "6f6964c4f3a1b85b00ca3cbc15dd83864a8e9c897c5453543e4e4125468a6e45",
     "baseline-fb/subprocess/3": "3b1157dd92b28240c2bbf7f4c5b4107b9baeb3ee1b446f80dab21d9ca10814f0",
     "baseline-fb/subprocess/11": "3b1157dd92b28240c2bbf7f4c5b4107b9baeb3ee1b446f80dab21d9ca10814f0",
-    "fc/synthetic/3": "db5dbe4521c581f20c1f616d331113a4d41052bb96e9fea50a4e9d8abacd4b47",
-    "fc/synthetic/11": "d86082eda2d7c3c73b2d505dc0d8b8400f49414695fcc2710d200ad1875cda53",
-    "fc/replay/3": "81cc10ab32fff288fe3e611708e03cfbd55ac69749466102aff3c1224e6c300e",
-    "fc/replay/11": "2cc10a15c949e3e1da4f22f2cd8b65b6fb099d8c9dd468488982b861d43376ef",
-    "fc/subprocess/3": "9d9f85e9d112382d7ae1401f62b4e113fade09055c09d11a670c1b91e7c81a00",
-    "fc/subprocess/11": "8fdfab9dbd61cc8fc8f99360190e41feb1fa25f9bca0ce6164d18613ce1b1577",
-    "baseline-fc/synthetic/3": "78fed4226ec3ef6a83b13c3cdb7fcfecc0ca877e8d6566fe9703a03271ec65a5",
-    "baseline-fc/synthetic/11": "6ceb3283e7ba74b815675c0311e6d60e32a2510cb7adcf46bf0ecc318f7a6142",
-    "baseline-fc/replay/3": "5ceb869d514b03b3c02d6daca414988f39a2deaae2b5ed40cab2d5684475e4bf",
-    "baseline-fc/replay/11": "67d1470bf23a1ba4c4f5df58d626d2958a2909010164c4de43b8f614a8091b52",
-    "baseline-fc/subprocess/3": "7abe7b770eb2d0f8c1fe70d900f93285279734cf394d885c567b6ffdf017aee7",
-    "baseline-fc/subprocess/11": "42610109013dab8d32e0a7b1be9e417cbb47f24857ce9e78228043fcfb2ce9b6",
-    "fc-batch-sync/synthetic/3": "cc368b5a33f30978e9bb14617d78d2a8fece9d47d9c1afca4f49cebc99926eff",
-    "fc-batch-sync/synthetic/11": "701431675f33ef6017775e9ad37f3345cda9491c6f217a432c62c951b4b10e3c",
-    "fc-batch-sync/replay/3": "2caad0c9608daeb1188421ab71a8cf0d52609b4dd9357aadf92ec4ff9e51da0d",
-    "fc-batch-sync/replay/11": "d2e2bd98405ab55fac43edc2a3648f45534e2296421918fe99bdb30720940524",
-    "fc-batch-sync/subprocess/3": "ae7d579511980b77e46b9b56f35a870aa5ac62aca9c9c05e00d60655f8ab7e96",
-    "fc-batch-sync/subprocess/11": "1e0889d2244a42f54dc302f4f2070ff0a750bffd87a49075a2bcf35e614ad41e",
-    "fc-batch-async/synthetic/3": "011758d3020d8c3936361ba1e95365074a0b0ae1a3e6b4008aba2889d83431e7",
-    "fc-batch-async/synthetic/11": "c2dbd1e6721792c4040ce83d92e64c32d9a31e0604972aa44c100c7d56db8acf",
-    "fc-batch-async/replay/3": "6fb6bcce4f8bed567b93815c9819b61694b4e6317940ec174f9b33b1cd680a01",
-    "fc-batch-async/replay/11": "fb3e44cdf68321d1a8f9da2836f5b8b1a515862ff25a782529d436388f4e0af7",
-    "fc-batch-async/subprocess/3": "3c9c5598a8b2bb5eedaab6908f8555ddcbddc1e68a018ea6313d52177f9c37bc",
-    "fc-batch-async/subprocess/11": "7a200c5e8655a54dead7423e2e4b15c9b2a3bb8499c564467b84d22ebfb8bef3",
+    "fc/synthetic/3": "845a58c40442a792d89af0016ec0ce7b18a67c2d90a7100558dbaf999e6f8562",
+    "fc/synthetic/11": "6bfe9dffcf9586d5dea3a775be80e28525637a7d088c23c2a8a6066e3e706f9d",
+    "fc/replay/3": "5b20fe1bf5f07486dd068cdd1103860f65fc6ced22d9751e1de4d818e00b9b50",
+    "fc/replay/11": "b4bdea83261a8ab7916b4dabfc0aad8e948161369892367b122df4ec2280808e",
+    "fc/subprocess/3": "bd2534b83388032ace81cef424a97afbc041b93dfee4920aa5df44a27cdc44ee",
+    "fc/subprocess/11": "6595e646a7665f931e8a5df52a3565508c2109883195a172476e6ff7598371a3",
+    "baseline-fc/synthetic/3": "ee3d855228bd1faecc9adbdfb514e744290f29125ad332ddcd8de16f161c9209",
+    "baseline-fc/synthetic/11": "f1100c4ed9ad8084b569b4af90e2a6ec265f449fda2693435fe4033f9bcd5fbd",
+    "baseline-fc/replay/3": "a5f5345159c41568cdb23f64d07a607fa6c522d8da22002a706b4c032685db80",
+    "baseline-fc/replay/11": "07807c5b005302352e34aec53c2ba92d030b80d5878ebf142085d5c6f87d73db",
+    "baseline-fc/subprocess/3": "928a937320241ddea38072dae510866f1bca7fbf7fda326dac2292362184097c",
+    "baseline-fc/subprocess/11": "29795273229a6ad91d215d5d2cb6741cda5bf917c6b9e8c9e4dc3b40bc16d318",
+    "fc-batch-sync/synthetic/3": "25bb1946bbc903cedf8b9eabc772bb6bd87bd433ed0e9e7f3bc3f658adc26864",
+    "fc-batch-sync/synthetic/11": "806c80ddc80c49e06546548c2f6d80e42843da9bef00a5b726059604f7eaacf4",
+    "fc-batch-sync/replay/3": "96e0823fe985069728b0826dc57a34b8a1ec810d25f0eacfadc4de6e535120e4",
+    "fc-batch-sync/replay/11": "c570668c48f606b11799afa958a2cbd17a022a299a97fccef31e7e2cd577a47f",
+    "fc-batch-sync/subprocess/3": "8f9bc3e4c4503001d5bc3abccf4af918a1572cb98f487f7577f6efcd2715b25f",
+    "fc-batch-sync/subprocess/11": "306701824d273cc13f954f42124a62c32130efa31d9b2e1dd062116bd23f7d00",
+    "fc-batch-async/synthetic/3": "f608b7019f198cc536de668bb1a5142476e4e8504998f0b5650c49cab148a1b6",
+    "fc-batch-async/synthetic/11": "d9e92dc48d7c420c58b49941d136b7977ee99fc6888735fba756ea8f107b274d",
+    "fc-batch-async/replay/3": "9ad2dfb9a71f18cea54fee8c04c55644492a330b1cb7cf4bdf206d4d7b7db6f1",
+    "fc-batch-async/replay/11": "92d8ac178eccc128c7cafd2d407d4a4129017579b12cb9d8ec7d76c9c235a37d",
+    "fc-batch-async/subprocess/3": "ef139b8ef3a4ce629ae9b0ef5267003754cc1ac856c02bea305e4118640f84ca",
+    "fc-batch-async/subprocess/11": "c85a088d3b7b53245adc08c47c4a96986b8721a852e5e78590992e7d59d6da09",
 }
 
 
