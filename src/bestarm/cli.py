@@ -63,6 +63,9 @@ MODE_KINDS = tuple(_MODE_HELP)
 EVALUATOR_KINDS = ("synthetic", "subprocess", "replay")
 _CONFIDENCE_KINDS = ("fc", "fc-batch", "baseline-fc")
 
+# Config paths of the library parameters whose ConfigErrors reach main.
+_LIBRARY_NAMES = {"max_total_evals": "mode.max_evals", "batch_size": "mode.batch_size"}
+
 # 99% two-sided normal quantile, for the binomial interval in reports.
 _Z99 = 2.5758293035489004
 
@@ -187,6 +190,10 @@ class EvaluatorConfig(_Section):
                                     help="replay evaluator score file")
     exhaustion: str = _leaf(ExhaustionPolicy.RESAMPLE.value, kinds=("replay",),
                             check=_one_of(tuple(p.value for p in ExhaustionPolicy)))
+    timeout: Optional[float] = _leaf(None, kinds=("subprocess",),
+                                     check=(lambda t: 0 < t < math.inf, "must be a positive number of seconds"),
+                                     flag="--timeout", type=float, metavar="SECONDS",
+                                     help="longest wait for any reply of the evaluator child")
 
 
 @dataclass
@@ -296,7 +303,7 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
         raise ConfigError("models", "required for the subprocess evaluator")
     models = _make_models(config.models)
     evaluator = SubprocessEvaluator(
-        ev.command, [m.name for m in models], max_in_flight=ev.max_in_flight
+        ev.command, [m.name for m in models], max_in_flight=ev.max_in_flight, timeout=ev.timeout
     )
     return models, evaluator
 
@@ -398,6 +405,23 @@ def _run(config: CampaignConfig) -> tuple[tuple[ModelId, ...], SelectionResult]:
         evaluator.close()
 
 
+def _validate_run(config: CampaignConfig) -> None:
+    """Validate the config, and refuse a Monte-Carlo belief too coarse for delta.
+
+    A belief's pi has a standard error of up to 0.5/sqrt(mc_samples); above
+    delta/2, a few lucky rows can pass the stop test. The algorithms accept
+    any mc_samples; this check guards only campaigns run from a config.
+    """
+    config.validate()
+    mode = config.mode
+    if mode.kind in _CONFIDENCE_KINDS and 0.5 / math.sqrt(config.mc_samples) > mode.delta / 2:
+        raise ConfigError(
+            "mc_samples",
+            f"must be at least 1/delta^2 = {math.ceil(1 / mode.delta**2)} for delta {mode.delta}, "
+            f"so that 0.5/sqrt(mc_samples) is at most delta/2, got {config.mc_samples}",
+        )
+
+
 def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     """Validate, run, report: the one-campaign entry point.
 
@@ -406,7 +430,7 @@ def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     summary to stdout, and returns the result with its exit code: 0 for
     budget/confidence termination, 2 when the safeguard tripped.
     """
-    config.validate()
+    _validate_run(config)
     models, result = _run(config)
     print(format_summary(models, result))
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
@@ -470,7 +494,7 @@ def run_replications(
     Refuses subprocess evaluators unless explicitly overridden: repeating a
     sweep against live training runs is rarely what anyone wants.
     """
-    config.validate()
+    _validate_run(config)
     if replications < 1:
         raise ConfigError("replications", f"must be positive, got {replications}")
     if config.evaluator.kind == "subprocess" and not allow_subprocess:
@@ -541,25 +565,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _with_flags(cls, data, args: argparse.Namespace, path=""):
     """Lay the flags given in ``args`` over one section of the config file.
 
-    Where no flag sets the section's kind, a flag implies its leaf's kind, so
-    at most one such flag may be given.
+    Where no flag sets the section's kind, the flag of a leaf required by
+    some kinds implies the first of them, so at most one such flag may be
+    given; a flag of an optional leaf keeps the section's kind.
     """
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError(path.rstrip(".") or "config", "must be a JSON object")
+    implies = [f for f, _ in _fields(cls) if f.metadata.get("kinds") and f.metadata["required"]
+               and not hasattr(args, path + "kind")]
     out, implied = dict(data), 0
     for f, hint in _fields(cls):
-        name, kinds = path + f.name, f.metadata.get("kinds")
+        name = path + f.name
         if _is_section(hint):
             out[f.name] = _with_flags(hint, out.get(f.name), args, name + ".")
         elif getattr(args, name, None) is not None:
-            if kinds and not hasattr(args, path + "kind"):
+            if f in implies:
                 implied += 1
-                if out.get("kind") not in kinds:
-                    out = {"kind": kinds[0]}
+                if out.get("kind") not in f.metadata["kinds"]:
+                    out = {"kind": f.metadata["kinds"][0]}
             out[f.name] = getattr(args, name)
     if implied > 1:
-        flags = [f.metadata["flag"] for f, _ in _fields(cls) if f.metadata.get("flag")]
+        flags = [f.metadata["flag"] for f in implies if f.metadata["flag"]]
         raise ConfigError(path.rstrip("."), f"choose exactly one of {', '.join(flags)}")
     return out
 
@@ -594,6 +621,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _, code = run_campaign(config)
         return code
     except (EvaluatorFailure, ValueError) as e:
+        if isinstance(e, ConfigError) and e.field_name in _LIBRARY_NAMES:
+            e = ConfigError(_LIBRARY_NAMES[e.field_name], e.message)
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, EvaluatorFailure) and e.stderr:
             print(f"evaluator stderr:\n{e.stderr}", file=sys.stderr)

@@ -34,6 +34,7 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
+        self.message = message
 
 
 class EvaluatorFailure(RuntimeError):

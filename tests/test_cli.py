@@ -451,6 +451,67 @@ class TestMain:
         assert "trace_path" in captured.err
         assert "No space left on device" in captured.err
 
+    def test_silent_child_times_out_and_exits_one(self):
+        # The child never answers the handshake; without --timeout the run hangs.
+        cmd = f"{sys.executable} -c 'import time; time.sleep(60)'"
+        start = time.monotonic()
+        proc = sp.run(
+            [sys.executable, "-m", "bestarm.cli", "fc", "--delta", "0.1", "--exec", cmd,
+             "--models", "a,b", "--timeout", "0.5"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1
+        assert "timed out after 0.5s" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert time.monotonic() - start < 20
+
+    @pytest.mark.parametrize("value", [0, -1.0, "5", True])
+    def test_bad_timeout_exits_one_naming_path(self, value, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mode": {"kind": "fc", "delta": 0.1}, "models": ["a", "b"],
+                                      "evaluator": {"kind": "subprocess", "command": "child",
+                                                    "timeout": value}}))
+        code = main(["fc", "--config", str(config)])
+        assert code == 1
+        assert "error: evaluator.timeout: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delta, mc_samples", [(0.1, 1), (0.1, 99), (0.05, 399), (0.01, 9999)])
+    def test_mc_samples_coarser_than_delta_exits_one(self, delta, mc_samples, arms_file, tmp_path,
+                                                     capsys, monkeypatch):
+        submitted = []
+        monkeypatch.setattr(SyntheticEvaluator, "submit", lambda self, req: submitted.append(req))
+        trace = tmp_path / "t.jsonl"
+        for command in (["fc"], ["fc-batch", "--batch-size", "2"], ["baseline-fc"],
+                        ["replicate", "--mode", "fc", "--replications", "2"]):
+            code = main(command + ["--delta", str(delta), "--mc-samples", str(mc_samples),
+                                   "--synthetic", arms_file, "--trace", str(trace)])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert f"error: mc_samples: must be at least 1/delta^2 = {round(1 / delta**2)} " in err
+        assert submitted == []
+        assert not trace.exists()
+
+    def test_mc_samples_at_the_resolution_bound_runs(self, arms_file, capsys):
+        code = main(["fc", "--delta", "0.1", "--mc-samples", "100", "--synthetic", arms_file])
+        capsys.readouterr()
+        assert code in (0, 2)
+
+    def test_max_evals_below_initialization_names_config_path(self, arms_file, capsys):
+        code = main(["fc", "--delta", "0.1", "--max-evals", "5", "--synthetic", arms_file])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: mode.max_evals: must be at least 3 evaluations per model" in err
+        assert "max_total_evals" not in err
+
+    def test_batch_deeper_than_child_names_config_path(self, capsys):
+        cmd = f"{sys.executable} {ECHO_CHILD} --max-in-flight 2"
+        code = main(["fc-batch", "--delta", "0.1", "--batch-size", "4", "--exec", cmd,
+                     "--models", "a,b", "--mc-samples", "1000"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: mode.batch_size: evaluator supports at most 2 concurrent requests, got 4" in err
+        assert "Traceback" not in err
+
     def test_fb_runs_sequential_halving(self, arms_file, capsys):
         code = main(["fb", "--budget", "30", "--synthetic", arms_file, "--seed", "5"])
         out = capsys.readouterr().out
@@ -491,7 +552,7 @@ class TestMain:
                     "mode": {"kind": "fc", "delta": 0.01},
                     "evaluator": {"kind": "replay", "csv_file": str(csv_path),
                                   "exhaustion": "error"},
-                    "mc_samples": 1000,
+                    "mc_samples": 10_000,
                     "trace_path": str(tmp_path / "trace.jsonl"),
                 }
             )
@@ -551,7 +612,7 @@ class TestInterrupt:
         cmd = f"{sys.executable} {ECHO_CHILD} --delay-ms 20"
         proc = sp.Popen(
             [sys.executable, "-m", "bestarm.cli", "fc", "--delta", "0.001", "--exec", cmd,
-             "--models", "a,b", "--mc-samples", "1000", "--trace", str(trace)],
+             "--models", "a,b", "--mc-samples", "1000000", "--trace", str(trace)],
             stdout=sp.PIPE, stderr=sp.PIPE, text=True,
         )
         try:

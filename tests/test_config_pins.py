@@ -71,7 +71,7 @@ CONFIGS = {
 }
 
 _COMMON = ["--config", "--exec", "--help", "--mc-samples", "--models", "--replay", "--seed",
-           "--synthetic", "--trace", "--transform", "-h"]
+           "--synthetic", "--timeout", "--trace", "--transform", "-h"]
 FLAGS = {
     "fb": ["--budget"] + _COMMON,
     "fc": ["--delta", "--max-evals"] + _COMMON,
