@@ -280,6 +280,27 @@ class TestPosteriorDraws:
             assert abs(estimate - p) <= 4 * se, (stats, exact, belief.pi)
 
 
+class TestRowWinners:
+    def test_matches_row_argmax_without_ties(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 5, 9):
+            block = np.asfortranarray(rng.standard_normal((3001, n)))
+            tie_stream = np.random.default_rng(0)
+            winners = posterior._row_winners(block, tie_stream)
+            assert np.array_equal(winners, block.argmax(axis=1))
+            assert tie_stream.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_exact_ties_draw_once_per_tied_row(self):
+        block = np.asfortranarray([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [3.0, 3.0, 3.0]])
+        tie_stream = np.random.default_rng(5)
+        winners = posterior._row_winners(block, tie_stream)
+        reference = np.random.default_rng(5)
+        assert winners[0] == [0, 1][int(reference.integers(2))]
+        assert winners[1] == 1
+        assert winners[2] == int(reference.integers(3))
+        assert tie_stream.bit_generator.state == reference.bit_generator.state
+
+
 class TestChunkedBelief:
     MC = 4000
 
