@@ -131,8 +131,8 @@ class PosteriorDraws:
         self.matrix = np.empty((0, 0), order="F")
         self.tie_stream = rng_stream(self._seed, StreamPurpose.POSTERIOR)
         self._drawn_for: list[Optional[ModelStats]] = []
-        self._params: list[PosteriorParams] = []
-        self._streams: list[np.random.Generator] = []
+        self._params: list[Optional[PosteriorParams]] = []
+        self._streams: list[Optional[np.random.Generator]] = []
         self._filled: list[int] = []
 
     def refresh(self, stats_all: Sequence[ModelStats], mc_samples: int) -> None:
