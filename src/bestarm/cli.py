@@ -43,10 +43,8 @@ from .evaluators import (
     Evaluator,
     ExhaustionPolicy,
     ReplayEvaluator,
-    ReplayTable,
     SubprocessEvaluator,
     SyntheticEvaluator,
-    build_arm_specs,
     load_arm_file,
     read_replay_csv,
 )
@@ -276,29 +274,26 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
     ev = config.evaluator
     if ev.kind == "synthetic":
         try:
-            entries = load_arm_file(ev.arms_file)
-        except (OSError, ValueError, json.JSONDecodeError) as e:
+            dists = load_arm_file(ev.arms_file)
+        except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
             raise ConfigError("evaluator.arms_file", str(e)) from None
-        names = config.models if config.models is not None else [n for n, _ in entries]
-        models = _make_models(names)
+        models = _make_models(config.models if config.models is not None else list(dists))
         try:
-            arms = build_arm_specs(entries, models)
+            return models, SyntheticEvaluator(dists, models, config.campaign_seed)
         except ValueError as e:
             raise ConfigError("models", str(e)) from None
-        return models, SyntheticEvaluator(arms, config.campaign_seed)
     if ev.kind == "replay":
         known = set(config.models) if config.models is not None else None
         try:
             pools = read_replay_csv(ev.csv_file, known=known)
         except OSError as e:
             raise ConfigError("evaluator.csv_file", str(e)) from None
-        names = config.models if config.models is not None else list(pools.keys())
-        models = _make_models(names)
+        models = _make_models(config.models if config.models is not None else list(pools))
         try:
-            table = ReplayTable(pools, models, ExhaustionPolicy(ev.exhaustion))
+            return models, ReplayEvaluator(pools, models, config.campaign_seed,
+                                           ExhaustionPolicy(ev.exhaustion))
         except ValueError as e:
             raise ConfigError("models", str(e)) from None
-        return models, ReplayEvaluator(table, config.campaign_seed)
     if config.models is None:
         raise ConfigError("models", "required for the subprocess evaluator")
     models = _make_models(config.models)

@@ -17,18 +17,18 @@ import csv
 import json
 import math
 import os
-import queue
+import select
 import shlex
 import subprocess
 import sys
 import tempfile
-import threading
+import time
 import warnings
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
     EvaluationError,
@@ -50,8 +50,6 @@ _MAX_REJECTIONS = 100_000
 
 # Seconds an evaluator child gets to exit after closing its output or shutdown.
 _EXIT_WAIT_S = 5.0
-# Seconds the stdout drain thread of an exited child gets to reach end of file.
-_JOIN_WAIT_S = 1.0
 
 
 def _is_finite_number(value) -> bool:
@@ -115,22 +113,17 @@ Distribution = Union[Gaussian, TruncatedGaussian, Beta]
 _FAMILIES = {"gaussian": Gaussian, "truncated_gaussian": TruncatedGaussian, "beta": Beta}
 
 
-@dataclass(frozen=True)
-class ArmSpec:
-    """Synthetic arm: a candidate model plus its score distribution."""
-
-    model: ModelId
-    dist: Distribution
-
-
-def parse_arm_entries(entries: list) -> list[tuple[str, Distribution]]:
+def parse_arm_entries(entries: list) -> dict[str, Distribution]:
     """Parse the arm file structure: a JSON array of named family records."""
     if not isinstance(entries, list):
         raise ValueError("arm spec file must contain a JSON array")
-    out = []
+    out = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "name" not in entry or "family" not in entry:
             raise ValueError(f"arm entry {i} must be an object with 'name' and 'family'")
+        name = str(entry["name"])
+        if name in out:
+            raise ValueError(f"arm entry {i}: duplicate name {name!r}")
         family = entry["family"]
         if family not in _FAMILIES:
             raise ValueError(f"arm entry {i}: unknown family {family!r}")
@@ -144,24 +137,13 @@ def parse_arm_entries(entries: list) -> list[tuple[str, Distribution]]:
             dist = _FAMILIES[family](**params)
         except TypeError as e:
             raise ValueError(f"arm entry {i} ({entry['name']}): {e}") from None
-        out.append((str(entry["name"]), dist))
+        out[name] = dist
     return out
 
 
-def load_arm_file(path: str) -> list[tuple[str, Distribution]]:
+def load_arm_file(path: str) -> dict[str, Distribution]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_arm_entries(json.load(fh))
-
-
-def build_arm_specs(
-    entries: Sequence[tuple[str, Distribution]], models: Sequence[ModelId]
-) -> tuple[ArmSpec, ...]:
-    """Attach loaded arm distributions to the candidate set, in model order."""
-    by_name = dict(entries)
-    missing = [m.name for m in models if m.name not in by_name]
-    if missing:
-        raise ValueError(f"no arm defined for models: {missing}")
-    return tuple(ArmSpec(model=m, dist=by_name[m.name]) for m in models)
 
 
 class Evaluator(ABC):
@@ -236,14 +218,17 @@ class SyntheticEvaluator(_InOrderEvaluator):
     and independent of dispatch interleaving.
     """
 
-    def __init__(self, arms: Sequence[ArmSpec], campaign_seed: int):
+    def __init__(self, dists: Mapping[str, Distribution], models: Sequence[ModelId],
+                 campaign_seed: int):
+        missing = [m.name for m in models if m.name not in dists]
+        if missing:
+            raise ValueError(f"no arm defined for models: {missing}")
         super().__init__(campaign_seed)
-        self._arms = {a.model.index: a for a in arms}
+        self._dists = {m.index: dists[m.name] for m in models}
 
     def _score(self, request: EvaluationRequest) -> float:
-        arm = self._arms[request.model.index]
         rng = rng_stream(self._seed, StreamPurpose.SYNTHETIC, request.model.index, request.sequence)
-        return arm.dist.sample(rng)
+        return self._dists[request.model.index].sample(rng)
 
 
 class ExhaustionPolicy(str, Enum):
@@ -252,40 +237,6 @@ class ExhaustionPolicy(str, Enum):
     ERROR = "error"
     CYCLE = "cycle"
     RESAMPLE = "resample"
-
-
-class ReplayTable:
-    """Per-model ordered score pools loaded from a recorded-evaluation file."""
-
-    def __init__(
-        self,
-        scores: dict[str, list[float]],
-        models: Sequence[ModelId],
-        exhaustion_policy: ExhaustionPolicy = ExhaustionPolicy.RESAMPLE,
-    ):
-        empty = [m.name for m in models if not scores.get(m.name)]
-        if empty:
-            raise ValueError(f"no recorded scores for models: {empty}")
-        self._pools = {m.index: list(scores[m.name]) for m in models}
-        self._cursors = {m.index: 0 for m in models}
-        self.policy = ExhaustionPolicy(exhaustion_policy)
-
-    def next_score(self, request: EvaluationRequest, campaign_seed: int) -> float:
-        idx = request.model.index
-        pool = self._pools[idx]
-        cursor = self._cursors[idx]
-        if cursor < len(pool):
-            self._cursors[idx] = cursor + 1
-            return pool[cursor]
-        if self.policy is ExhaustionPolicy.ERROR:
-            raise PoolExhaustedError(
-                f"replay pool for {request.model.name} exhausted after {len(pool)} scores"
-            )
-        if self.policy is ExhaustionPolicy.CYCLE:
-            self._cursors[idx] = cursor + 1
-            return pool[cursor % len(pool)]
-        rng = rng_stream(campaign_seed, StreamPurpose.REPLAY, idx, request.sequence)
-        return pool[int(rng.integers(len(pool)))]
 
 
 def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, list[float]]:
@@ -322,14 +273,34 @@ def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, li
 
 
 class ReplayEvaluator(_InOrderEvaluator):
-    """Serves recorded scores from a ``ReplayTable``."""
+    """Serves each model's recorded scores in order, then by the exhaustion policy."""
 
-    def __init__(self, table: ReplayTable, campaign_seed: int):
+    def __init__(self, scores: Mapping[str, Sequence[float]], models: Sequence[ModelId],
+                 campaign_seed: int,
+                 exhaustion_policy: ExhaustionPolicy = ExhaustionPolicy.RESAMPLE):
+        empty = [m.name for m in models if not scores.get(m.name)]
+        if empty:
+            raise ValueError(f"no recorded scores for models: {empty}")
         super().__init__(campaign_seed)
-        self._table = table
+        self._pools = {m.index: list(scores[m.name]) for m in models}
+        self._cursors = {m.index: 0 for m in models}
+        self.policy = ExhaustionPolicy(exhaustion_policy)
 
     def _score(self, request: EvaluationRequest) -> float:
-        return self._table.next_score(request, self._seed)
+        idx = request.model.index
+        pool, cursor = self._pools[idx], self._cursors[idx]
+        if cursor < len(pool):
+            self._cursors[idx] = cursor + 1
+            return pool[cursor]
+        if self.policy is ExhaustionPolicy.ERROR:
+            raise PoolExhaustedError(
+                f"replay pool for {request.model.name} exhausted after {len(pool)} scores"
+            )
+        if self.policy is ExhaustionPolicy.CYCLE:
+            self._cursors[idx] = cursor + 1
+            return pool[cursor % len(pool)]
+        rng = rng_stream(self._seed, StreamPurpose.REPLAY, idx, request.sequence)
+        return pool[int(rng.integers(len(pool)))]
 
 
 class SubprocessEvaluator(Evaluator):
@@ -338,7 +309,8 @@ class SubprocessEvaluator(Evaluator):
     One child process serves the whole campaign (model setup costs are paid
     once). Requests carry the seeds the child must honor; responses are
     demultiplexed strictly by id, so the child may reply out of order up to
-    its advertised pipeline depth.
+    its advertised pipeline depth. The child's stdout is read on the calling
+    thread, through ``poll`` (POSIX only).
     """
 
     def __init__(
@@ -352,7 +324,7 @@ class SubprocessEvaluator(Evaluator):
         self._timeout = timeout
         self._pending: dict[int, EvaluationRequest] = {}
         self._closed = False
-        self._lines: queue.Queue = queue.Queue()
+        self._buffer = b""
         # A file, not a pipe: the child can never block on a full stderr.
         self._stderr = tempfile.TemporaryFile()
         try:
@@ -365,8 +337,9 @@ class SubprocessEvaluator(Evaluator):
         except OSError as e:
             self._stderr.close()
             raise EvaluatorFailure(f"failed to spawn evaluator {argv!r}: {e}") from e
-        self._stdout_thread = threading.Thread(target=self._drain_stdout, daemon=True)
-        self._stdout_thread.start()
+        # poll, unlike select, takes descriptors past 1023.
+        self._poll = select.poll()
+        self._poll.register(self._child.stdout, select.POLLIN)
 
         try:
             self._send({"fiesta_protocol": PROTOCOL_VERSION, "models": list(model_names)})
@@ -382,15 +355,6 @@ class SubprocessEvaluator(Evaluator):
             raise
         self._max_in_flight = advertised if max_in_flight is None else min(advertised, max_in_flight)
 
-    def _drain_stdout(self):
-        # Lines stay bytes: _read_object decodes them, so bad UTF-8 is a protocol error.
-        try:
-            for line in self._child.stdout:
-                self._lines.put(line)
-        except ValueError:
-            pass
-        self._lines.put(None)
-
     def _stderr_text(self) -> str:
         # pread leaves alone the file offset the child writes at.
         fd = self._stderr.fileno()
@@ -405,14 +369,28 @@ class SubprocessEvaluator(Evaluator):
                 f"evaluator child is not accepting requests ({e})", stderr=self._stderr_text()
             ) from e
 
+    def _read_line(self) -> Optional[bytes]:
+        """The child's next line, waited for at most the timeout, or None at
+        end of file, where any bytes left are the last line. Lines stay bytes:
+        ``_read_object`` decodes them, so bad UTF-8 is a protocol error."""
+        deadline = None if self._timeout is None else time.monotonic() + self._timeout
+        while b"\n" not in self._buffer:
+            wait = None if deadline is None else max(0.0, deadline - time.monotonic()) * 1000
+            if not self._poll.poll(wait):
+                raise EvaluatorFailure(
+                    f"evaluator response timed out after {self._timeout}s",
+                    stderr=self._stderr_text(),
+                )
+            chunk = os.read(self._child.stdout.fileno(), 65536)
+            if not chunk:
+                line, self._buffer = self._buffer, b""
+                return line or None
+            self._buffer += chunk
+        line, _, self._buffer = self._buffer.partition(b"\n")
+        return line
+
     def _read_object(self) -> dict:
-        try:
-            line = self._lines.get(timeout=self._timeout)
-        except queue.Empty:
-            raise EvaluatorFailure(
-                f"evaluator response timed out after {self._timeout}s",
-                stderr=self._stderr_text(),
-            ) from None
+        line = self._read_line()
         if line is None:
             try:
                 status = f"exited (code {self._child.wait(timeout=_EXIT_WAIT_S)})"
@@ -474,18 +452,13 @@ class SubprocessEvaluator(Evaluator):
         self._child.wait()
 
     def _release(self) -> None:
-        """Close the pipes and stderr file of the exited child and join its drain thread."""
+        """Close the pipes and stderr file of the exited child."""
         try:
             self._child.stdin.close()
         except OSError:  # a flush into the dead child's pipe
             pass
+        self._child.stdout.close()
         self._stderr.close()
-        # The thread reaches end of file once the child has exited, unless a
-        # process the child started still holds the pipe; closing a pipe
-        # while its thread reads would block, so that one is left.
-        self._stdout_thread.join(timeout=_JOIN_WAIT_S)
-        if not self._stdout_thread.is_alive():
-            self._child.stdout.close()
 
     def close(self) -> None:
         if self._closed:

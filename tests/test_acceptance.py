@@ -38,7 +38,6 @@ from bestarm import (
     ttts,
 )
 from bestarm.cli import CampaignConfig, main, run_campaign
-from bestarm.evaluators import ArmSpec
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
@@ -72,10 +71,8 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 def gaussian_problem(means, sd, seed):
     models = make_model_ids([f"m{i}" for i in range(len(means))])
-    arms = tuple(
-        ArmSpec(model=m, dist=Gaussian(mean=mu, sd=sd)) for m, mu in zip(models, means)
-    )
-    return models, SyntheticEvaluator(arms, campaign_seed=seed)
+    dists = {m.name: Gaussian(mean=mu, sd=sd) for m, mu in zip(models, means)}
+    return models, SyntheticEvaluator(dists, models, campaign_seed=seed)
 
 
 def test_criterion_1_posterior_calibration():

@@ -18,7 +18,6 @@ from bestarm import (
     EventKind,
     Gaussian,
     ReplayEvaluator,
-    ReplayTable,
     SubprocessEvaluator,
     SyntheticEvaluator,
     TerminationReason,
@@ -33,24 +32,17 @@ from bestarm import (
     ttts,
 )
 from bestarm import posterior
-from bestarm.evaluators import ArmSpec, Evaluator, ExhaustionPolicy
+from bestarm.evaluators import Evaluator, ExhaustionPolicy
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
 FIG_MEANS = [0.65, 0.69, 0.69, 0.70, 0.71]
 
 
-def gaussian_arms(means, sd=0.01):
-    models = make_model_ids([f"m{i}" for i in range(len(means))])
-    arms = tuple(
-        ArmSpec(model=m, dist=Gaussian(mean=mu, sd=sd)) for m, mu in zip(models, means)
-    )
-    return models, arms
-
-
 def synthetic(means, sd=0.01, seed=0):
-    models, arms = gaussian_arms(means, sd)
-    return models, SyntheticEvaluator(arms, campaign_seed=seed)
+    models = make_model_ids([f"m{i}" for i in range(len(means))])
+    dists = {m.name: Gaussian(mean=mu, sd=sd) for m, mu in zip(models, means)}
+    return models, SyntheticEvaluator(dists, models, campaign_seed=seed)
 
 
 def events_of(result, kind):
@@ -185,7 +177,7 @@ class TestSequentialHalving:
         # Cumulative means keep a ahead (0.8667 vs 0.7667) even though b wins
         # on round-2 scores alone (0.9 vs 0.8).
         models = make_model_ids(["a", "b", "c", "d"])
-        table = ReplayTable(
+        evaluator = ReplayEvaluator(
             {
                 "a": [1.0, 1.0, 0.8, 0.8, 0.8, 0.8],
                 "b": [0.5, 0.5, 0.9, 0.9, 0.9, 0.9],
@@ -193,9 +185,9 @@ class TestSequentialHalving:
                 "d": [0.2, 0.2],
             },
             models,
-            ExhaustionPolicy.ERROR,
+            campaign_seed=0,
+            exhaustion_policy=ExhaustionPolicy.ERROR,
         )
-        evaluator = ReplayEvaluator(table, campaign_seed=0)
         result = sequential_halving(models, BudgetPolicy(16), evaluator, campaign_seed=0)
         assert result.chosen.name == "a"
 
@@ -203,10 +195,9 @@ class TestSequentialHalving:
         winners = set()
         for seed in range(40):
             models = make_model_ids(["a", "b"])
-            table = ReplayTable(
-                {"a": [0.5] * 10, "b": [0.5] * 10}, models, ExhaustionPolicy.CYCLE
+            evaluator = ReplayEvaluator(
+                {"a": [0.5] * 10, "b": [0.5] * 10}, models, seed, ExhaustionPolicy.CYCLE
             )
-            evaluator = ReplayEvaluator(table, campaign_seed=seed)
             result = sequential_halving(models, BudgetPolicy(4), evaluator, campaign_seed=seed)
             winners.add(result.chosen.name)
         assert winners == {"a", "b"}
@@ -618,14 +609,11 @@ class TestComplexityH:
 
 class TestLogitCampaign:
     def test_logit_transform_selects_best_bounded_arm(self):
-        from bestarm.evaluators import ArmSpec, Beta as BetaDist
+        from bestarm.evaluators import Beta as BetaDist
 
         models = make_model_ids(["low", "high"])
-        arms = (
-            ArmSpec(model=models[0], dist=BetaDist(10.0, 20.0)),
-            ArmSpec(model=models[1], dist=BetaDist(20.0, 10.0)),
-        )
-        evaluator = SyntheticEvaluator(arms, campaign_seed=71)
+        dists = {"low": BetaDist(10.0, 20.0), "high": BetaDist(20.0, 10.0)}
+        evaluator = SyntheticEvaluator(dists, models, campaign_seed=71)
         result = ttts(
             models, ConfidencePolicy(delta=0.1), evaluator, campaign_seed=71,
             mc_samples=4000, transform=TransformMode.logit(),

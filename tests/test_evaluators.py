@@ -21,15 +21,13 @@ from bestarm import (
     PoolExhaustedError,
     ProtocolError,
     ReplayEvaluator,
-    ReplayTable,
     SubprocessEvaluator,
     SyntheticEvaluator,
     TruncatedGaussian,
-    build_arm_specs,
     make_model_ids,
     read_replay_csv,
 )
-from bestarm.evaluators import ArmSpec, parse_arm_entries
+from bestarm.evaluators import parse_arm_entries
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
@@ -66,8 +64,8 @@ class TestArmSpecs:
                  "lo": 0.0, "hi": 1.0},
             ]
         )
-        assert [n for n, _ in entries] == ["a", "b", "c"]
-        assert entries[0][1] == Gaussian(mean=0.7, sd=0.01)
+        assert list(entries) == ["a", "b", "c"]
+        assert entries["a"] == Gaussian(mean=0.7, sd=0.01)
 
     def test_parse_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
@@ -76,14 +74,13 @@ class TestArmSpecs:
     def test_build_requires_arm_per_model(self):
         models = make_model_ids(["a", "b"])
         with pytest.raises(ValueError, match="b"):
-            build_arm_specs([("a", Gaussian(0.7, 0.01))], models)
+            SyntheticEvaluator({"a": Gaussian(0.7, 0.01)}, models, campaign_seed=0)
 
 
 class TestSyntheticEvaluator:
     def make(self, seed=42, mean=0.71, sd=0.01):
         (model,) = make_model_ids(["m"])
-        arms = (ArmSpec(model=model, dist=Gaussian(mean=mean, sd=sd)),)
-        return model, SyntheticEvaluator(arms, campaign_seed=seed)
+        return model, SyntheticEvaluator({"m": Gaussian(mean=mean, sd=sd)}, [model], campaign_seed=seed)
 
     def test_deterministic_across_instances(self):
         model, ev1 = self.make(seed=7)
@@ -113,8 +110,7 @@ class TestSyntheticEvaluator:
 
     def test_truncated_support(self):
         (model,) = make_model_ids(["m"])
-        arms = (ArmSpec(model=model, dist=TruncatedGaussian(0.5, 0.2, 0.0, 1.0)),)
-        ev = SyntheticEvaluator(arms, campaign_seed=11)
+        ev = SyntheticEvaluator({"m": TruncatedGaussian(0.5, 0.2, 0.0, 1.0)}, [model], campaign_seed=11)
         scores = [ev.evaluate(request(model, seq)).score for seq in range(2000)]
         assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -140,7 +136,7 @@ class TestSyntheticEvaluator:
     )
     def test_distributional_fidelity(self, dist, cdf):
         (model,) = make_model_ids(["m"])
-        ev = SyntheticEvaluator((ArmSpec(model=model, dist=dist),), campaign_seed=19)
+        ev = SyntheticEvaluator({"m": dist}, [model], campaign_seed=19)
         scores = np.array([ev.evaluate(request(model, seq)).score for seq in range(100_000)])
         assert scistats.kstest(scores, cdf).pvalue > 0.001
 
@@ -148,22 +144,19 @@ class TestSyntheticEvaluator:
 class TestReplay:
     def test_ordered_replay(self):
         models = make_model_ids(["m1"])
-        table = ReplayTable({"m1": [0.6, 0.7]}, models, ExhaustionPolicy.ERROR)
-        ev = ReplayEvaluator(table, campaign_seed=1)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, models, 1, ExhaustionPolicy.ERROR)
         assert ev.evaluate(request(models[0], 0)).score == 0.6
         assert ev.evaluate(request(models[0], 1)).score == 0.7
 
     def test_cycle_wraps(self):
         models = make_model_ids(["m1"])
-        table = ReplayTable({"m1": [0.6, 0.7]}, models, ExhaustionPolicy.CYCLE)
-        ev = ReplayEvaluator(table, campaign_seed=1)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, models, 1, ExhaustionPolicy.CYCLE)
         scores = [ev.evaluate(request(models[0], seq)).score for seq in range(3)]
         assert scores == [0.6, 0.7, 0.6]
 
     def test_error_policy_raises(self):
         models = make_model_ids(["m1"])
-        table = ReplayTable({"m1": [0.6, 0.7]}, models, ExhaustionPolicy.ERROR)
-        ev = ReplayEvaluator(table, campaign_seed=1)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, models, 1, ExhaustionPolicy.ERROR)
         ev.evaluate(request(models[0], 0))
         ev.evaluate(request(models[0], 1))
         with pytest.raises(PoolExhaustedError):
@@ -173,8 +166,7 @@ class TestReplay:
         rng = np.random.default_rng(4)
         pool = rng.normal(0.7, 0.05, size=40).tolist()
         models = make_model_ids(["m1"])
-        table = ReplayTable({"m1": pool}, models, ExhaustionPolicy.RESAMPLE)
-        ev = ReplayEvaluator(table, campaign_seed=8)
+        ev = ReplayEvaluator({"m1": pool}, models, 8, ExhaustionPolicy.RESAMPLE)
         n = 10_000
         scores = [ev.evaluate(request(models[0], seq)).score for seq in range(n)]
         pool_mean, pool_sd = np.mean(pool), np.std(pool)
@@ -185,8 +177,7 @@ class TestReplay:
         models = make_model_ids(["m1"])
         scores = {}
         for attempt in range(2):
-            table = ReplayTable({"m1": pool}, models, ExhaustionPolicy.RESAMPLE)
-            ev = ReplayEvaluator(table, campaign_seed=9)
+            ev = ReplayEvaluator({"m1": pool}, models, 9, ExhaustionPolicy.RESAMPLE)
             for seq in range(5, 10):  # past exhaustion immediately
                 ev.submit(request(models[0], seq))
             got = {s.request.sequence: s.score for s in (ev.collect() for _ in range(5))}
@@ -196,7 +187,7 @@ class TestReplay:
     def test_requires_scores_for_every_model(self):
         models = make_model_ids(["m1", "m2"])
         with pytest.raises(ValueError, match="m2"):
-            ReplayTable({"m1": [0.6]}, models)
+            ReplayEvaluator({"m1": [0.6]}, models, campaign_seed=0)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
