@@ -56,6 +56,7 @@ from .evaluators import Evaluator
 from .posterior import (
     DEFAULT_MC_SAMPLES,
     IDENTITY,
+    MAX_DRAW_BYTES,
     MIN_EVALS_FOR_POSTERIOR,
     PosteriorDraws,
     TransformMode,
@@ -299,6 +300,12 @@ def _confidence_campaign(
             f"must be at least 3 evaluations per model ({need} for {len(models)} models), "
             f"got {conf.max_total_evals}",
         )
+    if mc_samples * len(models) * 8 > MAX_DRAW_BYTES:
+        raise ConfigError(
+            "mc_samples",
+            f"must be at most {MAX_DRAW_BYTES // (8 * len(models))} for {len(models)} models, "
+            f"so that the draw matrix fits in {MAX_DRAW_BYTES >> 20} MiB, got {mc_samples}",
+        )
     return _Campaign(models, evaluator, campaign_seed, mc_samples, transform, on_event)
 
 
@@ -359,7 +366,7 @@ def sequential_halving(
     models = tuple(models)
     n = len(models)
     if n < 2:
-        raise ValueError(f"sequential halving needs at least 2 models, got {n}")
+        raise ConfigError("models", f"sequential halving needs at least 2 models, got {n}")
     rounds = math.ceil(math.log2(n))
     if budget.total_budget < n * rounds:
         raise BudgetTooSmallError(

@@ -62,7 +62,8 @@ EVALUATOR_KINDS = ("synthetic", "subprocess", "replay")
 _CONFIDENCE_KINDS = ("fc", "fc-batch", "baseline-fc")
 
 # Config paths of the library parameters whose ConfigErrors reach main.
-_LIBRARY_NAMES = {"max_total_evals": "mode.max_evals", "batch_size": "mode.batch_size"}
+_LIBRARY_NAMES = {"max_total_evals": "mode.max_evals", "batch_size": "mode.batch_size",
+                  "total_budget": "mode.budget"}
 
 # 99% two-sided normal quantile, for the binomial interval in reports.
 _Z99 = 2.5758293035489004

@@ -20,10 +20,6 @@ class InsufficientDataError(ValueError):
     """A posterior was requested for a model with fewer than 3 evaluations."""
 
 
-class BudgetTooSmallError(ValueError):
-    """The evaluation budget cannot give every model one evaluation per round."""
-
-
 class UndefinedComplexityError(ValueError):
     """The difficulty measure is undefined when the best mean is not unique."""
 
@@ -35,6 +31,13 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
         self.message = message
+
+
+class BudgetTooSmallError(ConfigError):
+    """The evaluation budget cannot give every model one evaluation per round."""
+
+    def __init__(self, message: str):
+        super().__init__("total_budget", message)
 
 
 class EvaluatorFailure(RuntimeError):

@@ -31,6 +31,9 @@ VARIANCE_FLOOR = 1e-12
 # 0.5/sqrt(mc), i.e. ~0.0016 at the default.
 DEFAULT_MC_SAMPLES = 100_000
 
+# Largest mc_samples x N float64 draw matrix a campaign may keep: 1 GiB.
+MAX_DRAW_BYTES = 2**30
+
 MIN_EVALS_FOR_POSTERIOR = 3
 
 # A belief's rows are drawn and scored in CHUNKS chunks; a belief held to a

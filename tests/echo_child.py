@@ -16,6 +16,8 @@ Speaks the line-delimited JSON protocol on stdin/stdout. Behavior knobs:
                       whatever they are (e.g. not UTF-8), and stay alive
   --bad-handshake     reply nonsense to the handshake
   --const-score X     fixed score instead of the id hash
+  --split-reply-ms N  write each reply in two parts, N ms apart
+  --grandchild-s S    start a process that holds stdout open for S seconds
 
 Scores default to a deterministic hash of the request id so the parent can
 verify that no response was attributed to the wrong request.
@@ -25,6 +27,7 @@ import argparse
 import json
 import os
 import select
+import subprocess
 import sys
 import time
 
@@ -68,14 +71,26 @@ def main() -> int:
     ap.add_argument("--raw-reply", type=bytes.fromhex, default=None)
     ap.add_argument("--bad-handshake", action="store_true")
     ap.add_argument("--const-score", type=float, default=None)
+    ap.add_argument("--split-reply-ms", type=int, default=0)
+    ap.add_argument("--grandchild-s", type=float, default=None)
     args = ap.parse_args()
+    if args.grandchild_s is not None:
+        # Inherits stdout, so the parent sees no end of file until it exits.
+        subprocess.Popen([sys.executable, "-c", f"import time; time.sleep({args.grandchild_s})"])
 
     responded = 0
     seen_ids = set()
     pending = []
 
     def send(obj):
-        sys.stdout.write(json.dumps(obj) + "\n")
+        text = json.dumps(obj) + "\n"
+        if args.split_reply_ms:
+            half = len(text) // 2
+            sys.stdout.write(text[:half])
+            sys.stdout.flush()
+            time.sleep(args.split_reply_ms / 1000.0)
+            text = text[half:]
+        sys.stdout.write(text)
         sys.stdout.flush()
 
     def answer(req):

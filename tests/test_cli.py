@@ -334,7 +334,7 @@ class TestMain:
         code = main(["fb", "--budget", "10", "--synthetic", str(arms)])
         captured = capsys.readouterr()
         assert code == 1
-        assert "budget too small" in captured.err
+        assert "error: mode.budget: budget too small" in captured.err
 
     def test_baseline_fb_budget_below_one_per_model_exits_one(self, tmp_path, capsys):
         arms = tmp_path / "three.json"
@@ -347,7 +347,29 @@ class TestMain:
         captured = capsys.readouterr()
         assert code == 1
         assert "budget too small" in captured.err and "got 2" in captured.err
+        assert "error: mode.budget: " in captured.err
         assert captured.out == ""
+
+    def test_fb_on_one_model_names_models(self, arms_file, capsys):
+        code = main(["fb", "--budget", "10", "--synthetic", arms_file, "--models", "m0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: models: sequential halving needs at least 2 models, got 1" in captured.err
+        assert captured.out == ""
+
+    def test_duplicate_arm_name_names_the_arm_file(self, tmp_path, capsys):
+        arms = tmp_path / "dup.json"
+        arms.write_text(json.dumps([
+            {"name": "a", "family": "gaussian", "mean": 0.9, "sd": 0.01},
+            {"name": "b", "family": "gaussian", "mean": 0.5, "sd": 0.01},
+            {"name": "a", "family": "gaussian", "mean": 0.1, "sd": 0.01},
+        ]))
+        for extra in (["--models", "a,b"], []):
+            code = main(["fb", "--budget", "20", "--synthetic", str(arms)] + extra)
+            captured = capsys.readouterr()
+            assert code == 1
+            assert "error: evaluator.arms_file: arm entry 2: duplicate name 'a'" in captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize(
         "arm, param",
@@ -419,6 +441,7 @@ class TestMain:
         assert proc.returncode == 1
         assert "rejection sampling failed" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         assert "config" in lines[0]
         assert all(line["kind"] != "terminated" for line in lines[1:])
@@ -490,6 +513,18 @@ class TestMain:
             assert f"error: mc_samples: must be at least 1/delta^2 = {round(1 / delta**2)} " in err
         assert submitted == []
         assert not trace.exists()
+
+    def test_mc_samples_beyond_the_memory_cap_exits_one(self, arms_file, capsys, monkeypatch):
+        submitted = []
+        monkeypatch.setattr(SyntheticEvaluator, "submit", lambda self, req: submitted.append(req))
+        for command in (["fc"], ["fc-batch", "--batch-size", "2"], ["baseline-fc"]):
+            code = main(command + ["--delta", "0.1", "--mc-samples", str(10**13),
+                                   "--synthetic", arms_file])
+            err = capsys.readouterr().err
+            assert code == 1, command
+            assert "error: mc_samples: must be at most 26843545 for 5 models" in err
+            assert "Traceback" not in err
+        assert submitted == []
 
     def test_mc_samples_at_the_resolution_bound_runs(self, arms_file, capsys):
         code = main(["fc", "--delta", "0.1", "--mc-samples", "100", "--synthetic", arms_file])

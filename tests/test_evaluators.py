@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -66,6 +67,14 @@ class TestArmSpecs:
         )
         assert list(entries) == ["a", "b", "c"]
         assert entries["a"] == Gaussian(mean=0.7, sd=0.01)
+
+    def test_parse_rejects_duplicate_name(self):
+        with pytest.raises(ValueError, match="arm entry 2: duplicate name 'a'"):
+            parse_arm_entries([
+                {"name": "a", "family": "gaussian", "mean": 0.9, "sd": 0.01},
+                {"name": "b", "family": "gaussian", "mean": 0.5, "sd": 0.01},
+                {"name": "a", "family": "gaussian", "mean": 0.1, "sd": 0.01},
+            ])
 
     def test_parse_rejects_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
@@ -296,6 +305,35 @@ class TestSubprocessEvaluator:
             gc.collect()
         assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert not [t.name for t in threading.enumerate() if "_drain_" in t.name]
+
+    def test_starts_no_thread(self):
+        before = threading.active_count()
+        ids, ev = self.make()
+        try:
+            ev.evaluate(request(ids[0], 0))
+            assert threading.active_count() == before
+        finally:
+            ev.close()
+
+    def test_reply_written_in_two_parts_is_one_line(self):
+        ids, ev = self.make("--split-reply-ms", "100", timeout=10)
+        try:
+            assert ev.evaluate(request(ids[0], 3)).score == child_score(3)
+        finally:
+            ev.close()
+
+    def test_timeout_bounds_the_whole_line(self):
+        # Each part of the handshake reply comes within the timeout, the line does not.
+        with pytest.raises(EvaluatorFailure, match="timed out after 0.2s"):
+            self.make("--split-reply-ms", "1000", timeout=0.2)
+
+    def test_close_does_not_wait_for_a_grandchild_holding_stdout(self):
+        ids, ev = self.make("--grandchild-s", "3")
+        ev.evaluate(request(ids[0], 0))
+        start = time.monotonic()
+        ev.close()
+        assert time.monotonic() - start < 2.0
+        assert ev._child.stdout.closed
 
     def test_advertised_capacity(self):
         _, ev = self.make("--max-in-flight", "3")
