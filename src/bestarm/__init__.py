@@ -56,26 +56,33 @@ from .algorithms import (
     ttts,
 )
 from .evaluators import (
-    ArmSpec,
     Beta,
     Evaluator,
     ExhaustionPolicy,
     Gaussian,
     ReplayEvaluator,
-    ReplayTable,
     SubprocessEvaluator,
     SyntheticEvaluator,
     TruncatedGaussian,
-    build_arm_specs,
     load_arm_file,
     read_replay_csv,
 )
-from .cli import CampaignConfig, ReplicationReport, run_campaign, run_replications
 
 __version__ = "0.1.0"
 
+_CLI_NAMES = ("CampaignConfig", "ReplicationReport", "run_campaign", "run_replications")
+
+
+def __getattr__(name):
+    # bestarm.cli is imported on first use, so that ``python -m bestarm.cli``
+    # does not find it imported already.
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 __all__ = [
-    "ArmSpec",
     "BatchMode",
     "BatchPolicy",
     "Belief",
@@ -105,7 +112,6 @@ __all__ = [
     "PosteriorParams",
     "ProtocolError",
     "ReplayEvaluator",
-    "ReplayTable",
     "ReplicationReport",
     "SelectionResult",
     "StreamPurpose",
@@ -118,7 +124,6 @@ __all__ = [
     "UndefinedComplexityError",
     "VARIANCE_FLOOR",
     "bts",
-    "build_arm_specs",
     "complexity_h",
     "estimate_pi",
     "load_arm_file",
