@@ -43,10 +43,6 @@ from .posterior import (
     transform_score,
 )
 from .algorithms import (
-    BatchMode,
-    BatchPolicy,
-    BudgetPolicy,
-    ConfidencePolicy,
     DEFAULT_MAX_TOTAL_EVALS,
     bts,
     complexity_h,
@@ -83,14 +79,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "BatchMode",
-    "BatchPolicy",
     "Belief",
     "Beta",
-    "BudgetPolicy",
     "BudgetTooSmallError",
     "CampaignConfig",
-    "ConfidencePolicy",
     "ConfigError",
     "DEFAULT_MAX_TOTAL_EVALS",
     "DEFAULT_MC_SAMPLES",

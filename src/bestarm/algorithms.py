@@ -17,9 +17,12 @@ Two non-adaptive baselines mirror conventional practice (equal budget split;
 evaluate everything each round until confident), and ``complexity_h`` scores
 problem difficulty from the true mean gaps.
 
-Every entry point takes an optional ``on_event`` callable, which receives
-each trace event as it is emitted, so a caller can stream the trace of a
-campaign that is still running or that fails.
+Each entry point takes its mode's parameters as keyword-only arguments
+named as the campaign config's ``mode`` leaves (``budget``; ``delta`` and
+``max_evals``; ``batch_size`` and ``sync``) and raises ``ConfigError`` naming
+the one it refuses. Every entry point takes an optional ``on_event``
+callable, which receives each trace event as it is emitted, so a caller can
+stream the trace of a campaign that is still running or that fails.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -68,52 +69,6 @@ DEFAULT_MAX_TOTAL_EVALS = 10_000
 
 # Receives each trace event as the campaign emits it.
 EventSink = Callable[[TraceEvent], None]
-
-
-@dataclass(frozen=True)
-class BudgetPolicy:
-    """Hard cap on the number of model evaluations (fixed-budget selection)."""
-
-    total_budget: int
-
-    def __post_init__(self):
-        if self.total_budget < 1:
-            raise ValueError(f"total_budget must be positive, got {self.total_budget}")
-
-
-@dataclass(frozen=True)
-class ConfidencePolicy:
-    """Stop once some model is believed optimal with probability > 1 - delta.
-
-    ``max_total_evals`` is a safety valve for near-tied problems that would
-    otherwise never reach the target confidence.
-    """
-
-    delta: float
-    max_total_evals: int = DEFAULT_MAX_TOTAL_EVALS
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.max_total_evals < 1:
-            raise ValueError(f"max_total_evals must be positive, got {self.max_total_evals}")
-
-
-class BatchMode(str, Enum):
-    SYNCHRONOUS = "synchronous"
-    ASYNCHRONOUS = "asynchronous"
-
-
-@dataclass(frozen=True)
-class BatchPolicy:
-    """Parallelism for batch Thompson sampling: B draws per step or B workers."""
-
-    batch_size: int
-    mode: BatchMode = BatchMode.SYNCHRONOUS
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
 
 class _Campaign:
@@ -259,10 +214,10 @@ class _Campaign:
             terminated_by=reason,
         )
 
-    def finish_budget(self, winner: ModelId, budget: BudgetPolicy) -> SelectionResult:
+    def finish_budget(self, winner: ModelId, budget: int) -> SelectionResult:
         """End a fixed-budget campaign with a point-mass belief on ``winner``."""
         belief = point_mass_belief(self.stats, winner.index)
-        unused = budget.total_budget - self.total
+        unused = budget - self.total
         return self.finish(winner, TerminationReason.BUDGET_EXHAUSTED, belief, unused_budget=unused)
 
 
@@ -285,20 +240,23 @@ def _draw_index(win_counts: Sequence[int], rng: np.random.Generator, exclude: Op
 
 def _confidence_campaign(
     models: Sequence[ModelId],
-    conf: ConfidencePolicy,
     evaluator: Evaluator,
     campaign_seed: int,
+    delta: float,
+    max_evals: int,
     mc_samples: int,
     transform: TransformMode,
     on_event: Optional[EventSink],
 ) -> _Campaign:
     models = tuple(models)
+    if not 0.0 < delta < 1.0:
+        raise ConfigError("delta", f"must be in (0, 1), got {delta!r}")
     need = MIN_EVALS_FOR_POSTERIOR * len(models)
-    if conf.max_total_evals < need:
+    if max_evals < need:
         raise ConfigError(
-            "max_total_evals",
+            "max_evals",
             f"must be at least 3 evaluations per model ({need} for {len(models)} models), "
-            f"got {conf.max_total_evals}",
+            f"got {max_evals}",
         )
     if mc_samples * len(models) * 8 > MAX_DRAW_BYTES:
         raise ConfigError(
@@ -311,7 +269,8 @@ def _confidence_campaign(
 
 def _fixed_confidence(
     c: _Campaign,
-    conf: ConfidencePolicy,
+    delta: float,
+    max_evals: int,
     depth: int,
     propose: Callable[[Belief, int], tuple[list[ModelId], Optional[list[dict]]]],
     step: Optional[int] = None,
@@ -322,7 +281,8 @@ def _fixed_confidence(
     After 3 evaluations of every model, repeatedly: recompute the belief
     (on fewer rows when it is clearly short of 1 - delta); stop if it is
     confident enough or if ``step`` more evaluations would take the total
-    past the safeguard's cap; otherwise top the evaluations in
+    past ``max_evals``, the safeguard for near-tied problems that would
+    never reach the target confidence; otherwise top the evaluations in
     flight up to ``depth`` with the k models ``propose(belief, k)`` returns
     (and their optional trace extras), and collect until ``depth - step``
     remain in flight. ``step`` defaults to ``depth``: each proposal is
@@ -333,9 +293,9 @@ def _fixed_confidence(
     while True:
         # The belief a campaign ends on uses every row: a confident one
         # always does, and a safeguard stop asks for all of them.
-        last = c.total + step > conf.max_total_evals
-        belief = c.update_belief(None if last else 1.0 - conf.delta)
-        if max(belief.pi) > 1.0 - conf.delta:
+        last = c.total + step > max_evals
+        belief = c.update_belief(None if last else 1.0 - delta)
+        if max(belief.pi) > 1.0 - delta:
             reason = TerminationReason.CONFIDENCE_REACHED
         elif last:
             reason = TerminationReason.MAX_EVALS_SAFEGUARD
@@ -348,10 +308,10 @@ def _fixed_confidence(
 
 def sequential_halving(
     models: Sequence[ModelId],
-    budget: BudgetPolicy,
     evaluator: Evaluator,
     campaign_seed: int,
     *,
+    budget: int,
     transform: TransformMode = IDENTITY,
     on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
@@ -368,17 +328,17 @@ def sequential_halving(
     if n < 2:
         raise ConfigError("models", f"sequential halving needs at least 2 models, got {n}")
     rounds = math.ceil(math.log2(n))
-    if budget.total_budget < n * rounds:
+    if budget < n * rounds:
         raise BudgetTooSmallError(
             f"budget too small: {n} models over {rounds} rounds need at least "
-            f"{n * rounds} evaluations, got {budget.total_budget}"
+            f"{n * rounds} evaluations, got {budget}"
         )
     c = _Campaign(models, evaluator, campaign_seed, transform=transform, on_event=on_event)
     survivors = list(models)
     round_index = 0
     while len(survivors) > 1:
         round_index += 1
-        per_model = budget.total_budget // (len(survivors) * rounds)
+        per_model = budget // (len(survivors) * rounds)
         c.run_batch(c.start_round(round_index, survivors, per_model))
         drop = len(survivors) // 2
         # A uniform shuffle before the stable sort makes boundary ties fall
@@ -401,10 +361,11 @@ def sequential_halving(
 
 def ttts(
     models: Sequence[ModelId],
-    conf: ConfidencePolicy,
     evaluator: Evaluator,
     campaign_seed: int,
     *,
+    delta: float,
+    max_evals: int = DEFAULT_MAX_TOTAL_EVALS,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     transform: TransformMode = IDENTITY,
     on_event: Optional[EventSink] = None,
@@ -416,7 +377,8 @@ def ttts(
     two distinct models from the belief (the second renormalized over the
     rest), flip a fair coin between them, and evaluate the winner once.
     """
-    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
+    c = _confidence_campaign(models, evaluator, campaign_seed, delta, max_evals, mc_samples,
+                             transform, on_event)
 
     def top_two(belief: Belief, k: int):
         first = _draw_index(belief.win_counts, c.algo_rng)
@@ -424,51 +386,56 @@ def ttts(
         pick = first if int(c.algo_rng.integers(2)) == 0 else second
         return [c.models[pick]], [{"candidates": [c.models[first].name, c.models[second].name]}]
 
-    return _fixed_confidence(c, conf, 1, top_two)
+    return _fixed_confidence(c, delta, max_evals, 1, top_two)
 
 
 def bts(
     models: Sequence[ModelId],
-    conf: ConfidencePolicy,
-    batch: BatchPolicy,
     evaluator: Evaluator,
     campaign_seed: int,
     *,
+    delta: float,
+    batch_size: int,
+    sync: bool = True,
+    max_evals: int = DEFAULT_MAX_TOTAL_EVALS,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     transform: TransformMode = IDENTITY,
     on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
     """Fixed-confidence selection by batch Thompson sampling.
 
-    Synchronous mode draws B models i.i.d. from the belief (with
-    replacement), evaluates all B, then updates the belief once.
-    Asynchronous mode keeps B evaluations in flight; whenever one finishes
-    it is folded in, the belief is republished, and the freed worker draws
+    With ``sync`` (the default) it draws B models i.i.d. from the belief
+    (with replacement), evaluates all B, then updates the belief once.
+    Otherwise it keeps B evaluations in flight; whenever one finishes it is
+    folded in, the belief is republished, and the freed worker draws
     its next model from that newest belief. A failed evaluation is retried
     once, then the campaign aborts. In-flight work is discarded at
     termination.
     """
-    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
+    c = _confidence_campaign(models, evaluator, campaign_seed, delta, max_evals, mc_samples,
+                             transform, on_event)
+    if batch_size < 1:
+        raise ConfigError("batch_size", f"must be positive, got {batch_size}")
     cap = evaluator.max_in_flight
-    if cap is not None and batch.batch_size > cap:
+    if cap is not None and batch_size > cap:
         raise ConfigError(
             "batch_size",
-            f"evaluator supports at most {cap} concurrent requests, got {batch.batch_size}",
+            f"evaluator supports at most {cap} concurrent requests, got {batch_size}",
         )
 
     def iid_draws(belief: Belief, k: int):
         return [c.models[_draw_index(belief.win_counts, c.algo_rng)] for _ in range(k)], None
 
-    step = batch.batch_size if batch.mode is BatchMode.SYNCHRONOUS else 1
-    return _fixed_confidence(c, conf, batch.batch_size, iid_draws, step, retry_once=True)
+    step = batch_size if sync else 1
+    return _fixed_confidence(c, delta, max_evals, batch_size, iid_draws, step, retry_once=True)
 
 
 def nonadaptive_fixed_budget(
     models: Sequence[ModelId],
-    budget: BudgetPolicy,
     evaluator: Evaluator,
     campaign_seed: int,
     *,
+    budget: int,
     transform: TransformMode = IDENTITY,
     on_event: Optional[EventSink] = None,
 ) -> SelectionResult:
@@ -476,13 +443,12 @@ def nonadaptive_fixed_budget(
     then pick the highest empirical mean."""
     models = tuple(models)
     n = len(models)
-    if budget.total_budget < n:
+    if budget < n:
         raise BudgetTooSmallError(
-            f"budget too small: {n} models need at least {n} evaluations, "
-            f"got {budget.total_budget}"
+            f"budget too small: {n} models need at least {n} evaluations, got {budget}"
         )
     c = _Campaign(models, evaluator, campaign_seed, transform=transform, on_event=on_event)
-    per_model = budget.total_budget // n
+    per_model = budget // n
     c.run_batch(c.start_round(1, models, per_model))
     means = [c.stats[m.index].mean for m in models]
     return c.finish_budget(models[max(range(n), key=lambda i: means[i])], budget)
@@ -490,10 +456,11 @@ def nonadaptive_fixed_budget(
 
 def nonadaptive_fixed_confidence(
     models: Sequence[ModelId],
-    conf: ConfidencePolicy,
     evaluator: Evaluator,
     campaign_seed: int,
     *,
+    delta: float,
+    max_evals: int = DEFAULT_MAX_TOTAL_EVALS,
     mc_samples: int = DEFAULT_MC_SAMPLES,
     transform: TransformMode = IDENTITY,
     on_event: Optional[EventSink] = None,
@@ -504,13 +471,14 @@ def nonadaptive_fixed_confidence(
     belief is recomputed after each full round. Same 3-per-model start and
     stopping threshold as top-two Thompson sampling.
     """
-    c = _confidence_campaign(models, conf, evaluator, campaign_seed, mc_samples, transform, on_event)
+    c = _confidence_campaign(models, evaluator, campaign_seed, delta, max_evals, mc_samples,
+                             transform, on_event)
     rounds = itertools.count(1)
 
     def every_model(belief: Belief, k: int):
         return c.start_round(next(rounds), c.models, 1), None
 
-    return _fixed_confidence(c, conf, len(c.models), every_model)
+    return _fixed_confidence(c, delta, max_evals, len(c.models), every_model)
 
 
 def complexity_h(true_means: Sequence[float]) -> float:

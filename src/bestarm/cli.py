@@ -18,10 +18,6 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from .algorithms import (
-    BatchMode,
-    BatchPolicy,
-    BudgetPolicy,
-    ConfidencePolicy,
     DEFAULT_MAX_TOTAL_EVALS,
     EventSink,
     bts,
@@ -60,10 +56,6 @@ _MODE_HELP = {
 MODE_KINDS = tuple(_MODE_HELP)
 EVALUATOR_KINDS = ("synthetic", "subprocess", "replay")
 _CONFIDENCE_KINDS = ("fc", "fc-batch", "baseline-fc")
-
-# Config paths of the library parameters whose ConfigErrors reach main.
-_LIBRARY_NAMES = {"max_total_evals": "mode.max_evals", "batch_size": "mode.batch_size",
-                  "total_budget": "mode.budget"}
 
 # 99% two-sided normal quantile, for the binomial interval in reports.
 _Z99 = 2.5758293035489004
@@ -298,9 +290,12 @@ def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
     if config.models is None:
         raise ConfigError("models", "required for the subprocess evaluator")
     models = _make_models(config.models)
-    evaluator = SubprocessEvaluator(
-        ev.command, [m.name for m in models], max_in_flight=ev.max_in_flight, timeout=ev.timeout
-    )
+    try:
+        evaluator = SubprocessEvaluator(
+            ev.command, [m.name for m in models], max_in_flight=ev.max_in_flight, timeout=ev.timeout
+        )
+    except ValueError as e:  # a command that is blank or badly quoted, refused before any spawn
+        raise ConfigError("evaluator.command", str(e)) from None
     return models, evaluator
 
 
@@ -322,24 +317,26 @@ def _make_models(names: Sequence[str]) -> tuple[ModelId, ...]:
 
 def _dispatch(config: CampaignConfig, models: tuple[ModelId, ...], evaluator: Evaluator,
               on_event: Optional[EventSink]) -> SelectionResult:
+    """Run the mode's algorithm with the mode's leaves as its keywords.
+
+    The algorithm is looked up in this module's namespace at each call, so
+    a wrapper set on ``bestarm.cli.ttts`` and the like sees every campaign.
+    A ConfigError naming a mode leaf is re-raised under its config path.
+    """
     mode = config.mode
-    seed = config.campaign_seed
-    common = dict(transform=config.transform, on_event=on_event)
-    if mode.kind == "fb":
-        return sequential_halving(models, BudgetPolicy(mode.budget), evaluator, seed, **common)
-    if mode.kind == "baseline-fb":
-        return nonadaptive_fixed_budget(models, BudgetPolicy(mode.budget), evaluator, seed, **common)
-    common["mc_samples"] = config.mc_samples
-    conf = ConfidencePolicy(delta=mode.delta, max_total_evals=mode.max_evals)
-    if mode.kind == "fc":
-        return ttts(models, conf, evaluator, seed, **common)
-    if mode.kind == "baseline-fc":
-        return nonadaptive_fixed_confidence(models, conf, evaluator, seed, **common)
-    batch = BatchPolicy(
-        batch_size=mode.batch_size,
-        mode=BatchMode.SYNCHRONOUS if mode.sync else BatchMode.ASYNCHRONOUS,
-    )
-    return bts(models, conf, batch, evaluator, seed, **common)
+    algorithm = {"fb": sequential_halving, "baseline-fb": nonadaptive_fixed_budget, "fc": ttts,
+                 "baseline-fc": nonadaptive_fixed_confidence, "fc-batch": bts}[mode.kind]
+    params = {f.name: getattr(mode, f.name) for f, _ in _fields(ModeConfig)
+              if mode.kind in (f.metadata["kinds"] or ())}
+    if mode.kind in _CONFIDENCE_KINDS:
+        params["mc_samples"] = config.mc_samples
+    try:
+        return algorithm(models, evaluator, config.campaign_seed, transform=config.transform,
+                         on_event=on_event, **params)
+    except ConfigError as e:
+        if e.field_name not in {f.name for f in fields(ModeConfig)}:
+            raise
+        raise ConfigError(f"mode.{e.field_name}", e.message) from None
 
 
 def _header_dict(config: CampaignConfig, models: Optional[Sequence[ModelId]] = None) -> dict:
@@ -453,12 +450,18 @@ class ReplicationReport:
         return self.correct / self.replications
 
     def binomial_ci(self) -> Optional[tuple[float, float]]:
-        """99% normal-approximation interval for the correct-selection rate."""
+        """99% Wilson score interval for the correct-selection rate.
+
+        Unlike the normal-approximation (Wald) interval it keeps a width at
+        a proportion of 0 or 1, the usual outcome of a delta-guarantee sweep.
+        """
         p = self.correct_proportion
         if p is None:
             return None
-        half = _Z99 * math.sqrt(p * (1.0 - p) / self.replications)
-        return max(0.0, p - half), min(1.0, p + half)
+        n, z2 = self.replications, _Z99 * _Z99
+        center = (p + z2 / (2 * n)) / (1 + z2 / n)
+        half = _Z99 / (1 + z2 / n) * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n))
+        return max(0.0, center - half), min(1.0, center + half)
 
     def format(self) -> str:
         lines = [
@@ -617,8 +620,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _, code = run_campaign(config)
         return code
     except (EvaluatorFailure, ValueError) as e:
-        if isinstance(e, ConfigError) and e.field_name in _LIBRARY_NAMES:
-            e = ConfigError(_LIBRARY_NAMES[e.field_name], e.message)
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, EvaluatorFailure) and e.stderr:
             print(f"evaluator stderr:\n{e.stderr}", file=sys.stderr)

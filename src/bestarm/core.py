@@ -37,7 +37,7 @@ class BudgetTooSmallError(ConfigError):
     """The evaluation budget cannot give every model one evaluation per round."""
 
     def __init__(self, message: str):
-        super().__init__("total_budget", message)
+        super().__init__("budget", message)
 
 
 class EvaluatorFailure(RuntimeError):

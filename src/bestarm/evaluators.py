@@ -121,11 +121,12 @@ def parse_arm_entries(entries: list) -> dict[str, Distribution]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or "name" not in entry or "family" not in entry:
             raise ValueError(f"arm entry {i} must be an object with 'name' and 'family'")
-        name = str(entry["name"])
+        name, family = entry["name"], entry["family"]
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"arm entry {i}: name must be a non-empty string, got {name!r}")
         if name in out:
             raise ValueError(f"arm entry {i}: duplicate name {name!r}")
-        family = entry["family"]
-        if family not in _FAMILIES:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise ValueError(f"arm entry {i}: unknown family {family!r}")
         params = {k: v for k, v in entry.items() if k not in ("name", "family")}
         for k, v in params.items():
@@ -257,6 +258,8 @@ def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, li
             if len(row) < 2:
                 raise ValueError(f"{path}:{lineno}: expected 'model,score', got {row}")
             name = row[0].strip()
+            if not name:
+                raise ValueError(f"{path}:{lineno}: model name is empty")
             try:
                 value = float(row[1])
             except ValueError:
@@ -321,6 +324,8 @@ class SubprocessEvaluator(Evaluator):
         timeout: Optional[float] = None,
     ):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if not argv:
+            raise ValueError(f"command {command!r} names no program")
         self._timeout = timeout
         self._pending: dict[int, EvaluationRequest] = {}
         self._closed = False
@@ -347,7 +352,7 @@ class SubprocessEvaluator(Evaluator):
             if reply.get("ok") is not True:
                 raise ProtocolError(f"handshake rejected: {reply}")
             advertised = reply.get("max_in_flight")
-            if not isinstance(advertised, int) or advertised < 1:
+            if isinstance(advertised, bool) or not isinstance(advertised, int) or advertised < 1:
                 raise ProtocolError(f"handshake max_in_flight must be a positive integer: {reply}")
         except BaseException:
             self._kill()

@@ -15,10 +15,6 @@ import pytest
 from scipy import stats as scistats
 
 from bestarm import (
-    BatchMode,
-    BatchPolicy,
-    BudgetPolicy,
-    ConfidencePolicy,
     EvaluationRequest,
     EventKind,
     Gaussian,
@@ -125,7 +121,7 @@ def test_criterion_3_ttts_confidence_guarantee(delta):
     for i in range(reps):
         models, evaluator = gaussian_problem(FIG_MEANS, 0.01, seed=base + i)
         result = ttts(
-            models, ConfidencePolicy(delta=delta), evaluator, campaign_seed=base + i,
+            models, evaluator, campaign_seed=base + i, delta=delta,
             mc_samples=MC_HEAVY,
         )
         correct += result.chosen.index == 4
@@ -145,13 +141,13 @@ def test_criterion_4_ttts_beats_nonadaptive():
     for i in range(reps):
         models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
         ttts_totals.append(
-            ttts(models, ConfidencePolicy(delta=0.1), evaluator, campaign_seed=i,
+            ttts(models, evaluator, campaign_seed=i, delta=0.1,
                  mc_samples=MC_MEDIUM).total_evals
         )
         models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
         base_totals.append(
             nonadaptive_fixed_confidence(
-                models, ConfidencePolicy(delta=0.1), evaluator, campaign_seed=i,
+                models, evaluator, campaign_seed=i, delta=0.1,
                 mc_samples=MC_MEDIUM,
             ).total_evals
         )
@@ -172,13 +168,13 @@ def test_criterion_5_sh_beats_nonadaptive():
     for i in range(reps):
         models, evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=i)
         sh_correct += (
-            sequential_halving(models, BudgetPolicy(FB_BUDGET), evaluator, campaign_seed=i)
+            sequential_halving(models, evaluator, campaign_seed=i, budget=FB_BUDGET)
             .chosen.index == 0
         )
         models, evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=100_000 + i)
         na_correct += (
             nonadaptive_fixed_budget(
-                models, BudgetPolicy(FB_BUDGET), evaluator, campaign_seed=100_000 + i
+                models, evaluator, campaign_seed=100_000 + i, budget=FB_BUDGET
             ).chosen.index == 0
         )
     sh_rate = sh_correct / reps
@@ -196,7 +192,7 @@ def test_criterion_5_sh_beats_nonadaptive():
 def test_criterion_6_sh_schedule_golden():
     def run(seed):
         models, evaluator = gaussian_problem([0.60, 0.70, 0.65, 0.55], 0.01, seed=seed)
-        return sequential_halving(models, BudgetPolicy(16), evaluator, campaign_seed=seed)
+        return sequential_halving(models, evaluator, campaign_seed=seed, budget=16)
 
     result = run(6)
     rounds = [e for e in result.trace if e.kind is EventKind.ROUND_STARTED]
@@ -223,15 +219,14 @@ def test_criterion_7_bts_batch_degradation():
         seed = 40_000 + i
         models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
         totals["ttts"].append(
-            ttts(models, ConfidencePolicy(delta=0.2), evaluator, campaign_seed=seed,
+            ttts(models, evaluator, campaign_seed=seed, delta=0.2,
                  mc_samples=MC_MEDIUM).total_evals
         )
         for label, size in (("bts4", 4), ("bts8", 8)):
             models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
             totals[label].append(
-                bts(models, ConfidencePolicy(delta=0.2),
-                    BatchPolicy(size, BatchMode.SYNCHRONOUS), evaluator,
-                    campaign_seed=seed, mc_samples=MC_MEDIUM).total_evals
+                bts(models, evaluator, campaign_seed=seed, delta=0.2, batch_size=size, sync=True,
+                    mc_samples=MC_MEDIUM).total_evals
             )
     m_ttts = np.mean(totals["ttts"])
     m_bts4 = np.mean(totals["bts4"])

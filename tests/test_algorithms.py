@@ -1,17 +1,15 @@
+import inspect
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats as scistats
 
 from bestarm import (
-    BatchMode,
-    BatchPolicy,
-    BudgetPolicy,
     BudgetTooSmallError,
-    ConfidencePolicy,
     ConfigError,
     EvaluationError,
     EvaluatorFailure,
@@ -32,6 +30,7 @@ from bestarm import (
     ttts,
 )
 from bestarm import posterior
+from bestarm.cli import ModeConfig
 from bestarm.evaluators import Evaluator, ExhaustionPolicy
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
@@ -85,7 +84,7 @@ class FailAfter(Evaluator):
 class TestSequentialHalving:
     def test_golden_schedule_four_models(self):
         models, evaluator = synthetic([0.60, 0.70, 0.65, 0.55], seed=1)
-        result = sequential_halving(models, BudgetPolicy(16), evaluator, campaign_seed=1)
+        result = sequential_halving(models, evaluator, campaign_seed=1, budget=16)
         check_trace_invariants(result)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert [r.payload["evals_per_model"] for r in rounds] == [2, 4]
@@ -97,7 +96,7 @@ class TestSequentialHalving:
 
     def test_two_models_single_round(self):
         models, evaluator = synthetic([0.40, 0.90], seed=3)
-        result = sequential_halving(models, BudgetPolicy(10), evaluator, campaign_seed=3)
+        result = sequential_halving(models, evaluator, campaign_seed=3, budget=10)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert len(rounds) == 1
         assert rounds[0].payload["evals_per_model"] == 5
@@ -107,7 +106,7 @@ class TestSequentialHalving:
     def test_three_models_floor_arithmetic(self):
         # hand-executed schedule: 2 rounds; 2 evals each of 3, then 3 each of 2
         models, evaluator = synthetic([0.30, 0.50, 0.70], seed=5)
-        result = sequential_halving(models, BudgetPolicy(12), evaluator, campaign_seed=5)
+        result = sequential_halving(models, evaluator, campaign_seed=5, budget=12)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert [r.payload["evals_per_model"] for r in rounds] == [2, 3]
         assert result.total_evals == 12
@@ -117,22 +116,22 @@ class TestSequentialHalving:
     def test_budget_too_small(self):
         models, evaluator = synthetic([0.1] * 12, seed=7)
         with pytest.raises(BudgetTooSmallError, match="budget too small"):
-            sequential_halving(models, BudgetPolicy(10), evaluator, campaign_seed=7)
+            sequential_halving(models, evaluator, campaign_seed=7, budget=10)
 
     def test_budget_boundary(self):
         means = list(np.linspace(0.1, 0.9, 12))
         need = 12 * math.ceil(math.log2(12))
         models, evaluator = synthetic(means, seed=9)
         with pytest.raises(BudgetTooSmallError):
-            sequential_halving(models, BudgetPolicy(need - 1), evaluator, campaign_seed=9)
+            sequential_halving(models, evaluator, campaign_seed=9, budget=need - 1)
         models, evaluator = synthetic(means, seed=9)
-        result = sequential_halving(models, BudgetPolicy(need), evaluator, campaign_seed=9)
+        result = sequential_halving(models, evaluator, campaign_seed=9, budget=need)
         assert result.total_evals <= need
 
     def test_requires_two_models(self):
         models, evaluator = synthetic([0.5], seed=1)
         with pytest.raises(ValueError):
-            sequential_halving(models, BudgetPolicy(10), evaluator, campaign_seed=1)
+            sequential_halving(models, evaluator, campaign_seed=1, budget=10)
 
     @pytest.mark.parametrize("n,budget", [(2, 9), (3, 17), (5, 61), (6, 40), (7, 77),
                                           (8, 100), (12, 204), (16, 301)])
@@ -140,7 +139,7 @@ class TestSequentialHalving:
         rng = np.random.default_rng(n * 1000 + budget)
         means = rng.uniform(0.2, 0.8, size=n).tolist()
         models, evaluator = synthetic(means, seed=n)
-        result = sequential_halving(models, BudgetPolicy(budget), evaluator, campaign_seed=n)
+        result = sequential_halving(models, evaluator, campaign_seed=n, budget=budget)
         check_trace_invariants(result)
         rounds_expected = math.ceil(math.log2(n))
         rounds = events_of(result, EventKind.ROUND_STARTED)
@@ -161,7 +160,7 @@ class TestSequentialHalving:
         rng = np.random.default_rng(n)
         means = rng.uniform(0.2, 0.8, size=n).tolist()
         models, evaluator = synthetic(means, seed=2 * n)
-        result = sequential_halving(models, BudgetPolicy(budget), evaluator, campaign_seed=2 * n)
+        result = sequential_halving(models, evaluator, campaign_seed=2 * n, budget=budget)
         first_elim = events_of(result, EventKind.ELIMINATED)[0].payload["models"]
         finalists = events_of(result, EventKind.ROUND_STARTED)[-1].payload["survivors"]
         by_name = {m.name: result.eval_counts[m.index] for m in models}
@@ -188,7 +187,7 @@ class TestSequentialHalving:
             campaign_seed=0,
             exhaustion_policy=ExhaustionPolicy.ERROR,
         )
-        result = sequential_halving(models, BudgetPolicy(16), evaluator, campaign_seed=0)
+        result = sequential_halving(models, evaluator, campaign_seed=0, budget=16)
         assert result.chosen.name == "a"
 
     def test_boundary_ties_break_randomly(self):
@@ -198,13 +197,13 @@ class TestSequentialHalving:
             evaluator = ReplayEvaluator(
                 {"a": [0.5] * 10, "b": [0.5] * 10}, models, seed, ExhaustionPolicy.CYCLE
             )
-            result = sequential_halving(models, BudgetPolicy(4), evaluator, campaign_seed=seed)
+            result = sequential_halving(models, evaluator, campaign_seed=seed, budget=4)
             winners.add(result.chosen.name)
         assert winners == {"a", "b"}
 
     def test_unused_budget_reported(self):
         models, evaluator = synthetic([0.3, 0.5, 0.7], seed=11)
-        result = sequential_halving(models, BudgetPolicy(13), evaluator, campaign_seed=11)
+        result = sequential_halving(models, evaluator, campaign_seed=11, budget=13)
         terminated = result.trace[-1]
         assert terminated.payload["unused_budget"] == 13 - result.total_evals
 
@@ -213,7 +212,7 @@ class TestSequentialHalving:
         evaluator = FailAfter(inner, fail_after=5)
         events = []
         with pytest.raises(EvaluatorFailure):
-            sequential_halving(models, BudgetPolicy(16), evaluator, campaign_seed=13,
+            sequential_halving(models, evaluator, campaign_seed=13, budget=16,
                                on_event=events.append)
         assert events[0].kind is EventKind.ROUND_STARTED
         assert [e.seq for e in events] == list(range(len(events)))
@@ -227,7 +226,7 @@ class TestSequentialHalving:
             for attempt in range(2):
                 models, evaluator = synthetic([0.6, 0.65, 0.7, 0.75], seed=42)
                 results.append(
-                    sequential_halving(models, BudgetPolicy(24), evaluator, campaign_seed=42)
+                    sequential_halving(models, evaluator, campaign_seed=42, budget=24)
                 )
             assert results[0] == results[1]
 
@@ -239,7 +238,7 @@ class TestTtts:
         for seed in range(50):
             models, evaluator = synthetic([0.5, 0.6], sd=0.01, seed=seed)
             result = ttts(
-                models, ConfidencePolicy(delta=0.2), evaluator, campaign_seed=seed,
+                models, evaluator, campaign_seed=seed, delta=0.2,
                 mc_samples=4000,
             )
             assert result.total_evals == 6
@@ -251,7 +250,7 @@ class TestTtts:
     def test_five_arm_problem_selects_best_and_concentrates(self):
         models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=1234)
         result = ttts(
-            models, ConfidencePolicy(delta=0.01), evaluator, campaign_seed=1234,
+            models, evaluator, campaign_seed=1234, delta=0.01,
             mc_samples=10_000,
         )
         check_trace_invariants(result)
@@ -264,7 +263,7 @@ class TestTtts:
     def test_drawn_pairs_are_distinct(self):
         models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=77)
         result = ttts(
-            models, ConfidencePolicy(delta=0.05), evaluator, campaign_seed=77,
+            models, evaluator, campaign_seed=77, delta=0.05,
             mc_samples=4000,
         )
         steps = [e for e in events_of(result, EventKind.EVALUATED) if "candidates" in e.payload]
@@ -277,24 +276,24 @@ class TestTtts:
     def test_stopping_contract(self):
         for seed in (5, 6, 7):
             models, evaluator = synthetic([0.60, 0.63, 0.70], sd=0.02, seed=seed)
-            conf = ConfidencePolicy(delta=0.1)
-            result = ttts(models, conf, evaluator, campaign_seed=seed, mc_samples=4000)
+            delta = 0.1
+            result = ttts(models, evaluator, campaign_seed=seed, delta=delta, mc_samples=4000)
             if result.terminated_by is TerminationReason.CONFIDENCE_REACHED:
-                assert max(result.final_belief.pi) > 1 - conf.delta
+                assert max(result.final_belief.pi) > 1 - delta
             assert all(c >= 3 for c in result.eval_counts)
             assert result.chosen.index == result.final_belief.argmax()
 
     def test_safeguard_on_symmetric_arms(self):
         models, evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=3)
-        conf = ConfidencePolicy(delta=0.05, max_total_evals=6)
-        result = ttts(models, conf, evaluator, campaign_seed=3, mc_samples=20_000)
+        result = ttts(models, evaluator, campaign_seed=3, delta=0.05, max_evals=6,
+                      mc_samples=20_000)
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
         assert result.total_evals == 6
         assert result.final_belief.pi[0] == pytest.approx(0.5, abs=0.02)
 
     def test_single_candidate(self):
         models, evaluator = synthetic([0.7], seed=2)
-        result = ttts(models, ConfidencePolicy(delta=0.05), evaluator, campaign_seed=2,
+        result = ttts(models, evaluator, campaign_seed=2, delta=0.05,
                       mc_samples=1000)
         assert result.total_evals == 3
         assert result.terminated_by is TerminationReason.CONFIDENCE_REACHED
@@ -302,16 +301,15 @@ class TestTtts:
 
     def test_safeguard_must_cover_initialization(self):
         models, evaluator = synthetic([0.5, 0.6], seed=2)
-        with pytest.raises(ConfigError, match="max_total_evals"):
-            ttts(models, ConfidencePolicy(delta=0.05, max_total_evals=5), evaluator,
-                 campaign_seed=2)
+        with pytest.raises(ConfigError, match="max_evals"):
+            ttts(models, evaluator, campaign_seed=2, delta=0.05, max_evals=5)
 
     def test_reproducible(self):
         results = []
         for attempt in range(2):
             models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=42)
             results.append(
-                ttts(models, ConfidencePolicy(delta=0.1), evaluator, campaign_seed=42,
+                ttts(models, evaluator, campaign_seed=42, delta=0.1,
                      mc_samples=4000)
             )
         assert results[0] == results[1]
@@ -322,7 +320,7 @@ class TestTtts:
             models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=9)
             kwargs = {} if transform is None else {"transform": transform}
             runs.append(
-                ttts(models, ConfidencePolicy(delta=0.2), evaluator, campaign_seed=9,
+                ttts(models, evaluator, campaign_seed=9, delta=0.2,
                      mc_samples=4000, **kwargs)
             )
         assert runs[0] == runs[1]
@@ -332,8 +330,8 @@ class TestBts:
     def test_sync_batch_updates_once_per_batch(self):
         models, evaluator = synthetic([0.60, 0.70], sd=0.02, seed=21)
         result = bts(
-            models, ConfidencePolicy(delta=0.1), BatchPolicy(4, BatchMode.SYNCHRONOUS),
-            evaluator, campaign_seed=21, mc_samples=4000,
+            models, evaluator, campaign_seed=21, delta=0.1, batch_size=4, sync=True,
+            mc_samples=4000,
         )
         check_trace_invariants(result)
         adaptive = result.total_evals - 6
@@ -344,8 +342,8 @@ class TestBts:
     def test_async_updates_after_every_eval(self):
         models, evaluator = synthetic([0.60, 0.70], sd=0.02, seed=23)
         result = bts(
-            models, ConfidencePolicy(delta=0.1), BatchPolicy(4, BatchMode.ASYNCHRONOUS),
-            evaluator, campaign_seed=23, mc_samples=4000,
+            models, evaluator, campaign_seed=23, delta=0.1, batch_size=4, sync=False,
+            mc_samples=4000,
         )
         check_trace_invariants(result)
         updates = len(events_of(result, EventKind.BELIEF_UPDATED))
@@ -353,45 +351,45 @@ class TestBts:
 
     def test_sync_and_async_b1_identically_distributed(self):
         # distributional equality over 200 runs each, disjoint seed ranges
-        def totals(mode, base_seed):
+        def totals(sync, base_seed):
             out = []
             for i in range(200):
                 models, evaluator = synthetic([0.55, 0.65], sd=0.02, seed=base_seed + i)
                 result = bts(
-                    models, ConfidencePolicy(delta=0.2), BatchPolicy(1, mode),
-                    evaluator, campaign_seed=base_seed + i, mc_samples=2000,
+                    models, evaluator, campaign_seed=base_seed + i, delta=0.2, batch_size=1,
+                    sync=sync, mc_samples=2000,
                 )
                 out.append(result.total_evals)
             return out
 
-        sync_totals = totals(BatchMode.SYNCHRONOUS, 0)
-        async_totals = totals(BatchMode.ASYNCHRONOUS, 10_000)
+        sync_totals = totals(True, 0)
+        async_totals = totals(False, 10_000)
         assert scistats.ks_2samp(sync_totals, async_totals).pvalue > 0.01
 
     def test_b1_sync_equals_b1_async_at_same_seed(self):
         results = []
-        for mode in (BatchMode.SYNCHRONOUS, BatchMode.ASYNCHRONOUS):
+        for sync in (True, False):
             models, evaluator = synthetic([0.55, 0.65], sd=0.02, seed=31)
             results.append(
-                bts(models, ConfidencePolicy(delta=0.2), BatchPolicy(1, mode),
-                    evaluator, campaign_seed=31, mc_samples=2000)
+                bts(models, evaluator, campaign_seed=31, delta=0.2, batch_size=1, sync=sync,
+                    mc_samples=2000)
             )
         assert results[0].total_evals == results[1].total_evals
         assert results[0].chosen == results[1].chosen
         assert results[0].trace == results[1].trace
 
-    @pytest.mark.parametrize("mode", list(BatchMode))
-    def test_b4_in_flight_against_a_reordering_child(self, mode):
+    @pytest.mark.parametrize("sync", [True, False], ids=["sync", "async"])
+    def test_b4_in_flight_against_a_reordering_child(self, sync):
         names = ["a", "b"]
         evaluator = Recording(SubprocessEvaluator(
             [sys.executable, ECHO_CHILD, "--reorder", "--max-in-flight", "4"], names
         ))
         # The child scores by request id alone, so the campaign runs to the safeguard.
-        conf = ConfidencePolicy(delta=0.01, max_total_evals=40)
         try:
             result = bts(
-                make_model_ids(names), conf, BatchPolicy(4, mode), evaluator, campaign_seed=7,
-                mc_samples=200, on_event=lambda e: evaluator.log.append((e.kind, evaluator.pending())),
+                make_model_ids(names), evaluator, campaign_seed=7, delta=0.01, max_evals=40,
+                batch_size=4, sync=sync, mc_samples=200,
+                on_event=lambda e: evaluator.log.append((e.kind, evaluator.pending())),
             )
             in_flight_at_end = evaluator.pending()
         finally:
@@ -402,9 +400,9 @@ class TestBts:
         after_init = evaluator.log[first_belief:]
         beliefs = [n for kind, n in after_init if kind is EventKind.BELIEF_UPDATED]
         folded = [e.payload["request"] for e in events_of(result, EventKind.EVALUATED)]
-        step = 4 if mode is BatchMode.SYNCHRONOUS else 1
+        step = 4 if sync else 1
         assert len(beliefs) == 1 + (result.total_evals - 6) // step
-        if mode is BatchMode.SYNCHRONOUS:
+        if sync:
             assert set(beliefs) == {0} and in_flight_at_end == 0
             assert folded == sorted(folded)
         else:
@@ -428,8 +426,7 @@ class TestBts:
         )
         try:
             with pytest.raises(ConfigError, match="batch_size"):
-                bts(models, ConfidencePolicy(delta=0.2), BatchPolicy(4), evaluator,
-                    campaign_seed=1)
+                bts(models, evaluator, campaign_seed=1, delta=0.2, batch_size=4)
         finally:
             evaluator.close()
 
@@ -442,9 +439,8 @@ class TestBts:
             names,
         )
         try:
-            conf = ConfidencePolicy(delta=0.5, max_total_evals=8)
-            result = bts(models, conf, BatchPolicy(2), evaluator, campaign_seed=5,
-                         mc_samples=1000)
+            result = bts(models, evaluator, campaign_seed=5, delta=0.5, max_evals=8,
+                         batch_size=2, mc_samples=1000)
             assert result.total_evals >= 6
         finally:
             evaluator.close()
@@ -459,8 +455,8 @@ class TestBts:
         events = []
         try:
             with pytest.raises(EvaluationError):
-                bts(models, ConfidencePolicy(delta=0.05), BatchPolicy(2), evaluator,
-                    campaign_seed=5, mc_samples=1000, on_event=events.append)
+                bts(models, evaluator, campaign_seed=5, delta=0.05, batch_size=2,
+                    mc_samples=1000, on_event=events.append)
             # It fails inside its first batch, so nothing may have been emitted.
             assert all(e.kind is not EventKind.TERMINATED for e in events)
         finally:
@@ -474,7 +470,7 @@ class TestBts:
         )
         try:
             with pytest.raises(EvaluationError):
-                ttts(models, ConfidencePolicy(delta=0.05), evaluator, campaign_seed=5,
+                ttts(models, evaluator, campaign_seed=5, delta=0.05,
                      mc_samples=1000)
         finally:
             evaluator.close()
@@ -514,7 +510,7 @@ class TestRequestStream:
     def test_seeds_fresh_and_sequences_increasing(self):
         models, inner = synthetic(FIG_MEANS, sd=0.01, seed=61)
         evaluator = Recording(inner)
-        ttts(models, ConfidencePolicy(delta=0.2), evaluator, campaign_seed=61,
+        ttts(models, evaluator, campaign_seed=61, delta=0.2,
              mc_samples=2000)
         reqs = evaluator.requests
         assert [r.sequence for r in reqs] == list(range(len(reqs)))
@@ -527,7 +523,7 @@ class TestBaselines:
     def test_fixed_budget_splits_equally(self):
         means = list(np.linspace(0.3, 0.8, 12))
         models, evaluator = synthetic(means, sd=0.01, seed=41)
-        result = nonadaptive_fixed_budget(models, BudgetPolicy(24), evaluator, campaign_seed=41)
+        result = nonadaptive_fixed_budget(models, evaluator, campaign_seed=41, budget=24)
         check_trace_invariants(result)
         assert result.eval_counts == (2,) * 12
         assert result.total_evals == 24
@@ -535,13 +531,13 @@ class TestBaselines:
 
     def test_fixed_budget_single_model(self):
         models, evaluator = synthetic([0.5], seed=43)
-        result = nonadaptive_fixed_budget(models, BudgetPolicy(7), evaluator, campaign_seed=43)
+        result = nonadaptive_fixed_budget(models, evaluator, campaign_seed=43, budget=7)
         assert result.eval_counts == (7,)
         assert result.chosen.name == "m0"
 
     def test_fixed_budget_floor_leftover(self):
         models, evaluator = synthetic([0.4, 0.6], seed=45)
-        result = nonadaptive_fixed_budget(models, BudgetPolicy(5), evaluator, campaign_seed=45)
+        result = nonadaptive_fixed_budget(models, evaluator, campaign_seed=45, budget=5)
         assert result.eval_counts == (2, 2)
         assert result.trace[-1].payload["unused_budget"] == 1
 
@@ -549,7 +545,7 @@ class TestBaselines:
         for seed in range(10):
             models, evaluator = synthetic([0.4, 0.5, 0.6], sd=0.01, seed=seed)
             result = nonadaptive_fixed_confidence(
-                models, ConfidencePolicy(delta=0.2), evaluator, campaign_seed=seed,
+                models, evaluator, campaign_seed=seed, delta=0.2,
                 mc_samples=4000,
             )
             assert result.total_evals == 9
@@ -559,8 +555,8 @@ class TestBaselines:
     def test_fixed_confidence_counts_stay_equal(self):
         models, evaluator = synthetic([0.60, 0.61, 0.62], sd=0.05, seed=47)
         result = nonadaptive_fixed_confidence(
-            models, ConfidencePolicy(delta=0.2, max_total_evals=120), evaluator,
-            campaign_seed=47, mc_samples=2000,
+            models, evaluator, campaign_seed=47, delta=0.2, max_evals=120,
+            mc_samples=2000,
         )
         check_trace_invariants(result)
         assert len(set(result.eval_counts)) == 1
@@ -568,8 +564,8 @@ class TestBaselines:
     def test_fixed_confidence_safeguard(self):
         models, evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=49)
         result = nonadaptive_fixed_confidence(
-            models, ConfidencePolicy(delta=0.05, max_total_evals=10), evaluator,
-            campaign_seed=49, mc_samples=2000,
+            models, evaluator, campaign_seed=49, delta=0.05, max_evals=10,
+            mc_samples=2000,
         )
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
         assert result.total_evals <= 10
@@ -615,7 +611,7 @@ class TestLogitCampaign:
         dists = {"low": BetaDist(10.0, 20.0), "high": BetaDist(20.0, 10.0)}
         evaluator = SyntheticEvaluator(dists, models, campaign_seed=71)
         result = ttts(
-            models, ConfidencePolicy(delta=0.1), evaluator, campaign_seed=71,
+            models, evaluator, campaign_seed=71, delta=0.1,
             mc_samples=4000, transform=TransformMode.logit(),
         )
         assert result.chosen.name == "high"
@@ -629,12 +625,12 @@ class TestOnEvent:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda m, ev, sink: sequential_halving(m, BudgetPolicy(24), ev, 3, on_event=sink),
-            lambda m, ev, sink: ttts(m, ConfidencePolicy(0.2), ev, 3, mc_samples=1000, on_event=sink),
-            lambda m, ev, sink: bts(m, ConfidencePolicy(0.2), BatchPolicy(2, BatchMode.ASYNCHRONOUS),
-                                    ev, 3, mc_samples=1000, on_event=sink),
-            lambda m, ev, sink: nonadaptive_fixed_budget(m, BudgetPolicy(24), ev, 3, on_event=sink),
-            lambda m, ev, sink: nonadaptive_fixed_confidence(m, ConfidencePolicy(0.2), ev, 3,
+            lambda m, ev, sink: sequential_halving(m, ev, 3, budget=24, on_event=sink),
+            lambda m, ev, sink: ttts(m, ev, 3, delta=0.2, mc_samples=1000, on_event=sink),
+            lambda m, ev, sink: bts(m, ev, 3, delta=0.2, batch_size=2, sync=False,
+                                    mc_samples=1000, on_event=sink),
+            lambda m, ev, sink: nonadaptive_fixed_budget(m, ev, 3, budget=24, on_event=sink),
+            lambda m, ev, sink: nonadaptive_fixed_confidence(m, ev, 3, delta=0.2,
                                                              mc_samples=1000, on_event=sink),
         ],
         ids=["sequential_halving", "ttts", "bts", "nonadaptive_fixed_budget",
@@ -648,12 +644,57 @@ class TestOnEvent:
         assert events[-1].kind is EventKind.TERMINATED
 
 
+ENTRY_POINTS = {
+    "fb": sequential_halving,
+    "baseline-fb": nonadaptive_fixed_budget,
+    "fc": ttts,
+    "baseline-fc": nonadaptive_fixed_confidence,
+    "fc-batch": bts,
+}
+
+
+class TestParameters:
+    @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
+    def test_keywords_are_the_mode_leaves_of_the_kind(self, kind):
+        params = inspect.signature(ENTRY_POINTS[kind]).parameters.values()
+        positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
+        keywords = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+        assert positional == ["models", "evaluator", "campaign_seed"]
+        leaves = {f.name: f.default for f in fields(ModeConfig) if kind in (f.metadata["kinds"] or ())}
+        assert set(keywords) - {"mc_samples", "transform", "on_event"} == set(leaves)
+        # A leaf the config requires has no default in the library; the others share theirs.
+        for name, default in leaves.items():
+            assert keywords[name] == (inspect.Parameter.empty if default is None else default)
+
+    @pytest.mark.parametrize("kind", ["fc", "baseline-fc", "fc-batch"])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
+    def test_delta_outside_the_unit_interval_is_refused(self, kind, delta):
+        models, evaluator = synthetic([0.4, 0.6])
+        extra = {"batch_size": 2} if kind == "fc-batch" else {}
+        with pytest.raises(ConfigError, match=r"^delta: must be in \(0, 1\)"):
+            ENTRY_POINTS[kind](models, evaluator, 0, delta=delta, **extra)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused(self, batch_size):
+        models, evaluator = synthetic([0.4, 0.6])
+        with pytest.raises(ConfigError, match="^batch_size: must be positive"):
+            bts(models, evaluator, 0, delta=0.1, batch_size=batch_size)
+
+    @pytest.mark.parametrize("kind", ["fb", "baseline-fb"])
+    def test_budget_below_one_names_budget(self, kind):
+        models, evaluator = synthetic([0.4, 0.6])
+        with pytest.raises(BudgetTooSmallError, match="^budget: budget too small") as caught:
+            ENTRY_POINTS[kind](models, evaluator, 0, budget=0)
+        assert caught.value.field_name == "budget"
+
+
 FIXED_CONFIDENCE_RULES = {
-    "ttts": lambda m, conf, ev, seed: ttts(m, conf, ev, seed, mc_samples=2000),
-    "bts-sync": lambda m, conf, ev, seed: bts(m, conf, BatchPolicy(3), ev, seed, mc_samples=2000),
-    "bts-async": lambda m, conf, ev, seed: bts(m, conf, BatchPolicy(3, BatchMode.ASYNCHRONOUS), ev, seed,
-                                               mc_samples=2000),
-    "evaluate-all": lambda m, conf, ev, seed: nonadaptive_fixed_confidence(m, conf, ev, seed, mc_samples=2000),
+    "ttts": lambda m, ev, seed, **conf: ttts(m, ev, seed, mc_samples=2000, **conf),
+    "bts-sync": lambda m, ev, seed, **conf: bts(m, ev, seed, batch_size=3, mc_samples=2000, **conf),
+    "bts-async": lambda m, ev, seed, **conf: bts(m, ev, seed, batch_size=3, sync=False,
+                                                 mc_samples=2000, **conf),
+    "evaluate-all": lambda m, ev, seed, **conf: nonadaptive_fixed_confidence(m, ev, seed, mc_samples=2000,
+                                                                             **conf),
 }
 
 
@@ -661,7 +702,7 @@ class TestChunkedBelief:
     @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
     def test_safeguard_termination_uses_every_row(self, rule):
         models, evaluator = synthetic([0.60, 0.61, 0.62], sd=0.02, seed=5)
-        result = FIXED_CONFIDENCE_RULES[rule](models, ConfidencePolicy(0.01, max_total_evals=45), evaluator, 5)
+        result = FIXED_CONFIDENCE_RULES[rule](models, evaluator, 5, delta=0.01, max_evals=45)
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
         rows = [e.payload["rows"] for e in events_of(result, EventKind.BELIEF_UPDATED)]
         assert min(rows) < 2000
@@ -671,7 +712,7 @@ class TestChunkedBelief:
     @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
     def test_confidence_is_reported_only_on_every_row(self, rule):
         models, evaluator = synthetic([0.60, 0.63, 0.66], sd=0.02, seed=6)
-        result = FIXED_CONFIDENCE_RULES[rule](models, ConfidencePolicy(0.1), evaluator, 6)
+        result = FIXED_CONFIDENCE_RULES[rule](models, evaluator, 6, delta=0.1)
         assert result.terminated_by is TerminationReason.CONFIDENCE_REACHED
         beliefs = events_of(result, EventKind.BELIEF_UPDATED)
         assert max(beliefs[-1].payload["pi"]) > 0.9

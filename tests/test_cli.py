@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bestarm import (
     CampaignConfig,
     ConfigError,
+    ReplicationReport,
     run_campaign,
     run_replications,
 )
@@ -208,6 +209,7 @@ class TestConfigSchema:
             ("fc", "synthetic", "transform.epsilon", "0.01"),
             ("fc", "synthetic", "trace_path", 5),
             ("fc", "synthetic", "max_evals", 50),
+            ("fc-batch", "synthetic", "batch_size", 2),
             ("fc", "synthetic", "mode.max_eval", 50),
             ("fc", "synthetic", "evaluator.arm_file", "arms.json"),
             ("fc", "synthetic", "transform.eps", 0.1),
@@ -370,6 +372,49 @@ class TestMain:
             assert code == 1
             assert "error: evaluator.arms_file: arm entry 2: duplicate name 'a'" in captured.err
             assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "arm, problem",
+        [
+            ({"name": None}, "name must be a non-empty string, got None"),
+            ({"name": 7}, "name must be a non-empty string, got 7"),
+            ({"name": ""}, "name must be a non-empty string, got ''"),
+            ({"family": ["gaussian"]}, "unknown family ['gaussian']"),
+        ],
+    )
+    def test_bad_arm_name_or_family_exits_one_naming_entry(self, arm, problem, tmp_path, capsys):
+        arms = tmp_path / "arms.json"
+        arms.write_text(json.dumps([{"name": "ok", "family": "gaussian", "mean": 0.5, "sd": 0.01},
+                                    {"name": "bad", "family": "gaussian", "mean": 0.6, "sd": 0.01,
+                                     **arm}]))
+        code = main(["fc", "--delta", "0.2", "--synthetic", str(arms), "--mc-samples", "500"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: evaluator.arms_file: arm entry 1: {problem}" in err
+        assert "Traceback" not in err
+
+    def test_blank_replay_model_name_exits_one_naming_line(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("model,score\na,0.4\n,0.5\n")
+        code = main(["fc", "--delta", "0.2", "--replay", str(scores), "--mc-samples", "500"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: {scores}:3: model name is empty" in err
+
+    @pytest.mark.parametrize("command, problem", [("   ", "names no program"),
+                                                  ("'unclosed", "No closing quotation")])
+    def test_unusable_command_exits_one_before_spawning(self, command, problem, tmp_path, capsys,
+                                                        monkeypatch):
+        spawned = []
+        monkeypatch.setattr(sp, "Popen", lambda *a, **k: spawned.append(a))
+        trace = tmp_path / "t.jsonl"
+        code = main(["fc", "--delta", "0.1", "--exec", command, "--models", "a,b",
+                     "--mc-samples", "500", "--trace", str(trace)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: evaluator.command: " in err and problem in err
+        assert "Traceback" not in err
+        assert spawned == [] and not trace.exists()
 
     @pytest.mark.parametrize(
         "arm, param",
@@ -693,6 +738,18 @@ class TestReplications:
         text = report.format()
         assert "total_evals: min=" in text
         assert "correct:" in text
+
+    def test_interval_keeps_a_width_at_all_correct(self):
+        def report(n):
+            return ReplicationReport(replications=n, model_names=["a"], selection_counts=[n],
+                                     min_evals=1, mean_evals=1.0, max_evals=1, true_best="a",
+                                     correct=n)
+
+        lo, hi = report(500).binomial_ci()
+        assert 0.98 < lo < 1.0 and hi == 1.0
+        assert "99% CI [0.9869, 1.0000]" in report(500).format()
+        lo, hi = report(5).binomial_ci()
+        assert lo < 0.5 and hi == 1.0
 
     def test_refuses_subprocess_without_override(self, capsys):
         config = CampaignConfig.from_dict(

@@ -76,9 +76,15 @@ class TestArmSpecs:
                 {"name": "a", "family": "gaussian", "mean": 0.1, "sd": 0.01},
             ])
 
-    def test_parse_rejects_unknown_family(self):
+    @pytest.mark.parametrize("family", ["poisson", ["gaussian"]])
+    def test_parse_rejects_unknown_family(self, family):
         with pytest.raises(ValueError, match="family"):
-            parse_arm_entries([{"name": "a", "family": "poisson", "lam": 3}])
+            parse_arm_entries([{"name": "a", "family": family, "lam": 3}])
+
+    @pytest.mark.parametrize("name", [None, 7, ""])
+    def test_parse_rejects_a_name_that_is_not_a_non_empty_string(self, name):
+        with pytest.raises(ValueError, match="arm entry 0: name must be a non-empty string"):
+            parse_arm_entries([{"name": name, "family": "gaussian", "mean": 0.5, "sd": 0.1}])
 
     def test_build_requires_arm_per_model(self):
         models = make_model_ids(["a", "b"])
@@ -223,6 +229,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="abc"):
             read_replay_csv(str(path))
 
+    @pytest.mark.parametrize("name", ["", "  "])
+    def test_csv_rejects_blank_model_name(self, tmp_path, name):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"model,score\nm1,0.6\n{name},0.5\n")
+        with pytest.raises(ValueError, match=r"scores\.csv:3: model name is empty"):
+            read_replay_csv(str(path))
+
     @pytest.mark.parametrize("score", ["nan", "inf", "-inf"])
     def test_csv_rejects_non_finite_score(self, tmp_path, score):
         path = tmp_path / "scores.csv"
@@ -286,6 +299,17 @@ class TestSubprocessEvaluator:
     def test_bad_handshake(self):
         with pytest.raises(ProtocolError, match="handshake"):
             self.make("--bad-handshake")
+
+    def test_bool_handshake_depth_is_protocol_error(self):
+        child = ("import sys; sys.stdin.readline(); "
+                 "print('{\"ok\": true, \"max_in_flight\": true}', flush=True); sys.stdin.read()")
+        with pytest.raises(ProtocolError, match="max_in_flight must be a positive integer"):
+            SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
+
+    @pytest.mark.parametrize("command", [[], "", "   "])
+    def test_empty_command_is_refused(self, command):
+        with pytest.raises(ValueError, match="names no program"):
+            SubprocessEvaluator(command, ["a"])
 
     @pytest.mark.parametrize("ending", ["close", "crash-then-close", "bad-handshake"])
     def test_no_pipe_outlives_the_evaluator(self, ending):
