@@ -17,7 +17,8 @@ Two non-adaptive baselines mirror conventional practice (equal budget split;
 evaluate everything each round until confident), and ``complexity_h`` scores
 problem difficulty from the true mean gaps.
 
-Each entry point takes its mode's parameters as keyword-only arguments
+Each entry point takes the evaluator, whose ``models`` are the candidates,
+and the campaign seed, then its mode's parameters as keyword-only arguments
 named as the campaign config's ``mode`` leaves (``budget``; ``delta`` and
 ``max_evals``; ``batch_size`` and ``sync``) and raises ``ConfigError`` naming
 the one it refuses. Every entry point takes an optional ``on_event``
@@ -83,23 +84,17 @@ class _Campaign:
 
     def __init__(
         self,
-        models: Sequence[ModelId],
         evaluator: Evaluator,
         campaign_seed: int,
         mc_samples: int = DEFAULT_MC_SAMPLES,
         transform: TransformMode = IDENTITY,
         on_event: Optional[EventSink] = None,
     ):
-        self.models = tuple(models)
-        n = len(self.models)
-        if n < 1:
-            raise ValueError("need at least 1 candidate model")
-        if [m.index for m in self.models] != list(range(n)):
-            raise ValueError("model indices must be contiguous from 0 in candidate order")
+        self.models = evaluator.models
         self.evaluator = evaluator
         self.mc_samples = mc_samples
         self.transform = transform
-        self.stats: list[ModelStats] = [ModelStats() for _ in range(n)]
+        self.stats: list[ModelStats] = [ModelStats() for _ in self.models]
         self.trace: list[TraceEvent] = []
         self._on_event = on_event
         self._request_seq = 0
@@ -239,7 +234,6 @@ def _draw_index(win_counts: Sequence[int], rng: np.random.Generator, exclude: Op
 
 
 def _confidence_campaign(
-    models: Sequence[ModelId],
     evaluator: Evaluator,
     campaign_seed: int,
     delta: float,
@@ -248,23 +242,22 @@ def _confidence_campaign(
     transform: TransformMode,
     on_event: Optional[EventSink],
 ) -> _Campaign:
-    models = tuple(models)
+    n = len(evaluator.models)
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta", f"must be in (0, 1), got {delta!r}")
-    need = MIN_EVALS_FOR_POSTERIOR * len(models)
+    need = MIN_EVALS_FOR_POSTERIOR * n
     if max_evals < need:
         raise ConfigError(
             "max_evals",
-            f"must be at least 3 evaluations per model ({need} for {len(models)} models), "
-            f"got {max_evals}",
+            f"must be at least 3 evaluations per model ({need} for {n} models), got {max_evals}",
         )
-    if mc_samples * len(models) * 8 > MAX_DRAW_BYTES:
+    if mc_samples * n * 8 > MAX_DRAW_BYTES:
         raise ConfigError(
             "mc_samples",
-            f"must be at most {MAX_DRAW_BYTES // (8 * len(models))} for {len(models)} models, "
+            f"must be at most {MAX_DRAW_BYTES // (8 * n)} for {n} models, "
             f"so that the draw matrix fits in {MAX_DRAW_BYTES >> 20} MiB, got {mc_samples}",
         )
-    return _Campaign(models, evaluator, campaign_seed, mc_samples, transform, on_event)
+    return _Campaign(evaluator, campaign_seed, mc_samples, transform, on_event)
 
 
 def _fixed_confidence(
@@ -307,7 +300,6 @@ def _fixed_confidence(
 
 
 def sequential_halving(
-    models: Sequence[ModelId],
     evaluator: Evaluator,
     campaign_seed: int,
     *,
@@ -323,8 +315,7 @@ def sequential_halving(
     Ties at the elimination boundary break uniformly at random. Budget lost
     to flooring is reported in the trace, never redistributed.
     """
-    models = tuple(models)
-    n = len(models)
+    n = len(evaluator.models)
     if n < 2:
         raise ConfigError("models", f"sequential halving needs at least 2 models, got {n}")
     rounds = math.ceil(math.log2(n))
@@ -333,8 +324,8 @@ def sequential_halving(
             f"budget too small: {n} models over {rounds} rounds need at least "
             f"{n * rounds} evaluations, got {budget}"
         )
-    c = _Campaign(models, evaluator, campaign_seed, transform=transform, on_event=on_event)
-    survivors = list(models)
+    c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
+    survivors = list(c.models)
     round_index = 0
     while len(survivors) > 1:
         round_index += 1
@@ -360,7 +351,6 @@ def sequential_halving(
 
 
 def ttts(
-    models: Sequence[ModelId],
     evaluator: Evaluator,
     campaign_seed: int,
     *,
@@ -377,8 +367,8 @@ def ttts(
     two distinct models from the belief (the second renormalized over the
     rest), flip a fair coin between them, and evaluate the winner once.
     """
-    c = _confidence_campaign(models, evaluator, campaign_seed, delta, max_evals, mc_samples,
-                             transform, on_event)
+    c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
+                             on_event)
 
     def top_two(belief: Belief, k: int):
         first = _draw_index(belief.win_counts, c.algo_rng)
@@ -390,7 +380,6 @@ def ttts(
 
 
 def bts(
-    models: Sequence[ModelId],
     evaluator: Evaluator,
     campaign_seed: int,
     *,
@@ -412,8 +401,8 @@ def bts(
     once, then the campaign aborts. In-flight work is discarded at
     termination.
     """
-    c = _confidence_campaign(models, evaluator, campaign_seed, delta, max_evals, mc_samples,
-                             transform, on_event)
+    c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
+                             on_event)
     if batch_size < 1:
         raise ConfigError("batch_size", f"must be positive, got {batch_size}")
     cap = evaluator.max_in_flight
@@ -431,7 +420,6 @@ def bts(
 
 
 def nonadaptive_fixed_budget(
-    models: Sequence[ModelId],
     evaluator: Evaluator,
     campaign_seed: int,
     *,
@@ -441,21 +429,18 @@ def nonadaptive_fixed_budget(
 ) -> SelectionResult:
     """Equal-split baseline: floor(T/N) evaluations per model, round-robin,
     then pick the highest empirical mean."""
-    models = tuple(models)
-    n = len(models)
+    n = len(evaluator.models)
     if budget < n:
         raise BudgetTooSmallError(
             f"budget too small: {n} models need at least {n} evaluations, got {budget}"
         )
-    c = _Campaign(models, evaluator, campaign_seed, transform=transform, on_event=on_event)
-    per_model = budget // n
-    c.run_batch(c.start_round(1, models, per_model))
-    means = [c.stats[m.index].mean for m in models]
-    return c.finish_budget(models[max(range(n), key=lambda i: means[i])], budget)
+    c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
+    c.run_batch(c.start_round(1, c.models, budget // n))
+    means = [s.mean for s in c.stats]
+    return c.finish_budget(c.models[max(range(n), key=lambda i: means[i])], budget)
 
 
 def nonadaptive_fixed_confidence(
-    models: Sequence[ModelId],
     evaluator: Evaluator,
     campaign_seed: int,
     *,
@@ -471,8 +456,8 @@ def nonadaptive_fixed_confidence(
     belief is recomputed after each full round. Same 3-per-model start and
     stopping threshold as top-two Thompson sampling.
     """
-    c = _confidence_campaign(models, evaluator, campaign_seed, delta, max_evals, mc_samples,
-                             transform, on_event)
+    c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
+                             on_event)
     rounds = itertools.count(1)
 
     def every_model(belief: Belief, k: int):

@@ -33,7 +33,6 @@ from .core import (
     SelectionResult,
     TerminationReason,
     TraceEvent,
-    make_model_ids,
 )
 from .evaluators import (
     Evaluator,
@@ -257,65 +256,56 @@ def _from_dict(cls, data, path: str = ""):
     return cls(**values)
 
 
-def _resolve(config: CampaignConfig) -> tuple[tuple[ModelId, ...], Evaluator]:
-    """Resolve the candidate set and build the evaluator back-end.
+@contextlib.contextmanager
+def _leaf_errors(section: str, cls) -> Iterator[None]:
+    """Re-raise a ConfigError that names a leaf of ``cls`` under its config path."""
+    try:
+        yield
+    except ConfigError as e:
+        if e.field_name not in {f.name for f in fields(cls)}:
+            raise
+        raise ConfigError(f"{section}.{e.field_name}", e.message) from None
+
+
+def _resolve(config: CampaignConfig) -> Evaluator:
+    """Build the evaluator back-end, which owns the candidate set.
 
     When ``models`` is omitted, synthetic campaigns take the arm file's
     names in order and replay campaigns take the CSV's first-seen order;
     subprocess campaigns must name their models explicitly.
     """
-    ev = config.evaluator
-    if ev.kind == "synthetic":
-        try:
-            dists = load_arm_file(ev.arms_file)
-        except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
-            raise ConfigError("evaluator.arms_file", str(e)) from None
-        models = _make_models(config.models if config.models is not None else list(dists))
-        try:
-            return models, SyntheticEvaluator(dists, models, config.campaign_seed)
-        except ValueError as e:
-            raise ConfigError("models", str(e)) from None
-    if ev.kind == "replay":
-        known = set(config.models) if config.models is not None else None
-        try:
-            pools = read_replay_csv(ev.csv_file, known=known)
-        except OSError as e:
-            raise ConfigError("evaluator.csv_file", str(e)) from None
-        models = _make_models(config.models if config.models is not None else list(pools))
-        try:
-            return models, ReplayEvaluator(pools, models, config.campaign_seed,
-                                           ExhaustionPolicy(ev.exhaustion))
-        except ValueError as e:
-            raise ConfigError("models", str(e)) from None
-    if config.models is None:
-        raise ConfigError("models", "required for the subprocess evaluator")
-    models = _make_models(config.models)
-    try:
-        evaluator = SubprocessEvaluator(
-            ev.command, [m.name for m in models], max_in_flight=ev.max_in_flight, timeout=ev.timeout
-        )
-    except ValueError as e:  # a command that is blank or badly quoted, refused before any spawn
-        raise ConfigError("evaluator.command", str(e)) from None
-    return models, evaluator
+    ev, names = config.evaluator, config.models
+    with _leaf_errors("evaluator", EvaluatorConfig):
+        if ev.kind == "synthetic":
+            try:
+                dists = load_arm_file(ev.arms_file)
+            except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
+                raise ConfigError("arms_file", str(e)) from None
+            return SyntheticEvaluator(dists, list(dists) if names is None else names,
+                                      config.campaign_seed)
+        if ev.kind == "replay":
+            try:
+                pools = read_replay_csv(ev.csv_file, known=None if names is None else set(names))
+            except OSError as e:
+                raise ConfigError("csv_file", str(e)) from None
+            return ReplayEvaluator(pools, list(pools) if names is None else names,
+                                   config.campaign_seed, ExhaustionPolicy(ev.exhaustion))
+        if names is None:
+            raise ConfigError("models", "required for the subprocess evaluator")
+        return SubprocessEvaluator(ev.command, names, max_in_flight=ev.max_in_flight,
+                                   timeout=ev.timeout)
 
 
 def _candidate_names(config: CampaignConfig) -> list[str]:
-    """The names ``_resolve`` gives the candidates; an evaluator it builds is closed."""
+    """The names of the candidates; an evaluator built to learn them is closed."""
     if config.models is not None:
         return list(config.models)
-    models, evaluator = _resolve(config)
+    evaluator = _resolve(config)
     evaluator.close()
-    return [m.name for m in models]
+    return [m.name for m in evaluator.models]
 
 
-def _make_models(names: Sequence[str]) -> tuple[ModelId, ...]:
-    try:
-        return make_model_ids(names)
-    except ValueError as e:
-        raise ConfigError("models", str(e)) from None
-
-
-def _dispatch(config: CampaignConfig, models: tuple[ModelId, ...], evaluator: Evaluator,
+def _dispatch(config: CampaignConfig, evaluator: Evaluator,
               on_event: Optional[EventSink]) -> SelectionResult:
     """Run the mode's algorithm with the mode's leaves as its keywords.
 
@@ -330,35 +320,28 @@ def _dispatch(config: CampaignConfig, models: tuple[ModelId, ...], evaluator: Ev
               if mode.kind in (f.metadata["kinds"] or ())}
     if mode.kind in _CONFIDENCE_KINDS:
         params["mc_samples"] = config.mc_samples
-    try:
-        return algorithm(models, evaluator, config.campaign_seed, transform=config.transform,
+    with _leaf_errors("mode", ModeConfig):
+        return algorithm(evaluator, config.campaign_seed, transform=config.transform,
                          on_event=on_event, **params)
-    except ConfigError as e:
-        if e.field_name not in {f.name for f in fields(ModeConfig)}:
-            raise
-        raise ConfigError(f"mode.{e.field_name}", e.message) from None
 
 
-def _header_dict(config: CampaignConfig, models: Optional[Sequence[ModelId]] = None) -> dict:
+def _header_dict(config: CampaignConfig, models: Sequence[ModelId]) -> dict:
     # The header must be byte-identical across reruns of the same campaign
     # regardless of where each run writes its trace.
     d = config.to_dict()
     d.pop("trace_path", None)
-    if d.get("models") is None and models is not None:
-        d["models"] = [m.name for m in models]
+    d["models"] = [m.name for m in models]
     return {"config": d}
 
 
 @contextlib.contextmanager
-def write_trace(
-    path: str, config: CampaignConfig, models: Optional[Sequence[ModelId]] = None
-) -> Iterator[EventSink]:
+def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) -> Iterator[EventSink]:
     """Open the JSON-lines trace and write its header; yield the event writer.
 
-    The header embeds the resolved configuration, including the candidate
-    set when it was derived from an evaluator source file. The writer
-    writes and flushes one line per event, so the file holds every event
-    emitted so far even if the campaign dies.
+    The header embeds the resolved configuration, with the evaluator's
+    candidate set as its ``models``. The writer writes and flushes one line
+    per event, so the file holds every event emitted so far even if the
+    campaign dies.
     """
     try:
         fh = open(path, "w", encoding="utf-8")
@@ -389,11 +372,12 @@ def format_summary(models: Sequence[ModelId], result: SelectionResult) -> str:
 
 def _run(config: CampaignConfig) -> tuple[tuple[ModelId, ...], SelectionResult]:
     """Resolve, open the trace (if configured), dispatch, close the evaluator."""
-    models, evaluator = _resolve(config)
+    evaluator = _resolve(config)
+    models = evaluator.models
     try:
         trace = write_trace(config.trace_path, config, models) if config.trace_path else contextlib.nullcontext()
         with trace as on_event:
-            return models, _dispatch(config, models, evaluator, on_event)
+            return models, _dispatch(config, evaluator, on_event)
     finally:
         evaluator.close()
 
@@ -491,9 +475,12 @@ def run_replications(
     """Run the campaign at seeds seed, seed+1, ... and aggregate the results.
 
     Refuses subprocess evaluators unless explicitly overridden: repeating a
-    sweep against live training runs is rarely what anyone wants.
+    sweep against live training runs is rarely what anyone wants. Refuses a
+    trace path, since the replications write no trace.
     """
     _validate_run(config)
+    if config.trace_path is not None:
+        raise ConfigError("trace_path", "replicate writes no trace; trace a single campaign instead")
     if replications < 1:
         raise ConfigError("replications", f"must be positive, got {replications}")
     if config.evaluator.kind == "subprocess" and not allow_subprocess:
@@ -509,7 +496,7 @@ def run_replications(
     totals: list[int] = []
     correct = 0
     for i in range(replications):
-        rep = replace(config, campaign_seed=config.campaign_seed + i, trace_path=None)
+        rep = replace(config, campaign_seed=config.campaign_seed + i)
         models, result = _run(rep)
         if name_list is None:
             name_list = [m.name for m in models]

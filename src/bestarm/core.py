@@ -73,10 +73,21 @@ class ModelId:
 
 
 def make_model_ids(names: Sequence[str]) -> tuple[ModelId, ...]:
-    """Build the candidate set, enforcing unique names and contiguous indices."""
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if list(names).count(n) > 1})
-        raise ValueError(f"duplicate model names: {dupes}")
+    """Build the candidate set, indexed from 0 in the order given.
+
+    Every evaluator builds its candidates here, so this is where names are
+    checked: at least one, each a string that is not blank, none repeated.
+    A refused set raises ``ConfigError`` on ``models``.
+    """
+    names = list(names)
+    if not names:
+        raise ConfigError("models", "need at least 1 candidate model")
+    for name in names:
+        if not isinstance(name, str) or not name.strip():
+            raise ConfigError("models", f"model names must be non-blank strings, got {name!r}")
+    dupes = sorted({n for n in names if names.count(n) > 1})
+    if dupes:
+        raise ConfigError("models", f"duplicate model names: {dupes}")
     return tuple(ModelId(name=n, index=i) for i, n in enumerate(names))
 
 

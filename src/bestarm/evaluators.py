@@ -31,6 +31,7 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
+    ConfigError,
     EvaluationError,
     EvaluationRequest,
     EvaluationScore,
@@ -39,6 +40,7 @@ from .core import (
     PoolExhaustedError,
     ProtocolError,
     StreamPurpose,
+    make_model_ids,
     rng_stream,
 )
 
@@ -150,11 +152,15 @@ def load_arm_file(path: str) -> dict[str, Distribution]:
 class Evaluator(ABC):
     """The contract by which algorithms obtain scores.
 
-    ``submit`` enqueues a request, ``collect`` blocks for the next completed
-    response (completion order, matched to its request). Back-ends that can
-    hold several requests in flight report the pipeline depth via
-    ``max_in_flight``; ``None`` means unlimited.
+    ``models`` is the candidate set the back-end serves, built from the
+    names its constructor takes; a campaign on the evaluator selects among
+    exactly these. ``submit`` enqueues a request, ``collect`` blocks for the
+    next completed response (completion order, matched to its request).
+    Back-ends that can hold several requests in flight report the pipeline
+    depth via ``max_in_flight``; ``None`` means unlimited.
     """
+
+    models: tuple[ModelId, ...]
 
     @property
     @abstractmethod
@@ -188,7 +194,8 @@ class _InOrderEvaluator(Evaluator):
     deterministic scheduler for asynchronous batch campaigns.
     """
 
-    def __init__(self, campaign_seed: int):
+    def __init__(self, models: Sequence[str], campaign_seed: int):
+        self.models = make_model_ids(models)
         self._seed = int(campaign_seed)
         self._queue: deque[EvaluationScore] = deque()
 
@@ -219,13 +226,13 @@ class SyntheticEvaluator(_InOrderEvaluator):
     and independent of dispatch interleaving.
     """
 
-    def __init__(self, dists: Mapping[str, Distribution], models: Sequence[ModelId],
+    def __init__(self, dists: Mapping[str, Distribution], models: Sequence[str],
                  campaign_seed: int):
-        missing = [m.name for m in models if m.name not in dists]
+        super().__init__(models, campaign_seed)
+        missing = [m.name for m in self.models if m.name not in dists]
         if missing:
-            raise ValueError(f"no arm defined for models: {missing}")
-        super().__init__(campaign_seed)
-        self._dists = {m.index: dists[m.name] for m in models}
+            raise ConfigError("models", f"no arm defined for models: {missing}")
+        self._dists = {m.index: dists[m.name] for m in self.models}
 
     def _score(self, request: EvaluationRequest) -> float:
         rng = rng_stream(self._seed, StreamPurpose.SYNTHETIC, request.model.index, request.sequence)
@@ -278,15 +285,15 @@ def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, li
 class ReplayEvaluator(_InOrderEvaluator):
     """Serves each model's recorded scores in order, then by the exhaustion policy."""
 
-    def __init__(self, scores: Mapping[str, Sequence[float]], models: Sequence[ModelId],
+    def __init__(self, scores: Mapping[str, Sequence[float]], models: Sequence[str],
                  campaign_seed: int,
                  exhaustion_policy: ExhaustionPolicy = ExhaustionPolicy.RESAMPLE):
-        empty = [m.name for m in models if not scores.get(m.name)]
+        super().__init__(models, campaign_seed)
+        empty = [m.name for m in self.models if not scores.get(m.name)]
         if empty:
-            raise ValueError(f"no recorded scores for models: {empty}")
-        super().__init__(campaign_seed)
-        self._pools = {m.index: list(scores[m.name]) for m in models}
-        self._cursors = {m.index: 0 for m in models}
+            raise ConfigError("models", f"no recorded scores for models: {empty}")
+        self._pools = {m.index: list(scores[m.name]) for m in self.models}
+        self._cursors = {m.index: 0 for m in self.models}
         self.policy = ExhaustionPolicy(exhaustion_policy)
 
     def _score(self, request: EvaluationRequest) -> float:
@@ -313,19 +320,24 @@ class SubprocessEvaluator(Evaluator):
     once). Requests carry the seeds the child must honor; responses are
     demultiplexed strictly by id, so the child may reply out of order up to
     its advertised pipeline depth. The child's stdout is read on the calling
-    thread, through ``poll`` (POSIX only).
+    thread, through ``poll`` (POSIX only). Bad model names and a command that
+    is blank or badly quoted are refused before the child is spawned.
     """
 
     def __init__(
         self,
         command: Union[str, Sequence[str]],
-        model_names: Sequence[str],
+        models: Sequence[str],
         max_in_flight: Optional[int] = None,
         timeout: Optional[float] = None,
     ):
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self.models = make_model_ids(models)
+        try:
+            argv = shlex.split(command) if isinstance(command, str) else list(command)
+        except ValueError as e:  # unbalanced quotes
+            raise ConfigError("command", str(e)) from None
         if not argv:
-            raise ValueError(f"command {command!r} names no program")
+            raise ConfigError("command", f"command {command!r} names no program")
         self._timeout = timeout
         self._pending: dict[int, EvaluationRequest] = {}
         self._closed = False
@@ -347,7 +359,7 @@ class SubprocessEvaluator(Evaluator):
         self._poll.register(self._child.stdout, select.POLLIN)
 
         try:
-            self._send({"fiesta_protocol": PROTOCOL_VERSION, "models": list(model_names)})
+            self._send({"fiesta_protocol": PROTOCOL_VERSION, "models": [m.name for m in self.models]})
             reply = self._read_object()
             if reply.get("ok") is not True:
                 raise ProtocolError(f"handshake rejected: {reply}")

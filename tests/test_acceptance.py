@@ -25,7 +25,6 @@ from bestarm import (
     bts,
     complexity_h,
     estimate_pi,
-    make_model_ids,
     nonadaptive_fixed_budget,
     nonadaptive_fixed_confidence,
     posterior_from_stats,
@@ -66,9 +65,9 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def gaussian_problem(means, sd, seed):
-    models = make_model_ids([f"m{i}" for i in range(len(means))])
-    dists = {m.name: Gaussian(mean=mu, sd=sd) for m, mu in zip(models, means)}
-    return models, SyntheticEvaluator(dists, models, campaign_seed=seed)
+    names = [f"m{i}" for i in range(len(means))]
+    dists = {name: Gaussian(mean=mu, sd=sd) for name, mu in zip(names, means)}
+    return SyntheticEvaluator(dists, names, campaign_seed=seed)
 
 
 def test_criterion_1_posterior_calibration():
@@ -96,11 +95,11 @@ def test_criterion_1_posterior_calibration():
 def test_criterion_2_pi_symmetry():
     # Five identical (degenerate) synthetic arms: the variance floor makes
     # all posteriors equal, so each arm must win ~1/5 of the MC rounds.
-    models, evaluator = gaussian_problem([0.7] * 5, 1e-12, seed=99)
-    stats = {m.index: ModelStats() for m in models}
+    evaluator = gaussian_problem([0.7] * 5, 1e-12, seed=99)
+    stats = {m.index: ModelStats() for m in evaluator.models}
     seq = 0
     for _ in range(3):
-        for m in models:
+        for m in evaluator.models:
             req = EvaluationRequest(model=m, split_seed=0, model_seed=0, sequence=seq)
             seq += 1
             stats[m.index] = stats_update(stats[m.index], evaluator.evaluate(req).score)
@@ -119,9 +118,9 @@ def test_criterion_3_ttts_confidence_guarantee(delta):
     base = int(delta * 1_000_000)
     correct = 0
     for i in range(reps):
-        models, evaluator = gaussian_problem(FIG_MEANS, 0.01, seed=base + i)
+        evaluator = gaussian_problem(FIG_MEANS, 0.01, seed=base + i)
         result = ttts(
-            models, evaluator, campaign_seed=base + i, delta=delta,
+            evaluator, campaign_seed=base + i, delta=delta,
             mc_samples=MC_HEAVY,
         )
         correct += result.chosen.index == 4
@@ -139,15 +138,15 @@ def test_criterion_4_ttts_beats_nonadaptive():
     reps = 500
     ttts_totals, base_totals = [], []
     for i in range(reps):
-        models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
+        evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
         ttts_totals.append(
-            ttts(models, evaluator, campaign_seed=i, delta=0.1,
+            ttts(evaluator, campaign_seed=i, delta=0.1,
                  mc_samples=MC_MEDIUM).total_evals
         )
-        models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
+        evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
         base_totals.append(
             nonadaptive_fixed_confidence(
-                models, evaluator, campaign_seed=i, delta=0.1,
+                evaluator, campaign_seed=i, delta=0.1,
                 mc_samples=MC_MEDIUM,
             ).total_evals
         )
@@ -166,15 +165,15 @@ def test_criterion_5_sh_beats_nonadaptive():
     reps = 10_000
     sh_correct = na_correct = 0
     for i in range(reps):
-        models, evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=i)
+        evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=i)
         sh_correct += (
-            sequential_halving(models, evaluator, campaign_seed=i, budget=FB_BUDGET)
+            sequential_halving(evaluator, campaign_seed=i, budget=FB_BUDGET)
             .chosen.index == 0
         )
-        models, evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=100_000 + i)
+        evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=100_000 + i)
         na_correct += (
             nonadaptive_fixed_budget(
-                models, evaluator, campaign_seed=100_000 + i, budget=FB_BUDGET
+                evaluator, campaign_seed=100_000 + i, budget=FB_BUDGET
             ).chosen.index == 0
         )
     sh_rate = sh_correct / reps
@@ -191,8 +190,8 @@ def test_criterion_5_sh_beats_nonadaptive():
 
 def test_criterion_6_sh_schedule_golden():
     def run(seed):
-        models, evaluator = gaussian_problem([0.60, 0.70, 0.65, 0.55], 0.01, seed=seed)
-        return sequential_halving(models, evaluator, campaign_seed=seed, budget=16)
+        evaluator = gaussian_problem([0.60, 0.70, 0.65, 0.55], 0.01, seed=seed)
+        return sequential_halving(evaluator, campaign_seed=seed, budget=16)
 
     result = run(6)
     rounds = [e for e in result.trace if e.kind is EventKind.ROUND_STARTED]
@@ -217,15 +216,15 @@ def test_criterion_7_bts_batch_degradation():
     totals = {"ttts": [], "bts4": [], "bts8": []}
     for i in range(reps):
         seed = 40_000 + i
-        models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
+        evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
         totals["ttts"].append(
-            ttts(models, evaluator, campaign_seed=seed, delta=0.2,
+            ttts(evaluator, campaign_seed=seed, delta=0.2,
                  mc_samples=MC_MEDIUM).total_evals
         )
         for label, size in (("bts4", 4), ("bts8", 8)):
-            models, evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
+            evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
             totals[label].append(
-                bts(models, evaluator, campaign_seed=seed, delta=0.2, batch_size=size, sync=True,
+                bts(evaluator, campaign_seed=seed, delta=0.2, batch_size=size, sync=True,
                     mc_samples=MC_MEDIUM).total_evals
             )
     m_ttts = np.mean(totals["ttts"])
@@ -251,11 +250,9 @@ def test_criterion_8_complexity_diagnostic():
 
 
 def test_criterion_9_subprocess_protocol_conformance(tmp_path):
-    names = ["tdlstm", "ian"]
-    models = make_model_ids(names)
     evaluator = SubprocessEvaluator(
         [sys.executable, ECHO_CHILD, "--reorder", "--delay-ms", "1", "--max-in-flight", "8"],
-        names,
+        ["tdlstm", "ian"],
     )
     total = 1000
     try:
@@ -265,7 +262,7 @@ def test_criterion_9_subprocess_protocol_conformance(tmp_path):
             while submitted < total and submitted - collected < evaluator.max_in_flight:
                 evaluator.submit(
                     EvaluationRequest(
-                        model=models[submitted % 2], split_seed=submitted,
+                        model=evaluator.models[submitted % 2], split_seed=submitted,
                         model_seed=submitted, sequence=submitted,
                     )
                 )

@@ -23,7 +23,6 @@ from bestarm import (
     UndefinedComplexityError,
     bts,
     complexity_h,
-    make_model_ids,
     nonadaptive_fixed_budget,
     nonadaptive_fixed_confidence,
     sequential_halving,
@@ -39,9 +38,9 @@ FIG_MEANS = [0.65, 0.69, 0.69, 0.70, 0.71]
 
 
 def synthetic(means, sd=0.01, seed=0):
-    models = make_model_ids([f"m{i}" for i in range(len(means))])
-    dists = {m.name: Gaussian(mean=mu, sd=sd) for m, mu in zip(models, means)}
-    return models, SyntheticEvaluator(dists, models, campaign_seed=seed)
+    names = [f"m{i}" for i in range(len(means))]
+    dists = {name: Gaussian(mean=mu, sd=sd) for name, mu in zip(names, means)}
+    return SyntheticEvaluator(dists, names, campaign_seed=seed)
 
 
 def events_of(result, kind):
@@ -60,6 +59,7 @@ class FailAfter(Evaluator):
     """Delegates to an inner evaluator, then fails on the (n+1)th collect."""
 
     def __init__(self, inner, fail_after):
+        self.models = inner.models
         self._inner = inner
         self._fail_after = fail_after
         self._collected = 0
@@ -83,8 +83,8 @@ class FailAfter(Evaluator):
 
 class TestSequentialHalving:
     def test_golden_schedule_four_models(self):
-        models, evaluator = synthetic([0.60, 0.70, 0.65, 0.55], seed=1)
-        result = sequential_halving(models, evaluator, campaign_seed=1, budget=16)
+        evaluator = synthetic([0.60, 0.70, 0.65, 0.55], seed=1)
+        result = sequential_halving(evaluator, campaign_seed=1, budget=16)
         check_trace_invariants(result)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert [r.payload["evals_per_model"] for r in rounds] == [2, 4]
@@ -95,8 +95,8 @@ class TestSequentialHalving:
         assert sorted(result.eval_counts) == [2, 2, 6, 6]
 
     def test_two_models_single_round(self):
-        models, evaluator = synthetic([0.40, 0.90], seed=3)
-        result = sequential_halving(models, evaluator, campaign_seed=3, budget=10)
+        evaluator = synthetic([0.40, 0.90], seed=3)
+        result = sequential_halving(evaluator, campaign_seed=3, budget=10)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert len(rounds) == 1
         assert rounds[0].payload["evals_per_model"] == 5
@@ -105,8 +105,8 @@ class TestSequentialHalving:
 
     def test_three_models_floor_arithmetic(self):
         # hand-executed schedule: 2 rounds; 2 evals each of 3, then 3 each of 2
-        models, evaluator = synthetic([0.30, 0.50, 0.70], seed=5)
-        result = sequential_halving(models, evaluator, campaign_seed=5, budget=12)
+        evaluator = synthetic([0.30, 0.50, 0.70], seed=5)
+        result = sequential_halving(evaluator, campaign_seed=5, budget=12)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert [r.payload["evals_per_model"] for r in rounds] == [2, 3]
         assert result.total_evals == 12
@@ -114,32 +114,32 @@ class TestSequentialHalving:
         assert [len(e.payload["models"]) for e in elim] == [1, 1]
 
     def test_budget_too_small(self):
-        models, evaluator = synthetic([0.1] * 12, seed=7)
+        evaluator = synthetic([0.1] * 12, seed=7)
         with pytest.raises(BudgetTooSmallError, match="budget too small"):
-            sequential_halving(models, evaluator, campaign_seed=7, budget=10)
+            sequential_halving(evaluator, campaign_seed=7, budget=10)
 
     def test_budget_boundary(self):
         means = list(np.linspace(0.1, 0.9, 12))
         need = 12 * math.ceil(math.log2(12))
-        models, evaluator = synthetic(means, seed=9)
+        evaluator = synthetic(means, seed=9)
         with pytest.raises(BudgetTooSmallError):
-            sequential_halving(models, evaluator, campaign_seed=9, budget=need - 1)
-        models, evaluator = synthetic(means, seed=9)
-        result = sequential_halving(models, evaluator, campaign_seed=9, budget=need)
+            sequential_halving(evaluator, campaign_seed=9, budget=need - 1)
+        evaluator = synthetic(means, seed=9)
+        result = sequential_halving(evaluator, campaign_seed=9, budget=need)
         assert result.total_evals <= need
 
     def test_requires_two_models(self):
-        models, evaluator = synthetic([0.5], seed=1)
+        evaluator = synthetic([0.5], seed=1)
         with pytest.raises(ValueError):
-            sequential_halving(models, evaluator, campaign_seed=1, budget=10)
+            sequential_halving(evaluator, campaign_seed=1, budget=10)
 
     @pytest.mark.parametrize("n,budget", [(2, 9), (3, 17), (5, 61), (6, 40), (7, 77),
                                           (8, 100), (12, 204), (16, 301)])
     def test_schedule_conservation(self, n, budget):
         rng = np.random.default_rng(n * 1000 + budget)
         means = rng.uniform(0.2, 0.8, size=n).tolist()
-        models, evaluator = synthetic(means, seed=n)
-        result = sequential_halving(models, evaluator, campaign_seed=n, budget=budget)
+        evaluator = synthetic(means, seed=n)
+        result = sequential_halving(evaluator, campaign_seed=n, budget=budget)
         check_trace_invariants(result)
         rounds_expected = math.ceil(math.log2(n))
         rounds = events_of(result, EventKind.ROUND_STARTED)
@@ -159,11 +159,11 @@ class TestSequentialHalving:
     def test_final_pair_out_evaluated_first_round_eliminees(self, n, budget):
         rng = np.random.default_rng(n)
         means = rng.uniform(0.2, 0.8, size=n).tolist()
-        models, evaluator = synthetic(means, seed=2 * n)
-        result = sequential_halving(models, evaluator, campaign_seed=2 * n, budget=budget)
+        evaluator = synthetic(means, seed=2 * n)
+        result = sequential_halving(evaluator, campaign_seed=2 * n, budget=budget)
         first_elim = events_of(result, EventKind.ELIMINATED)[0].payload["models"]
         finalists = events_of(result, EventKind.ROUND_STARTED)[-1].payload["survivors"]
-        by_name = {m.name: result.eval_counts[m.index] for m in models}
+        by_name = {m.name: result.eval_counts[m.index] for m in evaluator.models}
         rounds = int(math.log2(n))
         for f in finalists:
             for e in first_elim:
@@ -175,7 +175,6 @@ class TestSequentialHalving:
         # a: strong first round then mediocre; b: weak first round then strong.
         # Cumulative means keep a ahead (0.8667 vs 0.7667) even though b wins
         # on round-2 scores alone (0.9 vs 0.8).
-        models = make_model_ids(["a", "b", "c", "d"])
         evaluator = ReplayEvaluator(
             {
                 "a": [1.0, 1.0, 0.8, 0.8, 0.8, 0.8],
@@ -183,36 +182,35 @@ class TestSequentialHalving:
                 "c": [0.1, 0.1],
                 "d": [0.2, 0.2],
             },
-            models,
+            ["a", "b", "c", "d"],
             campaign_seed=0,
             exhaustion_policy=ExhaustionPolicy.ERROR,
         )
-        result = sequential_halving(models, evaluator, campaign_seed=0, budget=16)
+        result = sequential_halving(evaluator, campaign_seed=0, budget=16)
         assert result.chosen.name == "a"
 
     def test_boundary_ties_break_randomly(self):
         winners = set()
         for seed in range(40):
-            models = make_model_ids(["a", "b"])
             evaluator = ReplayEvaluator(
-                {"a": [0.5] * 10, "b": [0.5] * 10}, models, seed, ExhaustionPolicy.CYCLE
+                {"a": [0.5] * 10, "b": [0.5] * 10}, ["a", "b"], seed, ExhaustionPolicy.CYCLE
             )
-            result = sequential_halving(models, evaluator, campaign_seed=seed, budget=4)
+            result = sequential_halving(evaluator, campaign_seed=seed, budget=4)
             winners.add(result.chosen.name)
         assert winners == {"a", "b"}
 
     def test_unused_budget_reported(self):
-        models, evaluator = synthetic([0.3, 0.5, 0.7], seed=11)
-        result = sequential_halving(models, evaluator, campaign_seed=11, budget=13)
+        evaluator = synthetic([0.3, 0.5, 0.7], seed=11)
+        result = sequential_halving(evaluator, campaign_seed=11, budget=13)
         terminated = result.trace[-1]
         assert terminated.payload["unused_budget"] == 13 - result.total_evals
 
     def test_failure_keeps_emitted_events(self):
-        models, inner = synthetic([0.3, 0.5, 0.7, 0.9], seed=13)
+        inner = synthetic([0.3, 0.5, 0.7, 0.9], seed=13)
         evaluator = FailAfter(inner, fail_after=5)
         events = []
         with pytest.raises(EvaluatorFailure):
-            sequential_halving(models, evaluator, campaign_seed=13, budget=16,
+            sequential_halving(evaluator, campaign_seed=13, budget=16,
                                on_event=events.append)
         assert events[0].kind is EventKind.ROUND_STARTED
         assert [e.seq for e in events] == list(range(len(events)))
@@ -224,9 +222,9 @@ class TestSequentialHalving:
         for _ in range(2):
             results = []
             for attempt in range(2):
-                models, evaluator = synthetic([0.6, 0.65, 0.7, 0.75], seed=42)
+                evaluator = synthetic([0.6, 0.65, 0.7, 0.75], seed=42)
                 results.append(
-                    sequential_halving(models, evaluator, campaign_seed=42, budget=24)
+                    sequential_halving(evaluator, campaign_seed=42, budget=24)
                 )
             assert results[0] == results[1]
 
@@ -236,9 +234,9 @@ class TestTtts:
         # 10 sd of separation: the initial posterior is already past the 0.8
         # threshold essentially always, so every run stops at 3 evals each.
         for seed in range(50):
-            models, evaluator = synthetic([0.5, 0.6], sd=0.01, seed=seed)
+            evaluator = synthetic([0.5, 0.6], sd=0.01, seed=seed)
             result = ttts(
-                models, evaluator, campaign_seed=seed, delta=0.2,
+                evaluator, campaign_seed=seed, delta=0.2,
                 mc_samples=4000,
             )
             assert result.total_evals == 6
@@ -248,9 +246,9 @@ class TestTtts:
             assert max(result.final_belief.pi) > 0.8
 
     def test_five_arm_problem_selects_best_and_concentrates(self):
-        models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=1234)
+        evaluator = synthetic(FIG_MEANS, sd=0.01, seed=1234)
         result = ttts(
-            models, evaluator, campaign_seed=1234, delta=0.01,
+            evaluator, campaign_seed=1234, delta=0.01,
             mc_samples=10_000,
         )
         check_trace_invariants(result)
@@ -261,9 +259,9 @@ class TestTtts:
         assert top_two > result.total_evals / 2
 
     def test_drawn_pairs_are_distinct(self):
-        models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=77)
+        evaluator = synthetic(FIG_MEANS, sd=0.01, seed=77)
         result = ttts(
-            models, evaluator, campaign_seed=77, delta=0.05,
+            evaluator, campaign_seed=77, delta=0.05,
             mc_samples=4000,
         )
         steps = [e for e in events_of(result, EventKind.EVALUATED) if "candidates" in e.payload]
@@ -275,41 +273,41 @@ class TestTtts:
 
     def test_stopping_contract(self):
         for seed in (5, 6, 7):
-            models, evaluator = synthetic([0.60, 0.63, 0.70], sd=0.02, seed=seed)
+            evaluator = synthetic([0.60, 0.63, 0.70], sd=0.02, seed=seed)
             delta = 0.1
-            result = ttts(models, evaluator, campaign_seed=seed, delta=delta, mc_samples=4000)
+            result = ttts(evaluator, campaign_seed=seed, delta=delta, mc_samples=4000)
             if result.terminated_by is TerminationReason.CONFIDENCE_REACHED:
                 assert max(result.final_belief.pi) > 1 - delta
             assert all(c >= 3 for c in result.eval_counts)
             assert result.chosen.index == result.final_belief.argmax()
 
     def test_safeguard_on_symmetric_arms(self):
-        models, evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=3)
-        result = ttts(models, evaluator, campaign_seed=3, delta=0.05, max_evals=6,
+        evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=3)
+        result = ttts(evaluator, campaign_seed=3, delta=0.05, max_evals=6,
                       mc_samples=20_000)
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
         assert result.total_evals == 6
         assert result.final_belief.pi[0] == pytest.approx(0.5, abs=0.02)
 
     def test_single_candidate(self):
-        models, evaluator = synthetic([0.7], seed=2)
-        result = ttts(models, evaluator, campaign_seed=2, delta=0.05,
+        evaluator = synthetic([0.7], seed=2)
+        result = ttts(evaluator, campaign_seed=2, delta=0.05,
                       mc_samples=1000)
         assert result.total_evals == 3
         assert result.terminated_by is TerminationReason.CONFIDENCE_REACHED
         assert result.final_belief.pi == (1.0,)
 
     def test_safeguard_must_cover_initialization(self):
-        models, evaluator = synthetic([0.5, 0.6], seed=2)
+        evaluator = synthetic([0.5, 0.6], seed=2)
         with pytest.raises(ConfigError, match="max_evals"):
-            ttts(models, evaluator, campaign_seed=2, delta=0.05, max_evals=5)
+            ttts(evaluator, campaign_seed=2, delta=0.05, max_evals=5)
 
     def test_reproducible(self):
         results = []
         for attempt in range(2):
-            models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=42)
+            evaluator = synthetic(FIG_MEANS, sd=0.01, seed=42)
             results.append(
-                ttts(models, evaluator, campaign_seed=42, delta=0.1,
+                ttts(evaluator, campaign_seed=42, delta=0.1,
                      mc_samples=4000)
             )
         assert results[0] == results[1]
@@ -317,10 +315,10 @@ class TestTtts:
     def test_identity_transform_is_bit_identical_to_default(self):
         runs = []
         for transform in (None, TransformMode.identity()):
-            models, evaluator = synthetic(FIG_MEANS, sd=0.01, seed=9)
+            evaluator = synthetic(FIG_MEANS, sd=0.01, seed=9)
             kwargs = {} if transform is None else {"transform": transform}
             runs.append(
-                ttts(models, evaluator, campaign_seed=9, delta=0.2,
+                ttts(evaluator, campaign_seed=9, delta=0.2,
                      mc_samples=4000, **kwargs)
             )
         assert runs[0] == runs[1]
@@ -328,9 +326,9 @@ class TestTtts:
 
 class TestBts:
     def test_sync_batch_updates_once_per_batch(self):
-        models, evaluator = synthetic([0.60, 0.70], sd=0.02, seed=21)
+        evaluator = synthetic([0.60, 0.70], sd=0.02, seed=21)
         result = bts(
-            models, evaluator, campaign_seed=21, delta=0.1, batch_size=4, sync=True,
+            evaluator, campaign_seed=21, delta=0.1, batch_size=4, sync=True,
             mc_samples=4000,
         )
         check_trace_invariants(result)
@@ -340,9 +338,9 @@ class TestBts:
         assert updates == 1 + adaptive // 4
 
     def test_async_updates_after_every_eval(self):
-        models, evaluator = synthetic([0.60, 0.70], sd=0.02, seed=23)
+        evaluator = synthetic([0.60, 0.70], sd=0.02, seed=23)
         result = bts(
-            models, evaluator, campaign_seed=23, delta=0.1, batch_size=4, sync=False,
+            evaluator, campaign_seed=23, delta=0.1, batch_size=4, sync=False,
             mc_samples=4000,
         )
         check_trace_invariants(result)
@@ -354,9 +352,9 @@ class TestBts:
         def totals(sync, base_seed):
             out = []
             for i in range(200):
-                models, evaluator = synthetic([0.55, 0.65], sd=0.02, seed=base_seed + i)
+                evaluator = synthetic([0.55, 0.65], sd=0.02, seed=base_seed + i)
                 result = bts(
-                    models, evaluator, campaign_seed=base_seed + i, delta=0.2, batch_size=1,
+                    evaluator, campaign_seed=base_seed + i, delta=0.2, batch_size=1,
                     sync=sync, mc_samples=2000,
                 )
                 out.append(result.total_evals)
@@ -369,9 +367,9 @@ class TestBts:
     def test_b1_sync_equals_b1_async_at_same_seed(self):
         results = []
         for sync in (True, False):
-            models, evaluator = synthetic([0.55, 0.65], sd=0.02, seed=31)
+            evaluator = synthetic([0.55, 0.65], sd=0.02, seed=31)
             results.append(
-                bts(models, evaluator, campaign_seed=31, delta=0.2, batch_size=1, sync=sync,
+                bts(evaluator, campaign_seed=31, delta=0.2, batch_size=1, sync=sync,
                     mc_samples=2000)
             )
         assert results[0].total_evals == results[1].total_evals
@@ -387,7 +385,7 @@ class TestBts:
         # The child scores by request id alone, so the campaign runs to the safeguard.
         try:
             result = bts(
-                make_model_ids(names), evaluator, campaign_seed=7, delta=0.01, max_evals=40,
+                evaluator, campaign_seed=7, delta=0.01, max_evals=40,
                 batch_size=4, sync=sync, mc_samples=200,
                 on_event=lambda e: evaluator.log.append((e.kind, evaluator.pending())),
             )
@@ -420,26 +418,24 @@ class TestBts:
 
     def test_batch_size_beyond_capacity_rejected(self):
         names = ["a", "b"]
-        models = make_model_ids(names)
         evaluator = SubprocessEvaluator(
             [sys.executable, ECHO_CHILD, "--max-in-flight", "2"], names
         )
         try:
             with pytest.raises(ConfigError, match="batch_size"):
-                bts(models, evaluator, campaign_seed=1, delta=0.2, batch_size=4)
+                bts(evaluator, campaign_seed=1, delta=0.2, batch_size=4)
         finally:
             evaluator.close()
 
     def test_flaky_evaluations_retried_once(self):
         names = ["a", "b"]
-        models = make_model_ids(names)
         evaluator = SubprocessEvaluator(
             [sys.executable, ECHO_CHILD, "--flaky", "--const-score", "0.5",
              "--max-in-flight", "4"],
             names,
         )
         try:
-            result = bts(models, evaluator, campaign_seed=5, delta=0.5, max_evals=8,
+            result = bts(evaluator, campaign_seed=5, delta=0.5, max_evals=8,
                          batch_size=2, mc_samples=1000)
             assert result.total_evals >= 6
         finally:
@@ -447,7 +443,6 @@ class TestBts:
 
     def test_persistent_error_aborts_campaign(self):
         names = ["a", "b"]
-        models = make_model_ids(names)
         evaluator = SubprocessEvaluator(
             [sys.executable, ECHO_CHILD, "--error-model", "b", "--max-in-flight", "4"],
             names,
@@ -455,7 +450,7 @@ class TestBts:
         events = []
         try:
             with pytest.raises(EvaluationError):
-                bts(models, evaluator, campaign_seed=5, delta=0.05, batch_size=2,
+                bts(evaluator, campaign_seed=5, delta=0.05, batch_size=2,
                     mc_samples=1000, on_event=events.append)
             # It fails inside its first batch, so nothing may have been emitted.
             assert all(e.kind is not EventKind.TERMINATED for e in events)
@@ -464,13 +459,12 @@ class TestBts:
 
     def test_ttts_does_not_retry(self):
         names = ["a", "b"]
-        models = make_model_ids(names)
         evaluator = SubprocessEvaluator(
             [sys.executable, ECHO_CHILD, "--flaky", "--max-in-flight", "4"], names
         )
         try:
             with pytest.raises(EvaluationError):
-                ttts(models, evaluator, campaign_seed=5, delta=0.05,
+                ttts(evaluator, campaign_seed=5, delta=0.05,
                      mc_samples=1000)
         finally:
             evaluator.close()
@@ -481,6 +475,7 @@ class Recording(Evaluator):
     ("submit" or "collect", requests in flight after the call)."""
 
     def __init__(self, inner):
+        self.models = inner.models
         self._inner = inner
         self.requests = []
         self.log = []
@@ -508,9 +503,9 @@ class Recording(Evaluator):
 
 class TestRequestStream:
     def test_seeds_fresh_and_sequences_increasing(self):
-        models, inner = synthetic(FIG_MEANS, sd=0.01, seed=61)
+        inner = synthetic(FIG_MEANS, sd=0.01, seed=61)
         evaluator = Recording(inner)
-        ttts(models, evaluator, campaign_seed=61, delta=0.2,
+        ttts(evaluator, campaign_seed=61, delta=0.2,
              mc_samples=2000)
         reqs = evaluator.requests
         assert [r.sequence for r in reqs] == list(range(len(reqs)))
@@ -522,30 +517,30 @@ class TestRequestStream:
 class TestBaselines:
     def test_fixed_budget_splits_equally(self):
         means = list(np.linspace(0.3, 0.8, 12))
-        models, evaluator = synthetic(means, sd=0.01, seed=41)
-        result = nonadaptive_fixed_budget(models, evaluator, campaign_seed=41, budget=24)
+        evaluator = synthetic(means, sd=0.01, seed=41)
+        result = nonadaptive_fixed_budget(evaluator, campaign_seed=41, budget=24)
         check_trace_invariants(result)
         assert result.eval_counts == (2,) * 12
         assert result.total_evals == 24
         assert result.terminated_by is TerminationReason.BUDGET_EXHAUSTED
 
     def test_fixed_budget_single_model(self):
-        models, evaluator = synthetic([0.5], seed=43)
-        result = nonadaptive_fixed_budget(models, evaluator, campaign_seed=43, budget=7)
+        evaluator = synthetic([0.5], seed=43)
+        result = nonadaptive_fixed_budget(evaluator, campaign_seed=43, budget=7)
         assert result.eval_counts == (7,)
         assert result.chosen.name == "m0"
 
     def test_fixed_budget_floor_leftover(self):
-        models, evaluator = synthetic([0.4, 0.6], seed=45)
-        result = nonadaptive_fixed_budget(models, evaluator, campaign_seed=45, budget=5)
+        evaluator = synthetic([0.4, 0.6], seed=45)
+        result = nonadaptive_fixed_budget(evaluator, campaign_seed=45, budget=5)
         assert result.eval_counts == (2, 2)
         assert result.trace[-1].payload["unused_budget"] == 1
 
     def test_fixed_confidence_stops_after_init_when_separated(self):
         for seed in range(10):
-            models, evaluator = synthetic([0.4, 0.5, 0.6], sd=0.01, seed=seed)
+            evaluator = synthetic([0.4, 0.5, 0.6], sd=0.01, seed=seed)
             result = nonadaptive_fixed_confidence(
-                models, evaluator, campaign_seed=seed, delta=0.2,
+                evaluator, campaign_seed=seed, delta=0.2,
                 mc_samples=4000,
             )
             assert result.total_evals == 9
@@ -553,18 +548,18 @@ class TestBaselines:
             assert result.chosen.name == "m2"
 
     def test_fixed_confidence_counts_stay_equal(self):
-        models, evaluator = synthetic([0.60, 0.61, 0.62], sd=0.05, seed=47)
+        evaluator = synthetic([0.60, 0.61, 0.62], sd=0.05, seed=47)
         result = nonadaptive_fixed_confidence(
-            models, evaluator, campaign_seed=47, delta=0.2, max_evals=120,
+            evaluator, campaign_seed=47, delta=0.2, max_evals=120,
             mc_samples=2000,
         )
         check_trace_invariants(result)
         assert len(set(result.eval_counts)) == 1
 
     def test_fixed_confidence_safeguard(self):
-        models, evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=49)
+        evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=49)
         result = nonadaptive_fixed_confidence(
-            models, evaluator, campaign_seed=49, delta=0.05, max_evals=10,
+            evaluator, campaign_seed=49, delta=0.05, max_evals=10,
             mc_samples=2000,
         )
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
@@ -607,11 +602,10 @@ class TestLogitCampaign:
     def test_logit_transform_selects_best_bounded_arm(self):
         from bestarm.evaluators import Beta as BetaDist
 
-        models = make_model_ids(["low", "high"])
         dists = {"low": BetaDist(10.0, 20.0), "high": BetaDist(20.0, 10.0)}
-        evaluator = SyntheticEvaluator(dists, models, campaign_seed=71)
+        evaluator = SyntheticEvaluator(dists, ["low", "high"], campaign_seed=71)
         result = ttts(
-            models, evaluator, campaign_seed=71, delta=0.1,
+            evaluator, campaign_seed=71, delta=0.1,
             mc_samples=4000, transform=TransformMode.logit(),
         )
         assert result.chosen.name == "high"
@@ -625,21 +619,21 @@ class TestOnEvent:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda m, ev, sink: sequential_halving(m, ev, 3, budget=24, on_event=sink),
-            lambda m, ev, sink: ttts(m, ev, 3, delta=0.2, mc_samples=1000, on_event=sink),
-            lambda m, ev, sink: bts(m, ev, 3, delta=0.2, batch_size=2, sync=False,
-                                    mc_samples=1000, on_event=sink),
-            lambda m, ev, sink: nonadaptive_fixed_budget(m, ev, 3, budget=24, on_event=sink),
-            lambda m, ev, sink: nonadaptive_fixed_confidence(m, ev, 3, delta=0.2,
-                                                             mc_samples=1000, on_event=sink),
+            lambda ev, sink: sequential_halving(ev, 3, budget=24, on_event=sink),
+            lambda ev, sink: ttts(ev, 3, delta=0.2, mc_samples=1000, on_event=sink),
+            lambda ev, sink: bts(ev, 3, delta=0.2, batch_size=2, sync=False,
+                                 mc_samples=1000, on_event=sink),
+            lambda ev, sink: nonadaptive_fixed_budget(ev, 3, budget=24, on_event=sink),
+            lambda ev, sink: nonadaptive_fixed_confidence(ev, 3, delta=0.2,
+                                                          mc_samples=1000, on_event=sink),
         ],
         ids=["sequential_halving", "ttts", "bts", "nonadaptive_fixed_budget",
              "nonadaptive_fixed_confidence"],
     )
     def test_receives_the_trace_in_order(self, run):
-        models, evaluator = synthetic([0.5, 0.55, 0.6], sd=0.05, seed=3)
+        evaluator = synthetic([0.5, 0.55, 0.6], sd=0.05, seed=3)
         events = []
-        result = run(models, evaluator, events.append)
+        result = run(evaluator, events.append)
         assert tuple(events) == result.trace
         assert events[-1].kind is EventKind.TERMINATED
 
@@ -659,7 +653,7 @@ class TestParameters:
         params = inspect.signature(ENTRY_POINTS[kind]).parameters.values()
         positional = [p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD]
         keywords = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
-        assert positional == ["models", "evaluator", "campaign_seed"]
+        assert positional == ["evaluator", "campaign_seed"]
         leaves = {f.name: f.default for f in fields(ModeConfig) if kind in (f.metadata["kinds"] or ())}
         assert set(keywords) - {"mc_samples", "transform", "on_event"} == set(leaves)
         # A leaf the config requires has no default in the library; the others share theirs.
@@ -669,40 +663,62 @@ class TestParameters:
     @pytest.mark.parametrize("kind", ["fc", "baseline-fc", "fc-batch"])
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, 1.5])
     def test_delta_outside_the_unit_interval_is_refused(self, kind, delta):
-        models, evaluator = synthetic([0.4, 0.6])
+        evaluator = synthetic([0.4, 0.6])
         extra = {"batch_size": 2} if kind == "fc-batch" else {}
         with pytest.raises(ConfigError, match=r"^delta: must be in \(0, 1\)"):
-            ENTRY_POINTS[kind](models, evaluator, 0, delta=delta, **extra)
+            ENTRY_POINTS[kind](evaluator, 0, delta=delta, **extra)
 
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_is_refused(self, batch_size):
-        models, evaluator = synthetic([0.4, 0.6])
+        evaluator = synthetic([0.4, 0.6])
         with pytest.raises(ConfigError, match="^batch_size: must be positive"):
-            bts(models, evaluator, 0, delta=0.1, batch_size=batch_size)
+            bts(evaluator, 0, delta=0.1, batch_size=batch_size)
 
     @pytest.mark.parametrize("kind", ["fb", "baseline-fb"])
     def test_budget_below_one_names_budget(self, kind):
-        models, evaluator = synthetic([0.4, 0.6])
+        evaluator = synthetic([0.4, 0.6])
         with pytest.raises(BudgetTooSmallError, match="^budget: budget too small") as caught:
-            ENTRY_POINTS[kind](models, evaluator, 0, budget=0)
+            ENTRY_POINTS[kind](evaluator, 0, budget=0)
         assert caught.value.field_name == "budget"
 
 
+class TestCandidateOrder:
+    """A campaign selects among its evaluator's ``models``, in their order."""
+
+    @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
+    def test_names_in_reverse_keep_their_arms(self, kind):
+        dists = {"a": Gaussian(mean=0.9, sd=0.01), "b": Gaussian(mean=0.1, sd=0.01)}
+        evaluator = SyntheticEvaluator(dists, ["b", "a"], campaign_seed=0)
+        params = ({"budget": 20} if kind in ("fb", "baseline-fb")
+                  else {"delta": 0.1, "mc_samples": 1000})
+        if kind == "fc-batch":
+            params["batch_size"] = 2
+        result = ENTRY_POINTS[kind](evaluator, 0, **params)
+        assert result.chosen == evaluator.models[1] and result.chosen.name == "a"
+        assert result.final_belief.argmax() == 1
+        evaluated = events_of(result, EventKind.EVALUATED)
+        assert [e.payload["model"] for e in evaluated[:2]] == ["b", "a"]
+        # Every score is drawn from the arm of the model it is reported for.
+        assert all((e.payload["score"] > 0.5) == (e.payload["model"] == "a") for e in evaluated)
+        counts = [sum(e.payload["model"] == name for e in evaluated) for name in ("b", "a")]
+        assert result.eval_counts == tuple(counts)
+
+
 FIXED_CONFIDENCE_RULES = {
-    "ttts": lambda m, ev, seed, **conf: ttts(m, ev, seed, mc_samples=2000, **conf),
-    "bts-sync": lambda m, ev, seed, **conf: bts(m, ev, seed, batch_size=3, mc_samples=2000, **conf),
-    "bts-async": lambda m, ev, seed, **conf: bts(m, ev, seed, batch_size=3, sync=False,
-                                                 mc_samples=2000, **conf),
-    "evaluate-all": lambda m, ev, seed, **conf: nonadaptive_fixed_confidence(m, ev, seed, mc_samples=2000,
-                                                                             **conf),
+    "ttts": lambda ev, seed, **conf: ttts(ev, seed, mc_samples=2000, **conf),
+    "bts-sync": lambda ev, seed, **conf: bts(ev, seed, batch_size=3, mc_samples=2000, **conf),
+    "bts-async": lambda ev, seed, **conf: bts(ev, seed, batch_size=3, sync=False,
+                                              mc_samples=2000, **conf),
+    "evaluate-all": lambda ev, seed, **conf: nonadaptive_fixed_confidence(ev, seed, mc_samples=2000,
+                                                                          **conf),
 }
 
 
 class TestChunkedBelief:
     @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
     def test_safeguard_termination_uses_every_row(self, rule):
-        models, evaluator = synthetic([0.60, 0.61, 0.62], sd=0.02, seed=5)
-        result = FIXED_CONFIDENCE_RULES[rule](models, evaluator, 5, delta=0.01, max_evals=45)
+        evaluator = synthetic([0.60, 0.61, 0.62], sd=0.02, seed=5)
+        result = FIXED_CONFIDENCE_RULES[rule](evaluator, 5, delta=0.01, max_evals=45)
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
         rows = [e.payload["rows"] for e in events_of(result, EventKind.BELIEF_UPDATED)]
         assert min(rows) < 2000
@@ -711,8 +727,8 @@ class TestChunkedBelief:
 
     @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
     def test_confidence_is_reported_only_on_every_row(self, rule):
-        models, evaluator = synthetic([0.60, 0.63, 0.66], sd=0.02, seed=6)
-        result = FIXED_CONFIDENCE_RULES[rule](models, evaluator, 6, delta=0.1)
+        evaluator = synthetic([0.60, 0.63, 0.66], sd=0.02, seed=6)
+        result = FIXED_CONFIDENCE_RULES[rule](evaluator, 6, delta=0.1)
         assert result.terminated_by is TerminationReason.CONFIDENCE_REACHED
         beliefs = events_of(result, EventKind.BELIEF_UPDATED)
         assert max(beliefs[-1].payload["pi"]) > 0.9

@@ -359,6 +359,40 @@ class TestMain:
         assert "error: models: sequential halving needs at least 2 models, got 1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("form", ["config", "flag"])
+    def test_blank_model_name_exits_one_naming_models(self, form, pair_arms_file, tmp_path, capsys,
+                                                      monkeypatch):
+        submitted = []
+        monkeypatch.setattr(SyntheticEvaluator, "submit", lambda self, req: submitted.append(req))
+        if form == "config":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"mode": {"kind": "fb", "budget": 10},
+                                          "evaluator": {"kind": "synthetic",
+                                                        "arms_file": pair_arms_file},
+                                          "models": ["", " lo"]}))
+            args, shown = ["fb", "--config", str(config)], "''"
+        else:
+            args, shown = ["fb", "--budget", "10", "--synthetic", pair_arms_file,
+                           "--models", " ,hi"], "' '"
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: models: model names must be non-blank strings, got {shown}" in captured.err
+        assert captured.out == "" and submitted == []
+
+    def test_models_flag_orders_summary_and_trace(self, pair_arms_file, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        code = main(["fc", "--delta", "0.2", "--synthetic", pair_arms_file, "--models", "hi,lo",
+                     "--mc-samples", "500", "--trace", str(trace)])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "chosen: hi"
+        assert [line.split("=")[0] for line in out[3:5]] == ["evals: hi", "pi: hi"]
+        assert all(" lo=" in line for line in out[3:5])
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert lines[0]["config"]["models"] == ["hi", "lo"]
+        assert [e["model"] for e in lines[1:3]] == ["hi", "lo"]
+
     def test_duplicate_arm_name_names_the_arm_file(self, tmp_path, capsys):
         arms = tmp_path / "dup.json"
         arms.write_text(json.dumps([
@@ -806,6 +840,25 @@ class TestReplications:
         with pytest.raises(CampaignStarted):
             run_replications(config, replications=2, true_best=good, allow_subprocess=True)
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_replicate_refuses_a_trace_path(self, form, arms_file, tmp_path, capsys, monkeypatch):
+        submitted = []
+        monkeypatch.setattr(SyntheticEvaluator, "submit", lambda self, req: submitted.append(req))
+        trace = tmp_path / "rep.jsonl"
+        args = ["replicate", "--mode", "fb", "--replications", "2", "--budget", "30",
+                "--synthetic", arms_file]
+        if form == "flag":
+            args += ["--trace", str(trace)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"trace_path": str(trace)}))
+            args += ["--config", str(config)]
+        code = main(args)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: trace_path: replicate writes no trace" in captured.err
+        assert captured.out == "" and submitted == [] and not trace.exists()
 
     def test_allow_exec_override(self, capsys):
         cmd = f"{sys.executable} {ECHO_CHILD} --const-score 0.5"

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -14,6 +15,7 @@ from scipy import stats as scistats
 
 from bestarm import (
     Beta,
+    ConfigError,
     EvaluationError,
     EvaluationRequest,
     EvaluatorFailure,
@@ -87,15 +89,63 @@ class TestArmSpecs:
             parse_arm_entries([{"name": name, "family": "gaussian", "mean": 0.5, "sd": 0.1}])
 
     def test_build_requires_arm_per_model(self):
-        models = make_model_ids(["a", "b"])
         with pytest.raises(ValueError, match="b"):
-            SyntheticEvaluator({"a": Gaussian(0.7, 0.01)}, models, campaign_seed=0)
+            SyntheticEvaluator({"a": Gaussian(0.7, 0.01)}, ["a", "b"], campaign_seed=0)
+
+
+BUILDERS = {
+    "synthetic": lambda names: SyntheticEvaluator(
+        {"a": Gaussian(0.5, 0.1), "b": Gaussian(0.6, 0.1)}, names, campaign_seed=0),
+    "replay": lambda names: ReplayEvaluator({"a": [0.5], "b": [0.6]}, names, campaign_seed=0),
+    "subprocess": lambda names: SubprocessEvaluator(echo_command(), names),
+}
+
+
+class TestCandidateSet:
+    """Each back-end builds its candidates from the names it is given."""
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    def test_models_follow_the_names(self, kind):
+        ev = BUILDERS[kind](["b", "a"])
+        try:
+            assert ev.models == make_model_ids(["b", "a"])
+        finally:
+            ev.close()
+
+    @pytest.mark.parametrize("kind", list(BUILDERS))
+    @pytest.mark.parametrize(
+        "names, problem",
+        [
+            (["a", "b", "a"], "duplicate model names: ['a']"),
+            (["a", ""], "model names must be non-blank strings, got ''"),
+            (["a", " "], "model names must be non-blank strings, got ' '"),
+            (["a", None], "model names must be non-blank strings, got None"),
+            ([], "need at least 1 candidate model"),
+        ],
+        ids=["duplicate", "empty", "blank", "not-a-string", "none"],
+    )
+    def test_bad_names_raise_on_models_before_any_spawn(self, kind, names, problem, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: spawned.append(a))
+        with pytest.raises(ConfigError) as caught:
+            BUILDERS[kind](names)
+        assert (caught.value.field_name, caught.value.message) == ("models", problem)
+        assert spawned == []
+
+    @pytest.mark.parametrize("command", ["   ", "'unclosed"])
+    def test_unusable_command_raises_on_command_before_spawning(self, command, monkeypatch):
+        spawned = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: spawned.append(a))
+        with pytest.raises(ConfigError) as caught:
+            SubprocessEvaluator(command, ["a"])
+        assert caught.value.field_name == "command"
+        assert spawned == []
 
 
 class TestSyntheticEvaluator:
     def make(self, seed=42, mean=0.71, sd=0.01):
         (model,) = make_model_ids(["m"])
-        return model, SyntheticEvaluator({"m": Gaussian(mean=mean, sd=sd)}, [model], campaign_seed=seed)
+        return model, SyntheticEvaluator({"m": Gaussian(mean=mean, sd=sd)}, ["m"], campaign_seed=seed)
 
     def test_deterministic_across_instances(self):
         model, ev1 = self.make(seed=7)
@@ -125,7 +175,7 @@ class TestSyntheticEvaluator:
 
     def test_truncated_support(self):
         (model,) = make_model_ids(["m"])
-        ev = SyntheticEvaluator({"m": TruncatedGaussian(0.5, 0.2, 0.0, 1.0)}, [model], campaign_seed=11)
+        ev = SyntheticEvaluator({"m": TruncatedGaussian(0.5, 0.2, 0.0, 1.0)}, ["m"], campaign_seed=11)
         scores = [ev.evaluate(request(model, seq)).score for seq in range(2000)]
         assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -151,7 +201,7 @@ class TestSyntheticEvaluator:
     )
     def test_distributional_fidelity(self, dist, cdf):
         (model,) = make_model_ids(["m"])
-        ev = SyntheticEvaluator({"m": dist}, [model], campaign_seed=19)
+        ev = SyntheticEvaluator({"m": dist}, ["m"], campaign_seed=19)
         scores = np.array([ev.evaluate(request(model, seq)).score for seq in range(100_000)])
         assert scistats.kstest(scores, cdf).pvalue > 0.001
 
@@ -159,19 +209,19 @@ class TestSyntheticEvaluator:
 class TestReplay:
     def test_ordered_replay(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, models, 1, ExhaustionPolicy.ERROR)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], 1, ExhaustionPolicy.ERROR)
         assert ev.evaluate(request(models[0], 0)).score == 0.6
         assert ev.evaluate(request(models[0], 1)).score == 0.7
 
     def test_cycle_wraps(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, models, 1, ExhaustionPolicy.CYCLE)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], 1, ExhaustionPolicy.CYCLE)
         scores = [ev.evaluate(request(models[0], seq)).score for seq in range(3)]
         assert scores == [0.6, 0.7, 0.6]
 
     def test_error_policy_raises(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, models, 1, ExhaustionPolicy.ERROR)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], 1, ExhaustionPolicy.ERROR)
         ev.evaluate(request(models[0], 0))
         ev.evaluate(request(models[0], 1))
         with pytest.raises(PoolExhaustedError):
@@ -181,7 +231,7 @@ class TestReplay:
         rng = np.random.default_rng(4)
         pool = rng.normal(0.7, 0.05, size=40).tolist()
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": pool}, models, 8, ExhaustionPolicy.RESAMPLE)
+        ev = ReplayEvaluator({"m1": pool}, ["m1"], 8, ExhaustionPolicy.RESAMPLE)
         n = 10_000
         scores = [ev.evaluate(request(models[0], seq)).score for seq in range(n)]
         pool_mean, pool_sd = np.mean(pool), np.std(pool)
@@ -192,7 +242,7 @@ class TestReplay:
         models = make_model_ids(["m1"])
         scores = {}
         for attempt in range(2):
-            ev = ReplayEvaluator({"m1": pool}, models, 9, ExhaustionPolicy.RESAMPLE)
+            ev = ReplayEvaluator({"m1": pool}, ["m1"], 9, ExhaustionPolicy.RESAMPLE)
             for seq in range(5, 10):  # past exhaustion immediately
                 ev.submit(request(models[0], seq))
             got = {s.request.sequence: s.score for s in (ev.collect() for _ in range(5))}
@@ -200,9 +250,8 @@ class TestReplay:
         assert scores[0] == scores[1]
 
     def test_requires_scores_for_every_model(self):
-        models = make_model_ids(["m1", "m2"])
         with pytest.raises(ValueError, match="m2"):
-            ReplayEvaluator({"m1": [0.6]}, models, campaign_seed=0)
+            ReplayEvaluator({"m1": [0.6]}, ["m1", "m2"], campaign_seed=0)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
