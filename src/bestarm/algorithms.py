@@ -207,6 +207,7 @@ class _Campaign:
             total_evals=self.total,
             trace=tuple(self.trace),
             terminated_by=reason,
+            models=self.models,
         )
 
     def finish_budget(self, winner: ModelId, budget: int) -> SelectionResult:

@@ -359,7 +359,8 @@ def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) ->
         yield lambda event: write_line(event.to_dict())
 
 
-def format_summary(models: Sequence[ModelId], result: SelectionResult) -> str:
+def format_summary(result: SelectionResult) -> str:
+    models = result.models
     lines = [
         f"chosen: {result.chosen.name}",
         f"terminated_by: {result.terminated_by.value}",
@@ -370,14 +371,14 @@ def format_summary(models: Sequence[ModelId], result: SelectionResult) -> str:
     return "\n".join(lines)
 
 
-def _run(config: CampaignConfig) -> tuple[tuple[ModelId, ...], SelectionResult]:
+def _run(config: CampaignConfig) -> SelectionResult:
     """Resolve, open the trace (if configured), dispatch, close the evaluator."""
     evaluator = _resolve(config)
-    models = evaluator.models
     try:
-        trace = write_trace(config.trace_path, config, models) if config.trace_path else contextlib.nullcontext()
+        trace = (write_trace(config.trace_path, config, evaluator.models) if config.trace_path
+                 else contextlib.nullcontext())
         with trace as on_event:
-            return models, _dispatch(config, evaluator, on_event)
+            return _dispatch(config, evaluator, on_event)
     finally:
         evaluator.close()
 
@@ -408,8 +409,8 @@ def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     budget/confidence termination, 2 when the safeguard tripped.
     """
     _validate_run(config)
-    models, result = _run(config)
-    print(format_summary(models, result))
+    result = _run(config)
+    print(format_summary(result))
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
     return result, code
 
@@ -489,25 +490,20 @@ def run_replications(
             "replications against a subprocess evaluator are refused "
             "(pass --allow-exec to override)",
         )
-    if true_best is not None and true_best not in _candidate_names(config):
+    names = _candidate_names(config)
+    if true_best is not None and true_best not in names:
         raise ConfigError("true_best", f"{true_best!r} is not a candidate model")
-    name_list: Optional[list[str]] = None
-    counts: Optional[list[int]] = None
+    counts = [0] * len(names)
     totals: list[int] = []
     correct = 0
     for i in range(replications):
-        rep = replace(config, campaign_seed=config.campaign_seed + i)
-        models, result = _run(rep)
-        if name_list is None:
-            name_list = [m.name for m in models]
-            counts = [0] * len(models)
+        result = _run(replace(config, campaign_seed=config.campaign_seed + i))
         counts[result.chosen.index] += 1
         totals.append(result.total_evals)
-        if true_best is not None and result.chosen.name == true_best:
-            correct += 1
+        correct += result.chosen.name == true_best
     return ReplicationReport(
         replications=replications,
-        model_names=name_list,
+        model_names=names,
         selection_counts=counts,
         min_evals=min(totals),
         mean_evals=sum(totals) / len(totals),

@@ -237,7 +237,8 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of one selection campaign."""
+    """Outcome of one selection campaign; ``models`` is the evaluator's
+    candidate set, in the order ``eval_counts`` and ``final_belief.pi`` follow."""
 
     chosen: ModelId
     final_belief: Belief
@@ -245,3 +246,4 @@ class SelectionResult:
     total_evals: int
     trace: tuple[TraceEvent, ...]
     terminated_by: TerminationReason
+    models: tuple[ModelId, ...]

@@ -22,17 +22,13 @@ from bestarm import (
     PosteriorDraws,
     SubprocessEvaluator,
     SyntheticEvaluator,
-    bts,
     complexity_h,
     estimate_pi,
-    nonadaptive_fixed_budget,
-    nonadaptive_fixed_confidence,
     posterior_from_stats,
     sequential_halving,
     stats_update,
-    ttts,
 )
-from bestarm.cli import CampaignConfig, main, run_campaign
+from bestarm.cli import CampaignConfig, main, run_campaign, run_replications
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
@@ -68,6 +64,19 @@ def gaussian_problem(means, sd, seed):
     names = [f"m{i}" for i in range(len(means))]
     dists = {name: Gaussian(mean=mu, sd=sd) for name, mu in zip(names, means)}
     return SyntheticEvaluator(dists, names, campaign_seed=seed)
+
+
+def gaussian_config(tmp_path, means, sd, mode, seed, mc_samples=MC_MEDIUM):
+    """A campaign on Gaussian arms m0, m1, ... written to an arm file; with
+    ``run_replications`` each seed gets the campaign ``gaussian_problem`` builds."""
+    arms = [{"name": f"m{i}", "family": "gaussian", "mean": mu, "sd": sd}
+            for i, mu in enumerate(means)]
+    arms_path = tmp_path / "arms.json"
+    arms_path.write_text(json.dumps(arms))
+    return CampaignConfig.from_dict({
+        "mode": mode, "evaluator": {"kind": "synthetic", "arms_file": str(arms_path)},
+        "campaign_seed": seed, "mc_samples": mc_samples,
+    })
 
 
 def test_criterion_1_posterior_calibration():
@@ -113,18 +122,11 @@ def test_criterion_2_pi_symmetry():
 
 
 @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2])
-def test_criterion_3_ttts_confidence_guarantee(delta):
+def test_criterion_3_ttts_confidence_guarantee(delta, tmp_path):
     reps = 500
-    base = int(delta * 1_000_000)
-    correct = 0
-    for i in range(reps):
-        evaluator = gaussian_problem(FIG_MEANS, 0.01, seed=base + i)
-        result = ttts(
-            evaluator, campaign_seed=base + i, delta=delta,
-            mc_samples=MC_HEAVY,
-        )
-        correct += result.chosen.index == 4
-    proportion = correct / reps
+    config = gaussian_config(tmp_path, FIG_MEANS, 0.01, {"kind": "fc", "delta": delta},
+                             seed=int(delta * 1_000_000), mc_samples=MC_HEAVY)
+    proportion = run_replications(config, reps, true_best="m4").correct_proportion
     bound = (1 - delta) - 3 * math.sqrt(delta * (1 - delta) / reps)
     report(
         f"criterion-3 ttts-confidence delta={delta}",
@@ -133,25 +135,16 @@ def test_criterion_3_ttts_confidence_guarantee(delta):
     )
 
 
-def test_criterion_4_ttts_beats_nonadaptive():
+def test_criterion_4_ttts_beats_nonadaptive(tmp_path):
     # Table-2-style comparison on the 8-arm problem, 500 paired replications.
     reps = 500
-    ttts_totals, base_totals = [], []
-    for i in range(reps):
-        evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
-        ttts_totals.append(
-            ttts(evaluator, campaign_seed=i, delta=0.1,
-                 mc_samples=MC_MEDIUM).total_evals
-        )
-        evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=i)
-        base_totals.append(
-            nonadaptive_fixed_confidence(
-                evaluator, campaign_seed=i, delta=0.1,
-                mc_samples=MC_MEDIUM,
-            ).total_evals
-        )
-    mean_ttts = np.mean(ttts_totals)
-    mean_base = np.mean(base_totals)
+    mean_ttts, mean_base = (
+        run_replications(
+            gaussian_config(tmp_path, EIGHT_ARM_MEANS, EIGHT_ARM_SD,
+                            {"kind": kind, "delta": 0.1}, seed=0), reps,
+        ).mean_evals
+        for kind in ("fc", "baseline-fc")
+    )
     ratio = mean_ttts / mean_base
     report(
         "criterion-4 ttts-efficiency",
@@ -161,23 +154,15 @@ def test_criterion_4_ttts_beats_nonadaptive():
     )
 
 
-def test_criterion_5_sh_beats_nonadaptive():
+def test_criterion_5_sh_beats_nonadaptive(tmp_path):
     reps = 10_000
-    sh_correct = na_correct = 0
-    for i in range(reps):
-        evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=i)
-        sh_correct += (
-            sequential_halving(evaluator, campaign_seed=i, budget=FB_BUDGET)
-            .chosen.index == 0
-        )
-        evaluator = gaussian_problem(FB_MEANS, FB_SD, seed=100_000 + i)
-        na_correct += (
-            nonadaptive_fixed_budget(
-                evaluator, campaign_seed=100_000 + i, budget=FB_BUDGET
-            ).chosen.index == 0
-        )
-    sh_rate = sh_correct / reps
-    na_rate = na_correct / reps
+    sh_rate, na_rate = (
+        run_replications(
+            gaussian_config(tmp_path, FB_MEANS, FB_SD, {"kind": kind, "budget": FB_BUDGET}, seed),
+            reps, true_best="m0",
+        ).correct_proportion
+        for kind, seed in (("fb", 0), ("baseline-fb", 100_000))
+    )
     calibrated = 0.78 <= na_rate <= 0.92
     gap_ok = sh_rate - na_rate >= 0.08
     report(
@@ -211,25 +196,17 @@ def test_criterion_6_sh_schedule_golden():
     )
 
 
-def test_criterion_7_bts_batch_degradation():
+def test_criterion_7_bts_batch_degradation(tmp_path):
     reps = 500
-    totals = {"ttts": [], "bts4": [], "bts8": []}
-    for i in range(reps):
-        seed = 40_000 + i
-        evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
-        totals["ttts"].append(
-            ttts(evaluator, campaign_seed=seed, delta=0.2,
-                 mc_samples=MC_MEDIUM).total_evals
-        )
-        for label, size in (("bts4", 4), ("bts8", 8)):
-            evaluator = gaussian_problem(EIGHT_ARM_MEANS, EIGHT_ARM_SD, seed=seed)
-            totals[label].append(
-                bts(evaluator, campaign_seed=seed, delta=0.2, batch_size=size, sync=True,
-                    mc_samples=MC_MEDIUM).total_evals
-            )
-    m_ttts = np.mean(totals["ttts"])
-    m_bts4 = np.mean(totals["bts4"])
-    m_bts8 = np.mean(totals["bts8"])
+    modes = ({"kind": "fc", "delta": 0.2},
+             {"kind": "fc-batch", "delta": 0.2, "batch_size": 4, "sync": True},
+             {"kind": "fc-batch", "delta": 0.2, "batch_size": 8, "sync": True})
+    m_ttts, m_bts4, m_bts8 = (
+        run_replications(
+            gaussian_config(tmp_path, EIGHT_ARM_MEANS, EIGHT_ARM_SD, mode, seed=40_000), reps,
+        ).mean_evals
+        for mode in modes
+    )
     report(
         "criterion-7 bts-batch-degradation",
         m_ttts <= m_bts4 <= m_bts8,
