@@ -51,6 +51,7 @@ from .core import (
     TraceEvent,
     UndefinedComplexityError,
     point_mass_belief,
+    require_positive_int,
     rng_stream,
     stats_update,
 )
@@ -252,6 +253,7 @@ def _confidence_campaign(
             "max_evals",
             f"must be at least 3 evaluations per model ({need} for {n} models), got {max_evals}",
         )
+    require_positive_int("mc_samples", mc_samples)
     if mc_samples * n * 8 > MAX_DRAW_BYTES:
         raise ConfigError(
             "mc_samples",

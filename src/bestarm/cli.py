@@ -174,15 +174,13 @@ class EvaluatorConfig(_Section):
                                      help="synthetic evaluator arm file")
     command: Optional[str] = _leaf(None, kinds=("subprocess",), required=True, check=_NON_EMPTY,
                                    flag="--exec", metavar="CMD", help="subprocess evaluator command")
-    max_in_flight: Optional[int] = _leaf(None, kinds=("subprocess",), check=_POSITIVE)
+    max_in_flight: Optional[int] = _leaf(None, kinds=("subprocess",))
     csv_file: Optional[str] = _leaf(None, kinds=("replay",), required=True, check=_NON_EMPTY,
                                     flag="--replay", metavar="SCORES_CSV",
                                     help="replay evaluator score file")
     exhaustion: str = _leaf(ExhaustionPolicy.RESAMPLE.value, kinds=("replay",),
                             check=_one_of(tuple(p.value for p in ExhaustionPolicy)))
-    timeout: Optional[float] = _leaf(None, kinds=("subprocess",),
-                                     check=(lambda t: 0 < t < math.inf, "must be a positive number of seconds"),
-                                     flag="--timeout", type=float, metavar="SECONDS",
+    timeout: Optional[float] = _leaf(None, kinds=("subprocess",), flag="--timeout", type=float, metavar="SECONDS",
                                      help="longest wait for any reply of the evaluator child")
 
 

@@ -5,6 +5,7 @@ used by every selection algorithm."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Optional, Sequence
@@ -31,6 +32,15 @@ class ConfigError(ValueError):
         super().__init__(f"{field_name}: {message}")
         self.field_name = field_name
         self.message = message
+
+
+def require_positive_int(name: str, value) -> None:
+    """Refuse a value that is not an integer of at least 1 (a bool is not
+    one) as a ``ConfigError`` on ``name``, in the words of the config's checks."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    if value < 1:
+        raise ConfigError(name, f"must be positive, got {value!r}")
 
 
 class BudgetTooSmallError(ConfigError):

@@ -41,6 +41,7 @@ from .core import (
     ProtocolError,
     StreamPurpose,
     make_model_ids,
+    require_positive_int,
     rng_stream,
 )
 
@@ -124,7 +125,7 @@ def parse_arm_entries(entries: list) -> dict[str, Distribution]:
         if not isinstance(entry, dict) or "name" not in entry or "family" not in entry:
             raise ValueError(f"arm entry {i} must be an object with 'name' and 'family'")
         name, family = entry["name"], entry["family"]
-        if not isinstance(name, str) or not name:
+        if not isinstance(name, str) or not name.strip():
             raise ValueError(f"arm entry {i}: name must be a non-empty string, got {name!r}")
         if name in out:
             raise ValueError(f"arm entry {i}: duplicate name {name!r}")
@@ -320,8 +321,10 @@ class SubprocessEvaluator(Evaluator):
     once). Requests carry the seeds the child must honor; responses are
     demultiplexed strictly by id, so the child may reply out of order up to
     its advertised pipeline depth. The child's stdout is read on the calling
-    thread, through ``poll`` (POSIX only). Bad model names and a command that
-    is blank or badly quoted are refused before the child is spawned.
+    thread, through ``poll`` (POSIX only). Bad model names, a command that
+    is blank or badly quoted, a ``max_in_flight`` below 1 and a ``timeout``
+    that is not a positive number of seconds are refused before the child is
+    spawned.
     """
 
     def __init__(
@@ -338,6 +341,10 @@ class SubprocessEvaluator(Evaluator):
             raise ConfigError("command", str(e)) from None
         if not argv:
             raise ConfigError("command", f"command {command!r} names no program")
+        if max_in_flight is not None:
+            require_positive_int("max_in_flight", max_in_flight)
+        if timeout is not None and not (_is_finite_number(timeout) and timeout > 0):
+            raise ConfigError("timeout", f"must be a positive number of seconds, got {timeout!r}")
         self._timeout = timeout
         self._pending: dict[int, EvaluationRequest] = {}
         self._closed = False

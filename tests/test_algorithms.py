@@ -362,7 +362,7 @@ class TestBts:
 
         sync_totals = totals(True, 0)
         async_totals = totals(False, 10_000)
-        assert scistats.ks_2samp(sync_totals, async_totals).pvalue > 0.01
+        assert scistats.ks_2samp(sync_totals, async_totals, method="asymp").pvalue > 0.01
 
     def test_b1_sync_equals_b1_async_at_same_seed(self):
         results = []
@@ -674,6 +674,20 @@ class TestParameters:
         with pytest.raises(ConfigError, match="^batch_size: must be positive"):
             bts(evaluator, 0, delta=0.1, batch_size=batch_size)
 
+    @pytest.mark.parametrize("kind", ["fc", "baseline-fc", "fc-batch"])
+    @pytest.mark.parametrize("mc_samples, problem", [(0, "must be positive, got 0"),
+                                                     (-5, "must be positive, got -5"),
+                                                     (1.5, "must be an integer, got 1.5"),
+                                                     (True, "must be an integer, got True")])
+    def test_mc_samples_not_a_positive_integer_is_refused_before_any_evaluation(
+            self, kind, mc_samples, problem):
+        evaluator = Recording(synthetic([0.4, 0.5, 0.6]))
+        extra = {"batch_size": 2} if kind == "fc-batch" else {}
+        with pytest.raises(ConfigError) as caught:
+            ENTRY_POINTS[kind](evaluator, 0, delta=0.1, mc_samples=mc_samples, **extra)
+        assert (caught.value.field_name, caught.value.message) == ("mc_samples", problem)
+        assert evaluator.requests == []
+
     @pytest.mark.parametrize("kind", ["fb", "baseline-fb"])
     def test_budget_below_one_names_budget(self, kind):
         evaluator = synthetic([0.4, 0.6])
@@ -702,6 +716,7 @@ class TestCandidateOrder:
         assert all((e.payload["score"] > 0.5) == (e.payload["model"] == "a") for e in evaluated)
         counts = [sum(e.payload["model"] == name for e in evaluated) for name in ("b", "a")]
         assert result.eval_counts == tuple(counts)
+        assert result.models == evaluator.models
 
 
 FIXED_CONFIDENCE_RULES = {

@@ -413,6 +413,7 @@ class TestMain:
             ({"name": None}, "name must be a non-empty string, got None"),
             ({"name": 7}, "name must be a non-empty string, got 7"),
             ({"name": ""}, "name must be a non-empty string, got ''"),
+            ({"name": " "}, "name must be a non-empty string, got ' '"),
             ({"family": ["gaussian"]}, "unknown family ['gaussian']"),
         ],
     )
@@ -760,6 +761,19 @@ class TestReplications:
         assert report.min_evals == report.max_evals == result.total_evals
         assert report.mean_evals == result.total_evals
         assert report.selection_counts[result.chosen.index] == 1
+
+    def test_replications_run_the_campaign_at_consecutive_seeds(self, arms_file, capsys):
+        results = [run_campaign(fc_config(arms_file, campaign_seed=seed))[0] for seed in (7, 8, 9)]
+        capsys.readouterr()
+        report = run_replications(fc_config(arms_file), replications=3, true_best="m4")
+        totals = [r.total_evals for r in results]
+        assert report.model_names == [m.name for m in results[0].models]
+        assert report.selection_counts == [sum(r.chosen.index == i for r in results)
+                                           for i in range(len(FIG_ARMS))]
+        assert (report.min_evals, report.mean_evals, report.max_evals) == (
+            min(totals), sum(totals) / 3, max(totals))
+        assert report.correct == sum(r.chosen.name == "m4" for r in results)
+        assert len(set(totals)) > 1  # the seeds give different campaigns
 
     def test_report_aggregates(self, arms_file):
         report = run_replications(fc_config(arms_file), replications=5, true_best="m4")

@@ -83,7 +83,7 @@ class TestArmSpecs:
         with pytest.raises(ValueError, match="family"):
             parse_arm_entries([{"name": "a", "family": family, "lam": 3}])
 
-    @pytest.mark.parametrize("name", [None, 7, ""])
+    @pytest.mark.parametrize("name", [None, 7, "", " "])
     def test_parse_rejects_a_name_that_is_not_a_non_empty_string(self, name):
         with pytest.raises(ValueError, match="arm entry 0: name must be a non-empty string"):
             parse_arm_entries([{"name": name, "family": "gaussian", "mean": 0.5, "sd": 0.1}])
@@ -139,6 +139,28 @@ class TestCandidateSet:
         with pytest.raises(ConfigError) as caught:
             SubprocessEvaluator(command, ["a"])
         assert caught.value.field_name == "command"
+        assert spawned == []
+
+    @pytest.mark.parametrize(
+        "leaf, value, problem",
+        [
+            ("max_in_flight", 0, "must be positive, got 0"),
+            ("max_in_flight", -1, "must be positive, got -1"),
+            ("max_in_flight", 1.5, "must be an integer, got 1.5"),
+            ("max_in_flight", True, "must be an integer, got True"),
+            ("timeout", 0, "must be a positive number of seconds, got 0"),
+            ("timeout", -1, "must be a positive number of seconds, got -1"),
+            ("timeout", float("nan"), "must be a positive number of seconds, got nan"),
+            ("timeout", float("inf"), "must be a positive number of seconds, got inf"),
+        ],
+    )
+    def test_bad_depth_or_timeout_raises_on_it_before_spawning(self, leaf, value, problem,
+                                                                monkeypatch):
+        spawned = []
+        monkeypatch.setattr(subprocess, "Popen", lambda *a, **k: spawned.append(a))
+        with pytest.raises(ConfigError) as caught:
+            SubprocessEvaluator(echo_command(), ["a"], **{leaf: value})
+        assert (caught.value.field_name, caught.value.message) == (leaf, problem)
         assert spawned == []
 
 
