@@ -180,7 +180,8 @@ class EvaluatorConfig(_Section):
                                     help="replay evaluator score file")
     exhaustion: str = _leaf(ExhaustionPolicy.RESAMPLE.value, kinds=("replay",),
                             check=_one_of(tuple(p.value for p in ExhaustionPolicy)))
-    timeout: Optional[float] = _leaf(None, kinds=("subprocess",), flag="--timeout", type=float, metavar="SECONDS",
+    timeout: Optional[float] = _leaf(None, kinds=("subprocess",), flag="--timeout", type=float,
+                                     metavar="SECONDS",
                                      help="longest wait for any reply of the evaluator child")
 
 
