@@ -10,7 +10,9 @@ form for N t-distributions, so it is estimated by repeated joint posterior
 draws, which a campaign keeps from one belief update to the next and redraws
 per model only when that model's statistics change. Draws are made and
 scored in row chunks, and a belief that is clearly short of the stop
-threshold ends after the chunks it needed.
+threshold ends after the chunks it needed. A chunk is scored without a
+per-row winner: each column's wins are the rows at which it equals the row
+maximum, and only a chunk where some row ties is resolved row by row.
 """
 
 from __future__ import annotations
@@ -127,12 +129,19 @@ class PosteriorDraws:
     in a campaign that happens exactly when the model's count rises, so an
     update that evaluates one model redraws one column. Exact ties between
     columns are broken from the unkeyed POSTERIOR stream.
+
+    Once the matrix shape is set, the chunk ends and the scoring scratch
+    (a row maximum and an equality mask, each as long as the widest chunk)
+    are kept with it.
     """
 
     def __init__(self, campaign_seed: int):
         self._seed = int(campaign_seed)
         self.matrix = np.empty((0, 0), order="F")
         self.tie_stream = rng_stream(self._seed, StreamPurpose.POSTERIOR)
+        self.ends: list[int] = []
+        self.row_max = np.empty(0)
+        self.at_max = np.empty(0, dtype=bool)
         self._drawn_for: list[Optional[ModelStats]] = []
         self._params: list[Optional[PosteriorParams]] = []
         self._streams: list[Optional[np.random.Generator]] = []
@@ -144,6 +153,10 @@ class PosteriorDraws:
         if self.matrix.shape != (mc_samples, n):
             # Column-major, so that drawing a column writes contiguous memory.
             self.matrix = np.empty((mc_samples, n), order="F")
+            self.ends = chunk_ends(mc_samples)
+            widest = max(hi - lo for lo, hi in zip([0, *self.ends], self.ends))
+            self.row_max = np.empty(widest)
+            self.at_max = np.empty(widest, dtype=bool)
             self._drawn_for = [None] * n
             self._params, self._streams, self._filled = [None] * n, [None] * n, [0] * n
         for j, stats in enumerate(stats_all):
@@ -163,30 +176,36 @@ class PosteriorDraws:
                 self._filled[j] = hi
 
 
-def _row_winners(block: np.ndarray, tie_stream: np.random.Generator) -> np.ndarray:
-    """Column index of each row's maximum: the first one, unless the row ties
-    exactly, when the winner is drawn uniformly from the tied columns.
+def _win_counts(block: np.ndarray, tie_stream: np.random.Generator,
+                row_max: np.ndarray, at_max: np.ndarray) -> list[int]:
+    """How many rows of ``block`` each column wins.
 
-    Walks the contiguous columns of a column-major block with a running
-    maximum instead of a strided row ``argmax``.
+    A row is won by its maximum; a row that ties exactly at its maximum is
+    won by a column drawn uniformly from the tied ones, one ``tie_stream``
+    draw per tied row, in row order. ``row_max`` and ``at_max`` are scratch
+    vectors at least as long as the block.
+
+    One running maximum over the contiguous columns of a column-major
+    block, then a count per column of the rows at that maximum. Rows almost
+    never tie: when the counts sum to the rows, they are the win counts.
     """
     rows, n = block.shape
-    best = block[:, 0].copy()
-    winners = np.zeros(rows, dtype=np.intp)
-    beats = np.empty(rows, dtype=bool)
+    row_max, at_max = row_max[:rows], at_max[:rows]
+    np.copyto(row_max, block[:, 0])
     for j in range(1, n):
-        col = block[:, j]
-        np.greater(col, best, out=beats)
-        np.copyto(winners, j, where=beats)
-        np.maximum(best, col, out=best)
-    # Rows almost never tie, so one count decides whether the per-row pass
-    # runs at all; it costs one extra draw per tied row.
-    if sum(np.count_nonzero(block[:, j] == best) for j in range(n)) > rows:
-        at_max = block == best[:, None]
-        for r in np.flatnonzero(at_max.sum(axis=1) > 1):
-            tied = np.flatnonzero(at_max[r])
-            winners[r] = tied[int(tie_stream.integers(tied.size))]
-    return winners
+        np.maximum(row_max, block[:, j], out=row_max)
+    counts = []
+    for j in range(n):
+        np.equal(block[:, j], row_max, out=at_max)
+        counts.append(int(np.count_nonzero(at_max)))
+    if sum(counts) > rows:
+        ties = block == row_max[:, None]
+        for r in np.flatnonzero(ties.sum(axis=1) > 1):
+            tied = np.flatnonzero(ties[r])
+            for j in tied:
+                counts[j] -= 1
+            counts[tied[int(tie_stream.integers(tied.size))]] += 1
+    return counts
 
 
 def estimate_pi(
@@ -199,9 +218,11 @@ def estimate_pi(
 
     Brings ``draws`` up to date with ``stats_all`` and scores its rows chunk
     by chunk: each row holds one joint posterior sample and is awarded to
-    its strict maximum, breaking exact ties uniformly at random. ``pi`` is
-    the win frequency over the rows scored, and ``Belief.mc_samples`` their
-    number. Without ``confident_above`` all ``mc_samples`` rows are scored.
+    its strict maximum, breaking exact ties uniformly at random. A chunk's
+    wins are counted per column, as the rows at which the column equals the
+    row maximum; ties are broken row by row only in a chunk that has one.
+    ``pi`` is the win frequency over the rows scored, and
+    ``Belief.mc_samples`` their number. Without ``confident_above`` all ``mc_samples`` rows are scored.
     With it, scoring ends after any chunk whose leading estimate p has
     p + EXIT_Z * sqrt(p(1-p)/rows) below ``confident_above``; such a belief
     cannot pass the stop test ``max pi > confident_above``, and the winner
@@ -216,20 +237,16 @@ def estimate_pi(
     if not stats_all:
         raise ValueError("need statistics for at least one model")
     draws.refresh(stats_all, mc_samples)
-    counts = np.zeros(len(stats_all), dtype=np.int64)
+    counts = [0] * len(stats_all)
     rows = 0
-    for end in chunk_ends(mc_samples):
+    for end in draws.ends:
         draws.fill(rows, end)
-        counts += np.bincount(_row_winners(draws.matrix[rows:end], draws.tie_stream),
-                              minlength=len(stats_all))
+        won = _win_counts(draws.matrix[rows:end], draws.tie_stream, draws.row_max, draws.at_max)
+        counts = [a + b for a, b in zip(counts, won)]
         rows = end
         if confident_above is not None and rows < mc_samples:
             # A leader at p = 1 has no spread, so it always reaches full rows.
-            p = counts.max() / rows
+            p = max(counts) / rows
             if p + EXIT_Z * math.sqrt(p * (1.0 - p) / rows) < confident_above:
                 break
-    return Belief(
-        pi=tuple((counts / rows).tolist()),
-        mc_samples=rows,
-        win_counts=tuple(int(c) for c in counts),
-    )
+    return Belief(pi=tuple(c / rows for c in counts), mc_samples=rows, win_counts=tuple(counts))

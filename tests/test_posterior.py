@@ -280,25 +280,59 @@ class TestPosteriorDraws:
             assert abs(estimate - p) <= 4 * se, (stats, exact, belief.pi)
 
 
-class TestRowWinners:
+def per_row_win_counts(block, tie_stream):
+    """Reference scorer: each row in order goes to its maximum, or to a
+    column drawn from ``tie_stream`` among those tied at it."""
+    counts = [0] * block.shape[1]
+    for row in block:
+        tied = np.flatnonzero(row == row.max())
+        counts[tied[int(tie_stream.integers(tied.size))] if tied.size > 1 else tied[0]] += 1
+    return counts
+
+
+def win_counts(block, tie_stream):
+    # Scratch longer than the block, as for every chunk but the widest.
+    rows = block.shape[0] + 3
+    return posterior._win_counts(block, tie_stream, np.empty(rows), np.empty(rows, dtype=bool))
+
+
+class TestWinCounts:
     def test_matches_row_argmax_without_ties(self):
         rng = np.random.default_rng(12)
         for n in (1, 2, 5, 9):
             block = np.asfortranarray(rng.standard_normal((3001, n)))
             tie_stream = np.random.default_rng(0)
-            winners = posterior._row_winners(block, tie_stream)
-            assert np.array_equal(winners, block.argmax(axis=1))
+            counts = win_counts(block, tie_stream)
+            assert counts == np.bincount(block.argmax(axis=1), minlength=n).tolist()
+            assert all(type(c) is int for c in counts)
             assert tie_stream.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     def test_exact_ties_draw_once_per_tied_row(self):
         block = np.asfortranarray([[1.0, 1.0, 0.0], [0.0, 2.0, 1.0], [3.0, 3.0, 3.0]])
         tie_stream = np.random.default_rng(5)
-        winners = posterior._row_winners(block, tie_stream)
+        counts = win_counts(block, tie_stream)
         reference = np.random.default_rng(5)
-        assert winners[0] == [0, 1][int(reference.integers(2))]
-        assert winners[1] == 1
-        assert winners[2] == int(reference.integers(3))
+        winners = [[0, 1][int(reference.integers(2))], 1, int(reference.integers(3))]
+        assert counts == np.bincount(winners, minlength=3).tolist()
         assert tie_stream.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_rounded_block_consumes_the_tie_stream_as_the_per_row_reference(self, n):
+        block = np.asfortranarray(np.random.default_rng(n).standard_normal((2000, n)).round(1))
+        tie_stream, reference = np.random.default_rng(3), np.random.default_rng(3)
+        assert win_counts(block, tie_stream) == per_row_win_counts(block, reference)
+        assert tie_stream.bit_generator.state == reference.bit_generator.state
+        assert tie_stream.bit_generator.state != np.random.default_rng(3).bit_generator.state
+
+    @pytest.mark.parametrize("mc", [1, 3, 7, 1001])
+    def test_estimate_pi_equals_row_argmax_at_unequal_chunk_widths(self, mc):
+        stats = oracle_stats(5)
+        draws = PosteriorDraws(4)
+        belief = estimate_pi(stats, mc, draws)
+        assert belief.mc_samples == mc
+        reference = np.bincount(draws.matrix.argmax(axis=1), minlength=len(stats)).tolist()
+        assert list(belief.win_counts) == reference
+        assert belief.pi == tuple(c / mc for c in reference)
 
 
 class TestChunkedBelief:
