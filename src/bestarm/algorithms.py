@@ -120,15 +120,21 @@ class _Campaign:
         if self._on_event is not None:
             self._on_event(event)
 
-    def next_request(self, model: ModelId) -> EvaluationRequest:
-        req = EvaluationRequest(
-            model=model,
-            split_seed=int(self._split_rng.integers(0, 2**64, dtype=np.uint64)),
-            model_seed=int(self._model_seed_rng.integers(0, 2**64, dtype=np.uint64)),
-            sequence=self._request_seq,
-        )
-        self._request_seq += 1
-        return req
+    def new_requests(self, batch: Sequence[ModelId]) -> list[EvaluationRequest]:
+        """One request per model of ``batch``, numbered on from the last.
+
+        Each seed stream draws the batch's seeds as one block of raw 64-bit
+        outputs: the values ``integers(0, 2**64, dtype=np.uint64)`` gives one
+        at a time, without its per-call cost of several microseconds, which
+        a block ``integers`` call pays too and a batch of one would feel.
+        """
+        size = len(batch)
+        splits = self._split_rng.bit_generator.random_raw(size).tolist()
+        model_seeds = self._model_seed_rng.bit_generator.random_raw(size).tolist()
+        first = self._request_seq
+        self._request_seq += size
+        return [EvaluationRequest(model=m, split_seed=s, model_seed=t, sequence=first + i)
+                for i, (m, s, t) in enumerate(zip(batch, splits, model_seeds))]
 
     def fold(self, result: EvaluationScore, extra: Optional[dict] = None) -> None:
         model = result.request.model
@@ -160,7 +166,7 @@ class _Campaign:
         order, keeping campaigns reproducible under concurrent dispatch; a
         request's trace extra waits until its score is folded.
         """
-        queue = deque(self.next_request(m) for m in batch)
+        queue = deque(self.new_requests(batch))
         if extras:
             self._extras.update((req.sequence, extra) for req, extra in zip(queue, extras))
         window = self.evaluator.max_in_flight or math.inf

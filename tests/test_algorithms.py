@@ -28,7 +28,8 @@ from bestarm import (
     sequential_halving,
     ttts,
 )
-from bestarm import posterior
+from bestarm import StreamPurpose, posterior, rng_stream
+from bestarm.algorithms import _Campaign
 from bestarm.cli import ModeConfig
 from bestarm.evaluators import Evaluator, ExhaustionPolicy
 
@@ -502,6 +503,22 @@ class Recording(Evaluator):
 
 
 class TestRequestStream:
+    @pytest.mark.parametrize("size", [1, 2, 8, 200])
+    def test_block_seeds_equal_one_draw_per_request(self, size):
+        campaign = _Campaign(synthetic(FIG_MEANS, seed=3), 3)
+        models = campaign.models
+        campaign.new_requests(models[:2])
+        batch = [models[i % len(models)] for i in range(size)]
+        requests = campaign.new_requests(batch)
+        splits = rng_stream(3, StreamPurpose.SPLIT_SEED)
+        model_seeds = rng_stream(3, StreamPurpose.MODEL_SEED)
+        singles = [(int(splits.integers(0, 2**64, dtype=np.uint64)),
+                    int(model_seeds.integers(0, 2**64, dtype=np.uint64))) for _ in range(2 + size)]
+        assert [(r.split_seed, r.model_seed) for r in requests] == singles[2:]
+        assert [r.sequence for r in requests] == list(range(2, 2 + size))
+        assert [r.model for r in requests] == batch
+        assert all(type(r.split_seed) is int and type(r.model_seed) is int for r in requests)
+
     def test_seeds_fresh_and_sequences_increasing(self):
         inner = synthetic(FIG_MEANS, sd=0.01, seed=61)
         evaluator = Recording(inner)
