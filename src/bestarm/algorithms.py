@@ -253,6 +253,7 @@ def _confidence_campaign(
     n = len(evaluator.models)
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta", f"must be in (0, 1), got {delta!r}")
+    require_positive_int("max_evals", max_evals)
     need = MIN_EVALS_FOR_POSTERIOR * n
     if max_evals < need:
         raise ConfigError(
@@ -333,6 +334,8 @@ def sequential_halving(
             f"budget too small: {n} models over {rounds} rounds need at least "
             f"{n * rounds} evaluations, got {budget}"
         )
+    # A budget too small for the schedule, 0 included, is refused above.
+    require_positive_int("budget", budget)
     c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
     survivors = list(c.models)
     round_index = 0
@@ -412,8 +415,7 @@ def bts(
     """
     c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
                              on_event)
-    if batch_size < 1:
-        raise ConfigError("batch_size", f"must be positive, got {batch_size}")
+    require_positive_int("batch_size", batch_size)
     cap = evaluator.max_in_flight
     if cap is not None and batch_size > cap:
         raise ConfigError(
@@ -443,6 +445,7 @@ def nonadaptive_fixed_budget(
         raise BudgetTooSmallError(
             f"budget too small: {n} models need at least {n} evaluations, got {budget}"
         )
+    require_positive_int("budget", budget)
     c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
     c.run_batch(c.start_round(1, c.models, budget // n))
     means = [s.mean for s in c.stats]

@@ -266,8 +266,27 @@ def _leaf_errors(section: str, cls) -> Iterator[None]:
         raise ConfigError(f"{section}.{e.field_name}", e.message) from None
 
 
-def _resolve(config: CampaignConfig) -> Evaluator:
-    """Build the evaluator back-end, which owns the candidate set.
+def _load_data(config: CampaignConfig) -> Optional[dict]:
+    """Parse the evaluator's data file: the arm file's name -> distribution,
+    or the replay CSV's name -> scores; a subprocess evaluator has none."""
+    ev, names = config.evaluator, config.models
+    with _leaf_errors("evaluator", EvaluatorConfig):
+        if ev.kind == "synthetic":
+            try:
+                return load_arm_file(ev.arms_file)
+            except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
+                raise ConfigError("arms_file", str(e)) from None
+        if ev.kind == "replay":
+            try:
+                return read_replay_csv(ev.csv_file, known=None if names is None else set(names))
+            except OSError as e:
+                raise ConfigError("csv_file", str(e)) from None
+    return None
+
+
+def _resolve(config: CampaignConfig, data: Optional[dict]) -> Evaluator:
+    """Build a fresh evaluator back-end, which owns the candidate set, from
+    ``_load_data(config)``.
 
     When ``models`` is omitted, synthetic campaigns take the arm file's
     names in order and replay campaigns take the CSV's first-seen order;
@@ -276,18 +295,10 @@ def _resolve(config: CampaignConfig) -> Evaluator:
     ev, names = config.evaluator, config.models
     with _leaf_errors("evaluator", EvaluatorConfig):
         if ev.kind == "synthetic":
-            try:
-                dists = load_arm_file(ev.arms_file)
-            except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
-                raise ConfigError("arms_file", str(e)) from None
-            return SyntheticEvaluator(dists, list(dists) if names is None else names,
+            return SyntheticEvaluator(data, list(data) if names is None else names,
                                       config.campaign_seed)
         if ev.kind == "replay":
-            try:
-                pools = read_replay_csv(ev.csv_file, known=None if names is None else set(names))
-            except OSError as e:
-                raise ConfigError("csv_file", str(e)) from None
-            return ReplayEvaluator(pools, list(pools) if names is None else names,
+            return ReplayEvaluator(data, list(data) if names is None else names,
                                    config.campaign_seed, ExhaustionPolicy(ev.exhaustion))
         if names is None:
             raise ConfigError("models", "required for the subprocess evaluator")
@@ -295,11 +306,11 @@ def _resolve(config: CampaignConfig) -> Evaluator:
                                    timeout=ev.timeout)
 
 
-def _candidate_names(config: CampaignConfig) -> list[str]:
+def _candidate_names(config: CampaignConfig, data: Optional[dict]) -> list[str]:
     """The names of the candidates; an evaluator built to learn them is closed."""
     if config.models is not None:
         return list(config.models)
-    evaluator = _resolve(config)
+    evaluator = _resolve(config, data)
     evaluator.close()
     return [m.name for m in evaluator.models]
 
@@ -370,9 +381,9 @@ def format_summary(result: SelectionResult) -> str:
     return "\n".join(lines)
 
 
-def _run(config: CampaignConfig) -> SelectionResult:
+def _run(config: CampaignConfig, data: Optional[dict]) -> SelectionResult:
     """Resolve, open the trace (if configured), dispatch, close the evaluator."""
-    evaluator = _resolve(config)
+    evaluator = _resolve(config, data)
     try:
         trace = (write_trace(config.trace_path, config, evaluator.models) if config.trace_path
                  else contextlib.nullcontext())
@@ -408,7 +419,7 @@ def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     budget/confidence termination, 2 when the safeguard tripped.
     """
     _validate_run(config)
-    result = _run(config)
+    result = _run(config, _load_data(config))
     print(format_summary(result))
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
     return result, code
@@ -489,14 +500,16 @@ def run_replications(
             "replications against a subprocess evaluator are refused "
             "(pass --allow-exec to override)",
         )
-    names = _candidate_names(config)
+    # Parsed once; each seed still gets its own fresh evaluator.
+    data = _load_data(config)
+    names = _candidate_names(config, data)
     if true_best is not None and true_best not in names:
         raise ConfigError("true_best", f"{true_best!r} is not a candidate model")
     counts = [0] * len(names)
     totals: list[int] = []
     correct = 0
     for i in range(replications):
-        result = _run(replace(config, campaign_seed=config.campaign_seed + i))
+        result = _run(replace(config, campaign_seed=config.campaign_seed + i), data)
         counts[result.chosen.index] += 1
         totals.append(result.total_evals)
         correct += result.chosen.name == true_best

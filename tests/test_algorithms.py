@@ -705,6 +705,24 @@ class TestParameters:
         assert (caught.value.field_name, caught.value.message) == ("mc_samples", problem)
         assert evaluator.requests == []
 
+    @pytest.mark.parametrize("kind, name, value", [
+        *[(kind, "budget", value) for kind in ("fb", "baseline-fb") for value in (20.5, True)],
+        *[("fc-batch", "batch_size", value) for value in (2.5, True)],
+        *[(kind, "max_evals", value) for kind in ("fc", "baseline-fc", "fc-batch")
+          for value in (30.5, True)],
+    ])
+    def test_integer_parameter_not_an_integer_is_refused_before_any_evaluation(self, kind, name, value):
+        evaluator = Recording(synthetic([0.4, 0.5, 0.6]))
+        params = ({"budget": 20} if kind in ("fb", "baseline-fb")
+                  else {"delta": 0.1, "mc_samples": 1000})
+        if kind == "fc-batch":
+            params["batch_size"] = 2
+        params[name] = value
+        with pytest.raises(ConfigError) as caught:
+            ENTRY_POINTS[kind](evaluator, 0, **params)
+        assert caught.value.field_name == name
+        assert evaluator.requests == []
+
     @pytest.mark.parametrize("kind", ["fb", "baseline-fb"])
     def test_budget_below_one_names_budget(self, kind):
         evaluator = synthetic([0.4, 0.6])

@@ -843,7 +843,7 @@ class TestReplications:
         class CampaignStarted(Exception):
             pass
 
-        def first_campaign(config):
+        def first_campaign(config, data):
             runs.append(config)
             raise CampaignStarted
 
@@ -854,6 +854,23 @@ class TestReplications:
         with pytest.raises(CampaignStarted):
             run_replications(config, replications=2, true_best=good, allow_subprocess=True)
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("source", ["arm-file", "models", "csv"])
+    def test_data_file_is_parsed_once(self, source, arms_file, tmp_path, monkeypatch):
+        csv_path = tmp_path / "scores.csv"
+        csv_path.write_text("model,score\na,0.5\na,0.52\na,0.51\nb,0.6\nb,0.61\nb,0.62\n")
+        evaluator, models, parser = {
+            "arm-file": ({"kind": "synthetic", "arms_file": arms_file}, None, "load_arm_file"),
+            "models": ({"kind": "synthetic", "arms_file": arms_file}, ["m3", "m4"], "load_arm_file"),
+            "csv": ({"kind": "replay", "csv_file": str(csv_path)}, None, "read_replay_csv"),
+        }[source]
+        config = CampaignConfig.from_dict({"mode": {"kind": "fc", "delta": 0.2}, "evaluator": evaluator,
+                                           "models": models, "mc_samples": 2000})
+        parse, calls = getattr(cli, parser), []
+        monkeypatch.setattr(cli, parser, lambda *args, **kw: calls.append(args) or parse(*args, **kw))
+        report = run_replications(config, replications=4)
+        assert report.replications == 4
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_replicate_refuses_a_trace_path(self, form, arms_file, tmp_path, capsys, monkeypatch):
