@@ -123,10 +123,11 @@ class _Campaign:
     def new_requests(self, batch: Sequence[ModelId]) -> list[EvaluationRequest]:
         """One request per model of ``batch``, numbered on from the last.
 
-        Each seed stream draws the batch's seeds as one block of raw 64-bit
-        outputs: the values ``integers(0, 2**64, dtype=np.uint64)`` gives one
-        at a time, without its per-call cost of several microseconds, which
-        a block ``integers`` call pays too and a batch of one would feel.
+        Each seed stream gives the batch's seeds as one block of raw 64-bit
+        outputs, the values that one ``integers(0, 2**64, dtype=np.uint64)``
+        draw per request gives. A block ``integers`` call would do the same
+        but costs several microseconds per call, more than a batch of one
+        saves.
         """
         size = len(batch)
         splits = self._split_rng.bit_generator.random_raw(size).tolist()
