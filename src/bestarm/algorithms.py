@@ -18,12 +18,13 @@ evaluate everything each round until confident), and ``complexity_h`` scores
 problem difficulty from the true mean gaps.
 
 Each entry point takes the evaluator, whose ``models`` are the candidates,
-and the campaign seed, then its mode's parameters as keyword-only arguments
-named as the campaign config's ``mode`` leaves (``budget``; ``delta`` and
-``max_evals``; ``batch_size`` and ``sync``) and raises ``ConfigError`` naming
-the one it refuses. Every entry point takes an optional ``on_event``
-callable, which receives each trace event as it is emitted, so a caller can
-stream the trace of a campaign that is still running or that fails.
+and the campaign seed, an integer in [0, 2^64), then its mode's parameters
+as keyword-only arguments named as the campaign config's ``mode`` leaves
+(``budget``; ``delta`` and ``max_evals``; ``batch_size`` and ``sync``), and
+raises ``ConfigError`` naming the one it refuses, before any evaluation.
+Every entry point takes an optional ``on_event`` callable, which receives
+each trace event as it is emitted, so a caller can stream the trace of a
+campaign that is still running or that fails.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .core import (
     UndefinedComplexityError,
     point_mass_belief,
     require_positive_int,
+    require_seed,
     rng_stream,
     stats_update,
 )
@@ -91,6 +93,8 @@ class _Campaign:
         transform: TransformMode = IDENTITY,
         on_event: Optional[EventSink] = None,
     ):
+        # Every in-process draw of the campaign descends from this seed.
+        require_seed("campaign_seed", campaign_seed)
         self.models = evaluator.models
         self.evaluator = evaluator
         self.mc_samples = mc_samples
@@ -417,6 +421,8 @@ def bts(
     c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
                              on_event)
     require_positive_int("batch_size", batch_size)
+    if not isinstance(sync, bool):
+        raise ConfigError("sync", f"must be true or false, got {sync!r}")
     cap = evaluator.max_in_flight
     if cap is not None and batch_size > cap:
         raise ConfigError(

@@ -6,16 +6,13 @@ Configuration is a single JSON document; most fields can also be set by a
 command-line flag, and flags win.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
-import functools
 import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Iterator, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Iterator, Optional, Sequence, Union, get_args, get_origin
 
 from .algorithms import (
     DEFAULT_MAX_TOTAL_EVALS,
@@ -114,12 +111,12 @@ class _Section:
 
     def validate(self, _path: str = "") -> None:
         kind = getattr(self, "kind", None)
-        for f, hint in _fields(type(self)):
+        for f in fields(self):
             name, value, meta = _path + f.name, getattr(self, f.name), f.metadata
-            if _is_section(hint):
+            if _is_section(f.type):
                 value.validate(name + ".")
-            elif not _is_a(value, hint):
-                types = get_args(hint) if get_origin(hint) is Union else (hint,)
+            elif not _is_a(value, f.type):
+                types = get_args(f.type) if get_origin(f.type) is Union else (f.type,)
                 must = " or ".join(_TYPE_NAMES.get(t, t.__name__) for t in types)
                 raise ConfigError(name, f"must be {must}, got {value!r}")
             elif meta["kinds"] is not None and kind not in meta["kinds"]:
@@ -133,11 +130,11 @@ class _Section:
     def to_dict(self) -> dict:
         kind = getattr(self, "kind", None)
         out = {}
-        for f, hint in _fields(type(self)):
+        for f in fields(self):
             value, kinds = getattr(self, f.name), f.metadata.get("kinds")
             if kinds is not None and (kind not in kinds or value is None):
                 continue
-            if _is_section(hint):
+            if _is_section(f.type):
                 value = value.to_dict()
             elif f.metadata["dump"] and value is not None:
                 value = f.metadata["dump"](value)
@@ -212,13 +209,6 @@ class CampaignConfig(_Section):
         return config
 
 
-@functools.cache
-def _fields(cls) -> list:
-    """The dataclass fields of a config class, each with its resolved type."""
-    hints = get_type_hints(cls)
-    return [(f, hints[f.name]) for f in fields(cls)]
-
-
 def _is_section(hint) -> bool:
     return isinstance(hint, type) and issubclass(hint, _Section)
 
@@ -241,14 +231,14 @@ def _from_dict(cls, data, path: str = ""):
     if extra:
         raise ConfigError(f"{path}{extra[0]}", "unknown key")
     values = {}
-    for f, hint in _fields(cls):
+    for f in fields(cls):
         name = path + f.name
         if f.name not in data:
             if f.default is MISSING:
                 check = f.metadata.get("check")
                 raise ConfigError(name, f"required, {check[1]}" if check else "required")
-        elif _is_section(hint):
-            values[f.name] = _from_dict(hint, data[f.name], name + ".")
+        elif _is_section(f.type):
+            values[f.name] = _from_dict(f.type, data[f.name], name + ".")
         else:
             load = f.metadata["load"]
             values[f.name] = load(name, data[f.name]) if load else data[f.name]
@@ -284,35 +274,28 @@ def _load_data(config: CampaignConfig) -> Optional[dict]:
     return None
 
 
-def _resolve(config: CampaignConfig, data: Optional[dict]) -> Evaluator:
-    """Build a fresh evaluator back-end, which owns the candidate set, from
-    ``_load_data(config)``.
-
-    When ``models`` is omitted, synthetic campaigns take the arm file's
-    names in order and replay campaigns take the CSV's first-seen order;
-    subprocess campaigns must name their models explicitly.
-    """
-    ev, names = config.evaluator, config.models
-    with _leaf_errors("evaluator", EvaluatorConfig):
-        if ev.kind == "synthetic":
-            return SyntheticEvaluator(data, list(data) if names is None else names,
-                                      config.campaign_seed)
-        if ev.kind == "replay":
-            return ReplayEvaluator(data, list(data) if names is None else names,
-                                   config.campaign_seed, ExhaustionPolicy(ev.exhaustion))
-        if names is None:
-            raise ConfigError("models", "required for the subprocess evaluator")
-        return SubprocessEvaluator(ev.command, names, max_in_flight=ev.max_in_flight,
-                                   timeout=ev.timeout)
-
-
 def _candidate_names(config: CampaignConfig, data: Optional[dict]) -> list[str]:
-    """The names of the candidates; an evaluator built to learn them is closed."""
+    """The candidates' names: ``models`` when given, otherwise the arm
+    file's names in order or the replay CSV's in first-seen order;
+    subprocess campaigns must name their models explicitly."""
     if config.models is not None:
         return list(config.models)
-    evaluator = _resolve(config, data)
-    evaluator.close()
-    return [m.name for m in evaluator.models]
+    if data is None:
+        raise ConfigError("models", "required for the subprocess evaluator")
+    return list(data)
+
+
+def _resolve(config: CampaignConfig, data: Optional[dict]) -> Evaluator:
+    """Build a fresh evaluator back-end, which owns the candidate set, from
+    ``_load_data(config)``."""
+    ev, names = config.evaluator, _candidate_names(config, data)
+    with _leaf_errors("evaluator", EvaluatorConfig):
+        if ev.kind == "synthetic":
+            return SyntheticEvaluator(data, names)
+        if ev.kind == "replay":
+            return ReplayEvaluator(data, names, ev.exhaustion)
+        return SubprocessEvaluator(ev.command, names, max_in_flight=ev.max_in_flight,
+                                   timeout=ev.timeout)
 
 
 def _dispatch(config: CampaignConfig, evaluator: Evaluator,
@@ -326,7 +309,7 @@ def _dispatch(config: CampaignConfig, evaluator: Evaluator,
     mode = config.mode
     algorithm = {"fb": sequential_halving, "baseline-fb": nonadaptive_fixed_budget, "fc": ttts,
                  "baseline-fc": nonadaptive_fixed_confidence, "fc-batch": bts}[mode.kind]
-    params = {f.name: getattr(mode, f.name) for f, _ in _fields(ModeConfig)
+    params = {f.name: getattr(mode, f.name) for f in fields(mode)
               if mode.kind in (f.metadata["kinds"] or ())}
     if mode.kind in _CONFIDENCE_KINDS:
         params["mc_samples"] = config.mc_samples
@@ -528,10 +511,10 @@ def run_replications(
 def _add_flags(sp: argparse.ArgumentParser, command: str, cls=CampaignConfig, path="") -> None:
     """Add the leaves' flags, each with its leaf's dotted path as dest; a
     subcommand that is one of a section's kinds gets only that kind's flags."""
-    names_kind = any(command in (f.metadata.get("kinds") or ()) for f, _ in _fields(cls))
-    for f, hint in _fields(cls):
-        if _is_section(hint):
-            _add_flags(sp, command, hint, f"{path}{f.name}.")
+    names_kind = any(command in (f.metadata.get("kinds") or ()) for f in fields(cls))
+    for f in fields(cls):
+        if _is_section(f.type):
+            _add_flags(sp, command, f.type, f"{path}{f.name}.")
         elif f.metadata["flag"] and not (names_kind and command not in f.metadata["kinds"]):
             sp.add_argument(f.metadata["flag"], dest=path + f.name, **f.metadata["flag_args"])
 
@@ -566,13 +549,13 @@ def _with_flags(cls, data, args: argparse.Namespace, path=""):
     data = {} if data is None else data
     if not isinstance(data, dict):
         raise ConfigError(path.rstrip(".") or "config", "must be a JSON object")
-    implies = [f for f, _ in _fields(cls) if f.metadata.get("kinds") and f.metadata["required"]
+    implies = [f for f in fields(cls) if f.metadata.get("kinds") and f.metadata["required"]
                and not hasattr(args, path + "kind")]
     out, implied = dict(data), 0
-    for f, hint in _fields(cls):
+    for f in fields(cls):
         name = path + f.name
-        if _is_section(hint):
-            out[f.name] = _with_flags(hint, out.get(f.name), args, name + ".")
+        if _is_section(f.type):
+            out[f.name] = _with_flags(f.type, out.get(f.name), args, name + ".")
         elif getattr(args, name, None) is not None:
             if f in implies:
                 implied += 1

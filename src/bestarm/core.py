@@ -43,6 +43,14 @@ def require_positive_int(name: str, value) -> None:
         raise ConfigError(name, f"must be positive, got {value!r}")
 
 
+def require_seed(name: str, value) -> None:
+    """Refuse a seed outside [0, 2^64) as ``require_positive_int`` refuses a count."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    if not 0 <= value < 2**64:
+        raise ConfigError(name, f"must fit in 64 bits, got {value!r}")
+
+
 class BudgetTooSmallError(ConfigError):
     """The evaluation budget cannot give every model one evaluation per round."""
 

@@ -3,8 +3,7 @@
 Three implementations of one contract:
 
 * ``SyntheticEvaluator`` samples configured reward distributions, keyed so
-  every (campaign seed, model index, request sequence) triple is a fixed
-  draw regardless of dispatch order.
+  a request's (model index, split seed, model seed) is a fixed draw.
 * ``ReplayEvaluator`` serves pre-recorded scores from a CSV pool.
 * ``SubprocessEvaluator`` drives a long-lived external worker over
   line-delimited JSON on stdin/stdout, matching pipelined responses to
@@ -195,9 +194,8 @@ class _InOrderEvaluator(Evaluator):
     deterministic scheduler for asynchronous batch campaigns.
     """
 
-    def __init__(self, models: Sequence[str], campaign_seed: int):
+    def __init__(self, models: Sequence[str]):
         self.models = make_model_ids(models)
-        self._seed = int(campaign_seed)
         self._queue: deque[EvaluationScore] = deque()
 
     @abstractmethod
@@ -222,21 +220,22 @@ class _InOrderEvaluator(Evaluator):
 class SyntheticEvaluator(_InOrderEvaluator):
     """Scores drawn from per-model reward distributions.
 
-    Each request's draw comes from a stream keyed by (campaign seed, model
-    index, request sequence), so scores are reproducible across processes
-    and independent of dispatch interleaving.
+    Each request's draw comes from a stream keyed by the request alone, its
+    (split seed, model index, model seed), as the subprocess protocol asks of
+    a child: a campaign's fresh request seeds get fresh scores, whatever the
+    dispatch order.
     """
 
-    def __init__(self, dists: Mapping[str, Distribution], models: Sequence[str],
-                 campaign_seed: int):
-        super().__init__(models, campaign_seed)
+    def __init__(self, dists: Mapping[str, Distribution], models: Sequence[str]):
+        super().__init__(models)
         missing = [m.name for m in self.models if m.name not in dists]
         if missing:
             raise ConfigError("models", f"no arm defined for models: {missing}")
         self._dists = {m.index: dists[m.name] for m in self.models}
 
     def _score(self, request: EvaluationRequest) -> float:
-        rng = rng_stream(self._seed, StreamPurpose.SYNTHETIC, request.model.index, request.sequence)
+        rng = rng_stream(request.split_seed, StreamPurpose.SYNTHETIC, request.model.index,
+                         request.model_seed)
         return self._dists[request.model.index].sample(rng)
 
 
@@ -287,15 +286,17 @@ class ReplayEvaluator(_InOrderEvaluator):
     """Serves each model's recorded scores in order, then by the exhaustion policy."""
 
     def __init__(self, scores: Mapping[str, Sequence[float]], models: Sequence[str],
-                 campaign_seed: int,
                  exhaustion_policy: ExhaustionPolicy = ExhaustionPolicy.RESAMPLE):
-        super().__init__(models, campaign_seed)
+        super().__init__(models)
+        policies = tuple(p.value for p in ExhaustionPolicy)
+        if exhaustion_policy not in policies:
+            raise ConfigError("exhaustion_policy", f"must be one of {policies}, got {exhaustion_policy!r}")
+        self.policy = ExhaustionPolicy(exhaustion_policy)
         empty = [m.name for m in self.models if not scores.get(m.name)]
         if empty:
             raise ConfigError("models", f"no recorded scores for models: {empty}")
         self._pools = {m.index: list(scores[m.name]) for m in self.models}
         self._cursors = {m.index: 0 for m in self.models}
-        self.policy = ExhaustionPolicy(exhaustion_policy)
 
     def _score(self, request: EvaluationRequest) -> float:
         idx = request.model.index
@@ -310,7 +311,7 @@ class ReplayEvaluator(_InOrderEvaluator):
         if self.policy is ExhaustionPolicy.CYCLE:
             self._cursors[idx] = cursor + 1
             return pool[cursor % len(pool)]
-        rng = rng_stream(self._seed, StreamPurpose.REPLAY, idx, request.sequence)
+        rng = rng_stream(request.split_seed, StreamPurpose.REPLAY, idx, request.model_seed)
         return pool[int(rng.integers(len(pool)))]
 
 

@@ -60,10 +60,10 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def gaussian_problem(means, sd, seed):
+def gaussian_problem(means, sd):
     names = [f"m{i}" for i in range(len(means))]
     dists = {name: Gaussian(mean=mu, sd=sd) for name, mu in zip(names, means)}
-    return SyntheticEvaluator(dists, names, campaign_seed=seed)
+    return SyntheticEvaluator(dists, names)
 
 
 def gaussian_config(tmp_path, means, sd, mode, seed, mc_samples=MC_MEDIUM):
@@ -104,7 +104,7 @@ def test_criterion_1_posterior_calibration():
 def test_criterion_2_pi_symmetry():
     # Five identical (degenerate) synthetic arms: the variance floor makes
     # all posteriors equal, so each arm must win ~1/5 of the MC rounds.
-    evaluator = gaussian_problem([0.7] * 5, 1e-12, seed=99)
+    evaluator = gaussian_problem([0.7] * 5, 1e-12)
     stats = {m.index: ModelStats() for m in evaluator.models}
     seq = 0
     for _ in range(3):
@@ -175,7 +175,7 @@ def test_criterion_5_sh_beats_nonadaptive(tmp_path):
 
 def test_criterion_6_sh_schedule_golden():
     def run(seed):
-        evaluator = gaussian_problem([0.60, 0.70, 0.65, 0.55], 0.01, seed=seed)
+        evaluator = gaussian_problem([0.60, 0.70, 0.65, 0.55], 0.01)
         return sequential_halving(evaluator, campaign_seed=seed, budget=16)
 
     result = run(6)

@@ -38,10 +38,10 @@ ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 FIG_MEANS = [0.65, 0.69, 0.69, 0.70, 0.71]
 
 
-def synthetic(means, sd=0.01, seed=0):
+def synthetic(means, sd=0.01):
     names = [f"m{i}" for i in range(len(means))]
     dists = {name: Gaussian(mean=mu, sd=sd) for name, mu in zip(names, means)}
-    return SyntheticEvaluator(dists, names, campaign_seed=seed)
+    return SyntheticEvaluator(dists, names)
 
 
 def events_of(result, kind):
@@ -84,7 +84,7 @@ class FailAfter(Evaluator):
 
 class TestSequentialHalving:
     def test_golden_schedule_four_models(self):
-        evaluator = synthetic([0.60, 0.70, 0.65, 0.55], seed=1)
+        evaluator = synthetic([0.60, 0.70, 0.65, 0.55])
         result = sequential_halving(evaluator, campaign_seed=1, budget=16)
         check_trace_invariants(result)
         rounds = events_of(result, EventKind.ROUND_STARTED)
@@ -96,7 +96,7 @@ class TestSequentialHalving:
         assert sorted(result.eval_counts) == [2, 2, 6, 6]
 
     def test_two_models_single_round(self):
-        evaluator = synthetic([0.40, 0.90], seed=3)
+        evaluator = synthetic([0.40, 0.90])
         result = sequential_halving(evaluator, campaign_seed=3, budget=10)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert len(rounds) == 1
@@ -106,7 +106,7 @@ class TestSequentialHalving:
 
     def test_three_models_floor_arithmetic(self):
         # hand-executed schedule: 2 rounds; 2 evals each of 3, then 3 each of 2
-        evaluator = synthetic([0.30, 0.50, 0.70], seed=5)
+        evaluator = synthetic([0.30, 0.50, 0.70])
         result = sequential_halving(evaluator, campaign_seed=5, budget=12)
         rounds = events_of(result, EventKind.ROUND_STARTED)
         assert [r.payload["evals_per_model"] for r in rounds] == [2, 3]
@@ -115,22 +115,22 @@ class TestSequentialHalving:
         assert [len(e.payload["models"]) for e in elim] == [1, 1]
 
     def test_budget_too_small(self):
-        evaluator = synthetic([0.1] * 12, seed=7)
+        evaluator = synthetic([0.1] * 12)
         with pytest.raises(BudgetTooSmallError, match="budget too small"):
             sequential_halving(evaluator, campaign_seed=7, budget=10)
 
     def test_budget_boundary(self):
         means = list(np.linspace(0.1, 0.9, 12))
         need = 12 * math.ceil(math.log2(12))
-        evaluator = synthetic(means, seed=9)
+        evaluator = synthetic(means)
         with pytest.raises(BudgetTooSmallError):
             sequential_halving(evaluator, campaign_seed=9, budget=need - 1)
-        evaluator = synthetic(means, seed=9)
+        evaluator = synthetic(means)
         result = sequential_halving(evaluator, campaign_seed=9, budget=need)
         assert result.total_evals <= need
 
     def test_requires_two_models(self):
-        evaluator = synthetic([0.5], seed=1)
+        evaluator = synthetic([0.5])
         with pytest.raises(ValueError):
             sequential_halving(evaluator, campaign_seed=1, budget=10)
 
@@ -139,7 +139,7 @@ class TestSequentialHalving:
     def test_schedule_conservation(self, n, budget):
         rng = np.random.default_rng(n * 1000 + budget)
         means = rng.uniform(0.2, 0.8, size=n).tolist()
-        evaluator = synthetic(means, seed=n)
+        evaluator = synthetic(means)
         result = sequential_halving(evaluator, campaign_seed=n, budget=budget)
         check_trace_invariants(result)
         rounds_expected = math.ceil(math.log2(n))
@@ -160,7 +160,7 @@ class TestSequentialHalving:
     def test_final_pair_out_evaluated_first_round_eliminees(self, n, budget):
         rng = np.random.default_rng(n)
         means = rng.uniform(0.2, 0.8, size=n).tolist()
-        evaluator = synthetic(means, seed=2 * n)
+        evaluator = synthetic(means)
         result = sequential_halving(evaluator, campaign_seed=2 * n, budget=budget)
         first_elim = events_of(result, EventKind.ELIMINATED)[0].payload["models"]
         finalists = events_of(result, EventKind.ROUND_STARTED)[-1].payload["survivors"]
@@ -184,7 +184,6 @@ class TestSequentialHalving:
                 "d": [0.2, 0.2],
             },
             ["a", "b", "c", "d"],
-            campaign_seed=0,
             exhaustion_policy=ExhaustionPolicy.ERROR,
         )
         result = sequential_halving(evaluator, campaign_seed=0, budget=16)
@@ -194,20 +193,20 @@ class TestSequentialHalving:
         winners = set()
         for seed in range(40):
             evaluator = ReplayEvaluator(
-                {"a": [0.5] * 10, "b": [0.5] * 10}, ["a", "b"], seed, ExhaustionPolicy.CYCLE
+                {"a": [0.5] * 10, "b": [0.5] * 10}, ["a", "b"], ExhaustionPolicy.CYCLE
             )
             result = sequential_halving(evaluator, campaign_seed=seed, budget=4)
             winners.add(result.chosen.name)
         assert winners == {"a", "b"}
 
     def test_unused_budget_reported(self):
-        evaluator = synthetic([0.3, 0.5, 0.7], seed=11)
+        evaluator = synthetic([0.3, 0.5, 0.7])
         result = sequential_halving(evaluator, campaign_seed=11, budget=13)
         terminated = result.trace[-1]
         assert terminated.payload["unused_budget"] == 13 - result.total_evals
 
     def test_failure_keeps_emitted_events(self):
-        inner = synthetic([0.3, 0.5, 0.7, 0.9], seed=13)
+        inner = synthetic([0.3, 0.5, 0.7, 0.9])
         evaluator = FailAfter(inner, fail_after=5)
         events = []
         with pytest.raises(EvaluatorFailure):
@@ -223,7 +222,7 @@ class TestSequentialHalving:
         for _ in range(2):
             results = []
             for attempt in range(2):
-                evaluator = synthetic([0.6, 0.65, 0.7, 0.75], seed=42)
+                evaluator = synthetic([0.6, 0.65, 0.7, 0.75])
                 results.append(
                     sequential_halving(evaluator, campaign_seed=42, budget=24)
                 )
@@ -235,7 +234,7 @@ class TestTtts:
         # 10 sd of separation: the initial posterior is already past the 0.8
         # threshold essentially always, so every run stops at 3 evals each.
         for seed in range(50):
-            evaluator = synthetic([0.5, 0.6], sd=0.01, seed=seed)
+            evaluator = synthetic([0.5, 0.6], sd=0.01)
             result = ttts(
                 evaluator, campaign_seed=seed, delta=0.2,
                 mc_samples=4000,
@@ -247,7 +246,7 @@ class TestTtts:
             assert max(result.final_belief.pi) > 0.8
 
     def test_five_arm_problem_selects_best_and_concentrates(self):
-        evaluator = synthetic(FIG_MEANS, sd=0.01, seed=1234)
+        evaluator = synthetic(FIG_MEANS, sd=0.01)
         result = ttts(
             evaluator, campaign_seed=1234, delta=0.01,
             mc_samples=10_000,
@@ -260,7 +259,7 @@ class TestTtts:
         assert top_two > result.total_evals / 2
 
     def test_drawn_pairs_are_distinct(self):
-        evaluator = synthetic(FIG_MEANS, sd=0.01, seed=77)
+        evaluator = synthetic(FIG_MEANS, sd=0.01)
         result = ttts(
             evaluator, campaign_seed=77, delta=0.05,
             mc_samples=4000,
@@ -274,7 +273,7 @@ class TestTtts:
 
     def test_stopping_contract(self):
         for seed in (5, 6, 7):
-            evaluator = synthetic([0.60, 0.63, 0.70], sd=0.02, seed=seed)
+            evaluator = synthetic([0.60, 0.63, 0.70], sd=0.02)
             delta = 0.1
             result = ttts(evaluator, campaign_seed=seed, delta=delta, mc_samples=4000)
             if result.terminated_by is TerminationReason.CONFIDENCE_REACHED:
@@ -283,7 +282,7 @@ class TestTtts:
             assert result.chosen.index == result.final_belief.argmax()
 
     def test_safeguard_on_symmetric_arms(self):
-        evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=3)
+        evaluator = synthetic([0.5, 0.5], sd=1e-12)
         result = ttts(evaluator, campaign_seed=3, delta=0.05, max_evals=6,
                       mc_samples=20_000)
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
@@ -291,7 +290,7 @@ class TestTtts:
         assert result.final_belief.pi[0] == pytest.approx(0.5, abs=0.02)
 
     def test_single_candidate(self):
-        evaluator = synthetic([0.7], seed=2)
+        evaluator = synthetic([0.7])
         result = ttts(evaluator, campaign_seed=2, delta=0.05,
                       mc_samples=1000)
         assert result.total_evals == 3
@@ -299,14 +298,14 @@ class TestTtts:
         assert result.final_belief.pi == (1.0,)
 
     def test_safeguard_must_cover_initialization(self):
-        evaluator = synthetic([0.5, 0.6], seed=2)
+        evaluator = synthetic([0.5, 0.6])
         with pytest.raises(ConfigError, match="max_evals"):
             ttts(evaluator, campaign_seed=2, delta=0.05, max_evals=5)
 
     def test_reproducible(self):
         results = []
         for attempt in range(2):
-            evaluator = synthetic(FIG_MEANS, sd=0.01, seed=42)
+            evaluator = synthetic(FIG_MEANS, sd=0.01)
             results.append(
                 ttts(evaluator, campaign_seed=42, delta=0.1,
                      mc_samples=4000)
@@ -316,7 +315,7 @@ class TestTtts:
     def test_identity_transform_is_bit_identical_to_default(self):
         runs = []
         for transform in (None, TransformMode.identity()):
-            evaluator = synthetic(FIG_MEANS, sd=0.01, seed=9)
+            evaluator = synthetic(FIG_MEANS, sd=0.01)
             kwargs = {} if transform is None else {"transform": transform}
             runs.append(
                 ttts(evaluator, campaign_seed=9, delta=0.2,
@@ -327,7 +326,7 @@ class TestTtts:
 
 class TestBts:
     def test_sync_batch_updates_once_per_batch(self):
-        evaluator = synthetic([0.60, 0.70], sd=0.02, seed=21)
+        evaluator = synthetic([0.60, 0.70], sd=0.02)
         result = bts(
             evaluator, campaign_seed=21, delta=0.1, batch_size=4, sync=True,
             mc_samples=4000,
@@ -339,7 +338,7 @@ class TestBts:
         assert updates == 1 + adaptive // 4
 
     def test_async_updates_after_every_eval(self):
-        evaluator = synthetic([0.60, 0.70], sd=0.02, seed=23)
+        evaluator = synthetic([0.60, 0.70], sd=0.02)
         result = bts(
             evaluator, campaign_seed=23, delta=0.1, batch_size=4, sync=False,
             mc_samples=4000,
@@ -353,7 +352,7 @@ class TestBts:
         def totals(sync, base_seed):
             out = []
             for i in range(200):
-                evaluator = synthetic([0.55, 0.65], sd=0.02, seed=base_seed + i)
+                evaluator = synthetic([0.55, 0.65], sd=0.02)
                 result = bts(
                     evaluator, campaign_seed=base_seed + i, delta=0.2, batch_size=1,
                     sync=sync, mc_samples=2000,
@@ -368,7 +367,7 @@ class TestBts:
     def test_b1_sync_equals_b1_async_at_same_seed(self):
         results = []
         for sync in (True, False):
-            evaluator = synthetic([0.55, 0.65], sd=0.02, seed=31)
+            evaluator = synthetic([0.55, 0.65], sd=0.02)
             results.append(
                 bts(evaluator, campaign_seed=31, delta=0.2, batch_size=1, sync=sync,
                     mc_samples=2000)
@@ -505,7 +504,7 @@ class Recording(Evaluator):
 class TestRequestStream:
     @pytest.mark.parametrize("size", [1, 2, 8, 200])
     def test_block_seeds_equal_one_draw_per_request(self, size):
-        campaign = _Campaign(synthetic(FIG_MEANS, seed=3), 3)
+        campaign = _Campaign(synthetic(FIG_MEANS), 3)
         models = campaign.models
         campaign.new_requests(models[:2])
         batch = [models[i % len(models)] for i in range(size)]
@@ -520,7 +519,7 @@ class TestRequestStream:
         assert all(type(r.split_seed) is int and type(r.model_seed) is int for r in requests)
 
     def test_seeds_fresh_and_sequences_increasing(self):
-        inner = synthetic(FIG_MEANS, sd=0.01, seed=61)
+        inner = synthetic(FIG_MEANS, sd=0.01)
         evaluator = Recording(inner)
         ttts(evaluator, campaign_seed=61, delta=0.2,
              mc_samples=2000)
@@ -534,7 +533,7 @@ class TestRequestStream:
 class TestBaselines:
     def test_fixed_budget_splits_equally(self):
         means = list(np.linspace(0.3, 0.8, 12))
-        evaluator = synthetic(means, sd=0.01, seed=41)
+        evaluator = synthetic(means, sd=0.01)
         result = nonadaptive_fixed_budget(evaluator, campaign_seed=41, budget=24)
         check_trace_invariants(result)
         assert result.eval_counts == (2,) * 12
@@ -542,20 +541,20 @@ class TestBaselines:
         assert result.terminated_by is TerminationReason.BUDGET_EXHAUSTED
 
     def test_fixed_budget_single_model(self):
-        evaluator = synthetic([0.5], seed=43)
+        evaluator = synthetic([0.5])
         result = nonadaptive_fixed_budget(evaluator, campaign_seed=43, budget=7)
         assert result.eval_counts == (7,)
         assert result.chosen.name == "m0"
 
     def test_fixed_budget_floor_leftover(self):
-        evaluator = synthetic([0.4, 0.6], seed=45)
+        evaluator = synthetic([0.4, 0.6])
         result = nonadaptive_fixed_budget(evaluator, campaign_seed=45, budget=5)
         assert result.eval_counts == (2, 2)
         assert result.trace[-1].payload["unused_budget"] == 1
 
     def test_fixed_confidence_stops_after_init_when_separated(self):
         for seed in range(10):
-            evaluator = synthetic([0.4, 0.5, 0.6], sd=0.01, seed=seed)
+            evaluator = synthetic([0.4, 0.5, 0.6], sd=0.01)
             result = nonadaptive_fixed_confidence(
                 evaluator, campaign_seed=seed, delta=0.2,
                 mc_samples=4000,
@@ -565,7 +564,7 @@ class TestBaselines:
             assert result.chosen.name == "m2"
 
     def test_fixed_confidence_counts_stay_equal(self):
-        evaluator = synthetic([0.60, 0.61, 0.62], sd=0.05, seed=47)
+        evaluator = synthetic([0.60, 0.61, 0.62], sd=0.05)
         result = nonadaptive_fixed_confidence(
             evaluator, campaign_seed=47, delta=0.2, max_evals=120,
             mc_samples=2000,
@@ -574,7 +573,7 @@ class TestBaselines:
         assert len(set(result.eval_counts)) == 1
 
     def test_fixed_confidence_safeguard(self):
-        evaluator = synthetic([0.5, 0.5], sd=1e-12, seed=49)
+        evaluator = synthetic([0.5, 0.5], sd=1e-12)
         result = nonadaptive_fixed_confidence(
             evaluator, campaign_seed=49, delta=0.05, max_evals=10,
             mc_samples=2000,
@@ -620,7 +619,7 @@ class TestLogitCampaign:
         from bestarm.evaluators import Beta as BetaDist
 
         dists = {"low": BetaDist(10.0, 20.0), "high": BetaDist(20.0, 10.0)}
-        evaluator = SyntheticEvaluator(dists, ["low", "high"], campaign_seed=71)
+        evaluator = SyntheticEvaluator(dists, ["low", "high"])
         result = ttts(
             evaluator, campaign_seed=71, delta=0.1,
             mc_samples=4000, transform=TransformMode.logit(),
@@ -648,7 +647,7 @@ class TestOnEvent:
              "nonadaptive_fixed_confidence"],
     )
     def test_receives_the_trace_in_order(self, run):
-        evaluator = synthetic([0.5, 0.55, 0.6], sd=0.05, seed=3)
+        evaluator = synthetic([0.5, 0.55, 0.6], sd=0.05)
         events = []
         result = run(evaluator, events.append)
         assert tuple(events) == result.trace
@@ -723,6 +722,39 @@ class TestParameters:
         assert caught.value.field_name == name
         assert evaluator.requests == []
 
+    @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("seed, problem", [
+        (2**64, f"must fit in 64 bits, got {2**64}"),
+        (-1, "must fit in 64 bits, got -1"),
+        (True, "must be an integer, got True"),
+        (1.5, "must be an integer, got 1.5"),
+    ])
+    def test_campaign_seed_outside_64_bits_is_refused_before_any_evaluation(self, kind, seed,
+                                                                             problem):
+        evaluator = Recording(synthetic([0.4, 0.5, 0.6]))
+        params = ({"budget": 20} if kind in ("fb", "baseline-fb")
+                  else {"delta": 0.1, "mc_samples": 1000})
+        if kind == "fc-batch":
+            params["batch_size"] = 2
+        with pytest.raises(ConfigError) as caught:
+            ENTRY_POINTS[kind](evaluator, seed, **params)
+        assert (caught.value.field_name, caught.value.message) == ("campaign_seed", problem)
+        assert evaluator.requests == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_campaign_seed_at_the_ends_of_64_bits_runs(self, seed):
+        result = sequential_halving(synthetic([0.4, 0.6]), seed, budget=4)
+        assert result.total_evals == 4
+
+    @pytest.mark.parametrize("sync", ["no", 1, None])
+    def test_sync_not_a_bool_is_refused_before_any_evaluation(self, sync):
+        evaluator = Recording(synthetic([0.4, 0.5, 0.6]))
+        with pytest.raises(ConfigError) as caught:
+            bts(evaluator, 0, delta=0.1, batch_size=2, sync=sync, mc_samples=1000)
+        assert (caught.value.field_name, caught.value.message) == (
+            "sync", f"must be true or false, got {sync!r}")
+        assert evaluator.requests == []
+
     @pytest.mark.parametrize("kind", ["fb", "baseline-fb"])
     def test_budget_below_one_names_budget(self, kind):
         evaluator = synthetic([0.4, 0.6])
@@ -737,7 +769,7 @@ class TestCandidateOrder:
     @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
     def test_names_in_reverse_keep_their_arms(self, kind):
         dists = {"a": Gaussian(mean=0.9, sd=0.01), "b": Gaussian(mean=0.1, sd=0.01)}
-        evaluator = SyntheticEvaluator(dists, ["b", "a"], campaign_seed=0)
+        evaluator = SyntheticEvaluator(dists, ["b", "a"])
         params = ({"budget": 20} if kind in ("fb", "baseline-fb")
                   else {"delta": 0.1, "mc_samples": 1000})
         if kind == "fc-batch":
@@ -767,7 +799,7 @@ FIXED_CONFIDENCE_RULES = {
 class TestChunkedBelief:
     @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
     def test_safeguard_termination_uses_every_row(self, rule):
-        evaluator = synthetic([0.60, 0.61, 0.62], sd=0.02, seed=5)
+        evaluator = synthetic([0.60, 0.61, 0.62], sd=0.02)
         result = FIXED_CONFIDENCE_RULES[rule](evaluator, 5, delta=0.01, max_evals=45)
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
         rows = [e.payload["rows"] for e in events_of(result, EventKind.BELIEF_UPDATED)]
@@ -777,7 +809,7 @@ class TestChunkedBelief:
 
     @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
     def test_confidence_is_reported_only_on_every_row(self, rule):
-        evaluator = synthetic([0.60, 0.63, 0.66], sd=0.02, seed=6)
+        evaluator = synthetic([0.60, 0.63, 0.66], sd=0.02)
         result = FIXED_CONFIDENCE_RULES[rule](evaluator, 6, delta=0.1)
         assert result.terminated_by is TerminationReason.CONFIDENCE_REACHED
         beliefs = events_of(result, EventKind.BELIEF_UPDATED)

@@ -19,16 +19,19 @@ from bestarm import (
     EvaluationError,
     EvaluationRequest,
     EvaluatorFailure,
+    EventKind,
     ExhaustionPolicy,
     Gaussian,
     PoolExhaustedError,
     ProtocolError,
     ReplayEvaluator,
+    StreamPurpose,
     SubprocessEvaluator,
     SyntheticEvaluator,
     TruncatedGaussian,
     make_model_ids,
     read_replay_csv,
+    ttts,
 )
 from bestarm.evaluators import parse_arm_entries
 
@@ -39,9 +42,14 @@ def echo_command(*flags):
     return [sys.executable, ECHO_CHILD, *flags]
 
 
-def request(model, sequence, split_seed=0, model_seed=0):
+def request(model, sequence, split_seed=None, model_seed=None):
+    """A request whose seeds default to its sequence, so that distinct
+    sequences get distinct in-process draws."""
     return EvaluationRequest(
-        model=model, split_seed=split_seed, model_seed=model_seed, sequence=sequence
+        model=model,
+        split_seed=sequence if split_seed is None else split_seed,
+        model_seed=sequence if model_seed is None else model_seed,
+        sequence=sequence,
     )
 
 
@@ -90,13 +98,13 @@ class TestArmSpecs:
 
     def test_build_requires_arm_per_model(self):
         with pytest.raises(ValueError, match="b"):
-            SyntheticEvaluator({"a": Gaussian(0.7, 0.01)}, ["a", "b"], campaign_seed=0)
+            SyntheticEvaluator({"a": Gaussian(0.7, 0.01)}, ["a", "b"])
 
 
 BUILDERS = {
     "synthetic": lambda names: SyntheticEvaluator(
-        {"a": Gaussian(0.5, 0.1), "b": Gaussian(0.6, 0.1)}, names, campaign_seed=0),
-    "replay": lambda names: ReplayEvaluator({"a": [0.5], "b": [0.6]}, names, campaign_seed=0),
+        {"a": Gaussian(0.5, 0.1), "b": Gaussian(0.6, 0.1)}, names),
+    "replay": lambda names: ReplayEvaluator({"a": [0.5], "b": [0.6]}, names),
     "subprocess": lambda names: SubprocessEvaluator(echo_command(), names),
 }
 
@@ -165,39 +173,69 @@ class TestCandidateSet:
 
 
 class TestSyntheticEvaluator:
-    def make(self, seed=42, mean=0.71, sd=0.01):
+    def make(self, mean=0.71, sd=0.01):
         (model,) = make_model_ids(["m"])
-        return model, SyntheticEvaluator({"m": Gaussian(mean=mean, sd=sd)}, ["m"], campaign_seed=seed)
+        return model, SyntheticEvaluator({"m": Gaussian(mean=mean, sd=sd)}, ["m"])
 
     def test_deterministic_across_instances(self):
-        model, ev1 = self.make(seed=7)
-        _, ev2 = self.make(seed=7)
+        model, ev1 = self.make()
+        _, ev2 = self.make()
         for seq in (0, 1, 99):
             s1 = ev1.evaluate(request(model, seq)).score
             s2 = ev2.evaluate(request(model, seq)).score
             assert s1 == s2
 
     def test_independent_of_dispatch_order(self):
-        model, ev1 = self.make(seed=7)
-        _, ev2 = self.make(seed=7)
+        model, ev1 = self.make()
+        _, ev2 = self.make()
         forward = {seq: ev1.evaluate(request(model, seq)).score for seq in range(5)}
         backward = {seq: ev2.evaluate(request(model, seq)).score for seq in reversed(range(5))}
         assert forward == backward
 
+    def test_equal_seeds_give_equal_scores_whatever_the_sequence_or_a_retry(self):
+        model, ev = self.make()
+        requests = [request(model, seq, split_seed=5, model_seed=6) for seq in (0, 1, 99)]
+        scores = {ev.evaluate(req).score for req in [*requests, requests[0]]}
+        assert len(scores) == 1
+
+    def test_each_seed_of_the_request_moves_the_score(self):
+        model, ev = self.make()
+        score = ev.evaluate(request(model, 0, split_seed=5, model_seed=6)).score
+        assert ev.evaluate(request(model, 0, split_seed=7, model_seed=6)).score != score
+        assert ev.evaluate(request(model, 0, split_seed=5, model_seed=7)).score != score
+
+    def test_score_is_the_draw_keyed_by_split_seed_model_and_model_seed(self):
+        ev = SyntheticEvaluator({"a": Gaussian(0.5, 0.1), "b": Gaussian(0.6, 0.1)}, ["a", "b"])
+        split, model_seed = 2**64 - 1, 12345
+        req = request(ev.models[1], 9, split_seed=split, model_seed=model_seed)
+        key = np.random.SeedSequence(split, spawn_key=(int(StreamPurpose.SYNTHETIC), 1, model_seed))
+        assert ev.evaluate(req).score == float(np.random.default_rng(key).normal(0.6, 0.1))
+
+    def test_campaigns_on_one_evaluator_get_fresh_scores(self):
+        dists = {name: Gaussian(mu, 0.01) for name, mu in zip("abc", (0.5, 0.6, 0.7))}
+        ev = SyntheticEvaluator(dists, list(dists))
+        firsts = set()
+        for seed in range(20):
+            # max_evals=9 stops each campaign after its 3 evaluations per model.
+            result = ttts(ev, seed, delta=0.1, max_evals=9, mc_samples=1000)
+            firsts.add(tuple(e.payload["score"] for e in result.trace
+                             if e.kind is EventKind.EVALUATED))
+        assert len(firsts) == 20
+
     def test_gaussian_sample_mean(self):
-        model, ev = self.make(seed=3, mean=0.71, sd=0.01)
+        model, ev = self.make(mean=0.71, sd=0.01)
         scores = [ev.evaluate(request(model, seq)).score for seq in range(100_000)]
         tol = 4 * 0.01 / np.sqrt(100_000)
         assert np.mean(scores) == pytest.approx(0.71, abs=tol)
 
     def test_degenerate_arm(self):
-        model, ev = self.make(seed=5, mean=0.66, sd=1e-12)
+        model, ev = self.make(mean=0.66, sd=1e-12)
         scores = [ev.evaluate(request(model, seq)).score for seq in range(100)]
         assert max(abs(s - 0.66) for s in scores) < 1e-9
 
     def test_truncated_support(self):
         (model,) = make_model_ids(["m"])
-        ev = SyntheticEvaluator({"m": TruncatedGaussian(0.5, 0.2, 0.0, 1.0)}, ["m"], campaign_seed=11)
+        ev = SyntheticEvaluator({"m": TruncatedGaussian(0.5, 0.2, 0.0, 1.0)}, ["m"])
         scores = [ev.evaluate(request(model, seq)).score for seq in range(2000)]
         assert all(0.0 <= s <= 1.0 for s in scores)
 
@@ -223,7 +261,7 @@ class TestSyntheticEvaluator:
     )
     def test_distributional_fidelity(self, dist, cdf):
         (model,) = make_model_ids(["m"])
-        ev = SyntheticEvaluator({"m": dist}, ["m"], campaign_seed=19)
+        ev = SyntheticEvaluator({"m": dist}, ["m"])
         scores = np.array([ev.evaluate(request(model, seq)).score for seq in range(100_000)])
         assert scistats.kstest(scores, cdf).pvalue > 0.001
 
@@ -231,19 +269,19 @@ class TestSyntheticEvaluator:
 class TestReplay:
     def test_ordered_replay(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], 1, ExhaustionPolicy.ERROR)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.ERROR)
         assert ev.evaluate(request(models[0], 0)).score == 0.6
         assert ev.evaluate(request(models[0], 1)).score == 0.7
 
     def test_cycle_wraps(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], 1, ExhaustionPolicy.CYCLE)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.CYCLE)
         scores = [ev.evaluate(request(models[0], seq)).score for seq in range(3)]
         assert scores == [0.6, 0.7, 0.6]
 
     def test_error_policy_raises(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], 1, ExhaustionPolicy.ERROR)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.ERROR)
         ev.evaluate(request(models[0], 0))
         ev.evaluate(request(models[0], 1))
         with pytest.raises(PoolExhaustedError):
@@ -253,7 +291,7 @@ class TestReplay:
         rng = np.random.default_rng(4)
         pool = rng.normal(0.7, 0.05, size=40).tolist()
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": pool}, ["m1"], 8, ExhaustionPolicy.RESAMPLE)
+        ev = ReplayEvaluator({"m1": pool}, ["m1"], ExhaustionPolicy.RESAMPLE)
         n = 10_000
         scores = [ev.evaluate(request(models[0], seq)).score for seq in range(n)]
         pool_mean, pool_sd = np.mean(pool), np.std(pool)
@@ -264,16 +302,34 @@ class TestReplay:
         models = make_model_ids(["m1"])
         scores = {}
         for attempt in range(2):
-            ev = ReplayEvaluator({"m1": pool}, ["m1"], 9, ExhaustionPolicy.RESAMPLE)
+            ev = ReplayEvaluator({"m1": pool}, ["m1"], ExhaustionPolicy.RESAMPLE)
             for seq in range(5, 10):  # past exhaustion immediately
                 ev.submit(request(models[0], seq))
             got = {s.request.sequence: s.score for s in (ev.collect() for _ in range(5))}
             scores[attempt] = got
         assert scores[0] == scores[1]
 
+    def test_resample_is_keyed_by_the_request_seeds(self):
+        pool = [0.1 * k for k in range(1, 10)]
+        ev = ReplayEvaluator({"a": [0.5], "b": pool}, ["a", "b"], ExhaustionPolicy.RESAMPLE)
+        model = ev.models[1]
+        for seq in range(len(pool)):  # use up the recorded scores
+            ev.evaluate(request(model, seq))
+        scores = [ev.evaluate(request(model, seq, split_seed=21, model_seed=34)).score
+                  for seq in (9, 40)]
+        key = np.random.SeedSequence(21, spawn_key=(int(StreamPurpose.REPLAY), 1, 34))
+        assert scores == [pool[int(np.random.default_rng(key).integers(len(pool)))]] * 2
+
+    @pytest.mark.parametrize("policy", ["bad", None, 2])
+    def test_unknown_exhaustion_policy_is_refused(self, policy):
+        with pytest.raises(ConfigError) as caught:
+            ReplayEvaluator({"m1": [0.6]}, ["m1"], policy)
+        assert (caught.value.field_name, caught.value.message) == (
+            "exhaustion_policy", f"must be one of ('error', 'cycle', 'resample'), got {policy!r}")
+
     def test_requires_scores_for_every_model(self):
         with pytest.raises(ValueError, match="m2"):
-            ReplayEvaluator({"m1": [0.6]}, ["m1", "m2"], campaign_seed=0)
+            ReplayEvaluator({"m1": [0.6]}, ["m1", "m2"])
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
