@@ -42,40 +42,40 @@ EVALUATORS = ("synthetic", "replay", "subprocess")
 SEEDS = (3, 11)
 
 DIGESTS = {
-    "fb/synthetic/3": "75d51c629ffa05a3a6c85a7a1ad52af1b154cc43ef6567c83ee19ba7282f1aec",
-    "fb/synthetic/11": "852e8b61912877e7b7d55fd8dbd2787f235ea47fcec916661cc79e54f3fb33b9",
-    "fb/replay/3": "83c888df65ed565cccfb860d7ddaf51a24b93a2b3b16eea75c9eb7ed132d3175",
-    "fb/replay/11": "a7ba632a9c9f633675366a1af419214ec63d6b15ffdbd9bd0bc3db7de0351c66",
+    "fb/synthetic/3": "134f4d92a639c133143ec963ee776a686ee82889267d918aa406d87d6cbd6083",
+    "fb/synthetic/11": "d1c0d26f2cd0e88f91088b2d8761905026be7f46e5d136813baa2d90bdb02393",
+    "fb/replay/3": "255ee605302875fd72c2fcda5773da09caebef43b85a8e0416f627a81028fae5",
+    "fb/replay/11": "a2ba650154fbe56aaffbc2417f113e8c1147c373968d4e455fa13037dde7b481",
     "fb/subprocess/3": "b3ff983cf3418fe7b1020e5a3b41bf339990c890c4c60c1644d106c1cf423743",
     "fb/subprocess/11": "b3ff983cf3418fe7b1020e5a3b41bf339990c890c4c60c1644d106c1cf423743",
-    "baseline-fb/synthetic/3": "d0d040335f9155ad034e50e80628886357b6596c8831e1eb38fa1bbd15ea5f16",
-    "baseline-fb/synthetic/11": "671fb8ce4fb63e80ca3e68f2189805897ce63f94db1906d7a8d9a0f10f40cec1",
-    "baseline-fb/replay/3": "7417e6ce653c368d0a4743b086de46e94ee280930e149bcde3f5840bc2015f48",
-    "baseline-fb/replay/11": "6f6964c4f3a1b85b00ca3cbc15dd83864a8e9c897c5453543e4e4125468a6e45",
+    "baseline-fb/synthetic/3": "5c41c82a62fb94fbc8410131efbf5c2ecda31729d14e0898105420fb469cca75",
+    "baseline-fb/synthetic/11": "a34e985d37be6316bc11acfad7d84607b39b3ca48ad1d3df19f000251ba7941b",
+    "baseline-fb/replay/3": "cfd5752e48e097a858e5f0e8f15b7f40639b5b636cb4a718a1c8f85e01dc6a4b",
+    "baseline-fb/replay/11": "f2f8eac502e003a2d2167449b09c7d0334a69d2fc3d3ffd4be8b65d98e282bad",
     "baseline-fb/subprocess/3": "3b1157dd92b28240c2bbf7f4c5b4107b9baeb3ee1b446f80dab21d9ca10814f0",
     "baseline-fb/subprocess/11": "3b1157dd92b28240c2bbf7f4c5b4107b9baeb3ee1b446f80dab21d9ca10814f0",
-    "fc/synthetic/3": "845a58c40442a792d89af0016ec0ce7b18a67c2d90a7100558dbaf999e6f8562",
-    "fc/synthetic/11": "6bfe9dffcf9586d5dea3a775be80e28525637a7d088c23c2a8a6066e3e706f9d",
-    "fc/replay/3": "5b20fe1bf5f07486dd068cdd1103860f65fc6ced22d9751e1de4d818e00b9b50",
-    "fc/replay/11": "b4bdea83261a8ab7916b4dabfc0aad8e948161369892367b122df4ec2280808e",
+    "fc/synthetic/3": "d315877fac2fcc329d371e816d1d175ba1053359ff0a0e224ef42fa403443f01",
+    "fc/synthetic/11": "0538392d7811a2ec42592ad63124eb30098668d745f0244acddf2a78e33e43bc",
+    "fc/replay/3": "dcc910a6b6d6f3f7f8318be63e09ef32794b4886f73febb84fbe869205090329",
+    "fc/replay/11": "126daaa355288fe58361913d287be1dd8f6ee5b06a7d6ee38e753f8c902d5e1a",
     "fc/subprocess/3": "bd2534b83388032ace81cef424a97afbc041b93dfee4920aa5df44a27cdc44ee",
     "fc/subprocess/11": "6595e646a7665f931e8a5df52a3565508c2109883195a172476e6ff7598371a3",
-    "baseline-fc/synthetic/3": "ee3d855228bd1faecc9adbdfb514e744290f29125ad332ddcd8de16f161c9209",
-    "baseline-fc/synthetic/11": "f1100c4ed9ad8084b569b4af90e2a6ec265f449fda2693435fe4033f9bcd5fbd",
-    "baseline-fc/replay/3": "a5f5345159c41568cdb23f64d07a607fa6c522d8da22002a706b4c032685db80",
-    "baseline-fc/replay/11": "07807c5b005302352e34aec53c2ba92d030b80d5878ebf142085d5c6f87d73db",
+    "baseline-fc/synthetic/3": "6af8d228d465ac67daef2042b9aa5b2ffad3a3418cc2d4adc798bc207177a11d",
+    "baseline-fc/synthetic/11": "4a7894c464623b09a9bc66871426e9416bc30b19ffbb03dc3bdbb44382772fc3",
+    "baseline-fc/replay/3": "747ddbc56fc9868a95f5abffa28e04c44c0b2ab4ecf6602c0192b191cedc0541",
+    "baseline-fc/replay/11": "5dbe5eec57206c269fde185f89a682126453eec3aca51e9e333cb467d4d08052",
     "baseline-fc/subprocess/3": "928a937320241ddea38072dae510866f1bca7fbf7fda326dac2292362184097c",
     "baseline-fc/subprocess/11": "29795273229a6ad91d215d5d2cb6741cda5bf917c6b9e8c9e4dc3b40bc16d318",
-    "fc-batch-sync/synthetic/3": "25bb1946bbc903cedf8b9eabc772bb6bd87bd433ed0e9e7f3bc3f658adc26864",
-    "fc-batch-sync/synthetic/11": "806c80ddc80c49e06546548c2f6d80e42843da9bef00a5b726059604f7eaacf4",
-    "fc-batch-sync/replay/3": "96e0823fe985069728b0826dc57a34b8a1ec810d25f0eacfadc4de6e535120e4",
-    "fc-batch-sync/replay/11": "c570668c48f606b11799afa958a2cbd17a022a299a97fccef31e7e2cd577a47f",
+    "fc-batch-sync/synthetic/3": "55244aeb53f5538e99d48ef05e67c29aa6f6ebf5302fbe1a8a1eaa9b7b578dc1",
+    "fc-batch-sync/synthetic/11": "d76fdb2d02539b807b9ce49a1d2869c4f17ff853b9b2445284ee811fe32849fc",
+    "fc-batch-sync/replay/3": "1b29ecf0567783a6bd6c53a6c53ac0ecb0fd6144587763ed20e4b2789c8cebf4",
+    "fc-batch-sync/replay/11": "a71d243ddbe39a6656168520bc954da79f00f8e87509834f3cc0a9f8c3615b6c",
     "fc-batch-sync/subprocess/3": "8f9bc3e4c4503001d5bc3abccf4af918a1572cb98f487f7577f6efcd2715b25f",
     "fc-batch-sync/subprocess/11": "306701824d273cc13f954f42124a62c32130efa31d9b2e1dd062116bd23f7d00",
-    "fc-batch-async/synthetic/3": "f608b7019f198cc536de668bb1a5142476e4e8504998f0b5650c49cab148a1b6",
-    "fc-batch-async/synthetic/11": "d9e92dc48d7c420c58b49941d136b7977ee99fc6888735fba756ea8f107b274d",
-    "fc-batch-async/replay/3": "9ad2dfb9a71f18cea54fee8c04c55644492a330b1cb7cf4bdf206d4d7b7db6f1",
-    "fc-batch-async/replay/11": "92d8ac178eccc128c7cafd2d407d4a4129017579b12cb9d8ec7d76c9c235a37d",
+    "fc-batch-async/synthetic/3": "acc8d7ab23caa4afe1bb5230c1c3ae84ed10ee89953f50ffc9c91fecc4a43fad",
+    "fc-batch-async/synthetic/11": "7de923cc3a689687e125f826482fa06a589590385f148d83bee00fdfae5dcf0b",
+    "fc-batch-async/replay/3": "590e52496d6ad24679cdf16d749d9859820c9729cb0292d00545cb524e383c1c",
+    "fc-batch-async/replay/11": "350e91730f9be30677a0c08b387a8f602aa240d265c771ba11d2b7c0be3df086",
     "fc-batch-async/subprocess/3": "ef139b8ef3a4ce629ae9b0ef5267003754cc1ac856c02bea305e4118640f84ca",
     "fc-batch-async/subprocess/11": "c85a088d3b7b53245adc08c47c4a96986b8721a852e5e78590992e7d59d6da09",
 }
