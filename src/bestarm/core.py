@@ -174,11 +174,12 @@ class StreamPurpose(IntEnum):
 
 
 def rng_stream(campaign_seed: int, purpose: StreamPurpose, *key: int) -> np.random.Generator:
-    """Deterministic substream for one purpose of one campaign.
+    """Deterministic substream for one purpose of one campaign, or of one
+    request when an in-process evaluator passes the request's split seed.
 
-    Distinct purposes (and extra key parts, e.g. model index and request
-    sequence) yield independent streams; the same arguments always reproduce
-    the same stream.
+    Distinct purposes (and extra key parts, e.g. model index and model seed)
+    yield independent streams; the same arguments always reproduce the same
+    stream.
     """
     ss = np.random.SeedSequence(int(campaign_seed), spawn_key=(int(purpose), *map(int, key)))
     return np.random.default_rng(ss)
