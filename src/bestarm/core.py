@@ -189,23 +189,23 @@ def rng_stream(campaign_seed: int, purpose: StreamPurpose, *key: int) -> np.rand
 class Belief:
     """Monte-Carlo belief over which candidate has the highest true mean.
 
-    ``pi[m]`` is ``win_counts[m] / mc_samples``, so the entries are exact
-    relative frequencies of a common denominator and sum to one.
-    ``mc_samples`` is the number of posterior rows the belief scored, at
-    most the campaign's ``mc_samples``.
+    ``win_counts[m]`` is the number of posterior rows model m wins, out of
+    the ``mc_samples`` rows the belief scored (at most the campaign's
+    ``mc_samples``).
     """
 
-    pi: tuple[float, ...]
     mc_samples: int
     win_counts: tuple[int, ...]
 
+    @property
+    def pi(self) -> tuple[float, ...]:
+        """``win_counts[m] / mc_samples``: exact relative frequencies of a
+        common denominator, which sum to one."""
+        return tuple(c / self.mc_samples for c in self.win_counts)
+
     def argmax(self) -> int:
         """Index of the most probably optimal model (first of any tied max)."""
-        best = 0
-        for i in range(1, len(self.pi)):
-            if self.pi[i] > self.pi[best]:
-                best = i
-        return best
+        return self.win_counts.index(max(self.win_counts))
 
 
 def point_mass_belief(stats: Sequence[ModelStats], winner_index: int) -> Belief:
@@ -214,12 +214,7 @@ def point_mass_belief(stats: Sequence[ModelStats], winner_index: int) -> Belief:
     Used by fixed-budget algorithms, where eliminated models may hold fewer
     than the 3 evaluations the Monte-Carlo belief requires.
     """
-    counts = tuple(1 if i == winner_index else 0 for i in range(len(stats)))
-    return Belief(
-        pi=tuple(float(c) for c in counts),
-        mc_samples=1,
-        win_counts=counts,
-    )
+    return Belief(mc_samples=1, win_counts=tuple(int(i == winner_index) for i in range(len(stats))))
 
 
 class EventKind(str, Enum):

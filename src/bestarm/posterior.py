@@ -128,11 +128,8 @@ class PosteriorDraws:
     only when its model's statistics differ from those it was drawn for;
     in a campaign that happens exactly when the model's count rises, so an
     update that evaluates one model redraws one column. Exact ties between
-    columns are broken from the unkeyed POSTERIOR stream.
-
-    Once the matrix shape is set, the chunk ends and the scoring scratch
-    (a row maximum and an equality mask, each as long as the widest chunk)
-    are kept with it.
+    columns are broken from the unkeyed POSTERIOR stream. Once the matrix
+    shape is set, the chunk ends are kept with it.
     """
 
     def __init__(self, campaign_seed: int):
@@ -140,10 +137,7 @@ class PosteriorDraws:
         self.matrix = np.empty((0, 0), order="F")
         self.tie_stream = rng_stream(self._seed, StreamPurpose.POSTERIOR)
         self.ends: list[int] = []
-        self.row_max = np.empty(0)
-        self.at_max = np.empty(0, dtype=bool)
         self._drawn_for: list[Optional[ModelStats]] = []
-        self._params: list[Optional[PosteriorParams]] = []
         self._streams: list[Optional[np.random.Generator]] = []
         self._filled: list[int] = []
 
@@ -154,14 +148,9 @@ class PosteriorDraws:
             # Column-major, so that drawing a column writes contiguous memory.
             self.matrix = np.empty((mc_samples, n), order="F")
             self.ends = chunk_ends(mc_samples)
-            widest = max(hi - lo for lo, hi in zip([0, *self.ends], self.ends))
-            self.row_max = np.empty(widest)
-            self.at_max = np.empty(widest, dtype=bool)
-            self._drawn_for = [None] * n
-            self._params, self._streams, self._filled = [None] * n, [None] * n, [0] * n
+            self._drawn_for, self._streams, self._filled = [None] * n, [None] * n, [0] * n
         for j, stats in enumerate(stats_all):
             if self._drawn_for[j] != stats:
-                self._params[j] = posterior_from_stats(stats)
                 self._streams[j] = rng_stream(self._seed, StreamPurpose.POSTERIOR, j, stats.count)
                 self._filled[j] = 0
                 self._drawn_for[j] = stats
@@ -169,31 +158,31 @@ class PosteriorDraws:
     def fill(self, lo: int, hi: int) -> None:
         """Draw the chunk of rows ``lo:hi`` in each column not yet drawn that
         far. Chunks are filled in order from row 0, so such a column has
-        been drawn exactly to ``lo``."""
-        for j, p in enumerate(self._params):
+        been drawn exactly to ``lo``. A model with fewer than 3 evaluations
+        raises ``InsufficientDataError`` here."""
+        for j, stats in enumerate(self._drawn_for):
             if self._filled[j] < hi:
+                p = posterior_from_stats(stats)
                 self.matrix[lo:hi, j] = p.center + p.scale * _t_draws(p.dof, (hi - lo,), self._streams[j])
                 self._filled[j] = hi
 
 
-def _win_counts(block: np.ndarray, tie_stream: np.random.Generator,
-                row_max: np.ndarray, at_max: np.ndarray) -> list[int]:
+def _win_counts(block: np.ndarray, tie_stream: np.random.Generator) -> list[int]:
     """How many rows of ``block`` each column wins.
 
     A row is won by its maximum; a row that ties exactly at its maximum is
     won by a column drawn uniformly from the tied ones, one ``tie_stream``
-    draw per tied row, in row order. ``row_max`` and ``at_max`` are scratch
-    vectors at least as long as the block.
+    draw per tied row, in row order.
 
     One running maximum over the contiguous columns of a column-major
     block, then a count per column of the rows at that maximum. Rows almost
     never tie: when the counts sum to the rows, they are the win counts.
     """
     rows, n = block.shape
-    row_max, at_max = row_max[:rows], at_max[:rows]
-    np.copyto(row_max, block[:, 0])
+    row_max = block[:, 0].copy()
     for j in range(1, n):
         np.maximum(row_max, block[:, j], out=row_max)
+    at_max = np.empty(rows, dtype=bool)
     counts = []
     for j in range(n):
         np.equal(block[:, j], row_max, out=at_max)
@@ -241,7 +230,7 @@ def estimate_pi(
     rows = 0
     for end in draws.ends:
         draws.fill(rows, end)
-        won = _win_counts(draws.matrix[rows:end], draws.tie_stream, draws.row_max, draws.at_max)
+        won = _win_counts(draws.matrix[rows:end], draws.tie_stream)
         counts = [a + b for a, b in zip(counts, won)]
         rows = end
         if confident_above is not None and rows < mc_samples:
@@ -249,4 +238,4 @@ def estimate_pi(
             p = max(counts) / rows
             if p + EXIT_Z * math.sqrt(p * (1.0 - p) / rows) < confident_above:
                 break
-    return Belief(pi=tuple(c / rows for c in counts), mc_samples=rows, win_counts=tuple(counts))
+    return Belief(mc_samples=rows, win_counts=tuple(counts))

@@ -291,9 +291,7 @@ def per_row_win_counts(block, tie_stream):
 
 
 def win_counts(block, tie_stream):
-    # Scratch longer than the block, as for every chunk but the widest.
-    rows = block.shape[0] + 3
-    return posterior._win_counts(block, tie_stream, np.empty(rows), np.empty(rows, dtype=bool))
+    return posterior._win_counts(block, tie_stream)
 
 
 class TestWinCounts:
