@@ -21,7 +21,8 @@ Each entry point takes the evaluator, whose ``models`` are the candidates,
 and the campaign seed, an integer in [0, 2^64), then its mode's parameters
 as keyword-only arguments named as the campaign config's ``mode`` leaves
 (``budget``; ``delta`` and ``max_evals``; ``batch_size`` and ``sync``), and
-raises ``ConfigError`` naming the one it refuses, before any evaluation.
+raises ``ConfigError`` naming the one it refuses, before any evaluation. It
+refuses an evaluator that still has requests in flight in the same way.
 Every entry point takes an optional ``on_event`` callable, which receives
 each trace event as it is emitted, so a caller can stream the trace of a
 campaign that is still running or that fails.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import deque
 from typing import Callable, Optional, Sequence
 
@@ -52,6 +54,7 @@ from .core import (
     TraceEvent,
     UndefinedComplexityError,
     point_mass_belief,
+    require_int,
     require_positive_int,
     require_seed,
     rng_stream,
@@ -83,6 +86,10 @@ class _Campaign:
     evaluation counters) and the ordered trace, each event of which also
     goes to ``on_event`` as it is emitted. Algorithms drive it; all shared
     values it hands out (stats, beliefs) are immutable.
+
+    It refuses the keywords every entry point shares, and an evaluator
+    that still has requests of an earlier campaign in flight, whose scores
+    would be folded into this one.
     """
 
     def __init__(
@@ -95,6 +102,17 @@ class _Campaign:
     ):
         # Every in-process draw of the campaign descends from this seed.
         require_seed("campaign_seed", campaign_seed)
+        require_positive_int("mc_samples", mc_samples)
+        if not isinstance(transform, TransformMode):
+            raise ConfigError("transform", f"must be a TransformMode, got {transform!r}")
+        if on_event is not None and not callable(on_event):
+            raise ConfigError("on_event", f"must be None or callable, got {on_event!r}")
+        if evaluator.pending() > 0:
+            raise ConfigError(
+                "evaluator",
+                f"has {evaluator.pending()} requests of an earlier campaign in flight; "
+                "build a fresh evaluator for each campaign",
+            )
         self.models = evaluator.models
         self.evaluator = evaluator
         self.mc_samples = mc_samples
@@ -254,25 +272,40 @@ def _confidence_campaign(
     mc_samples: int,
     transform: TransformMode,
     on_event: Optional[EventSink],
+    batch_size: int = 1,
+    sync: bool = True,
 ) -> _Campaign:
-    n = len(evaluator.models)
+    # The mode's keywords in the config's order, then the campaign's, then
+    # what depends on the evaluator's candidates and capacity.
+    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
+        raise ConfigError("delta", f"must be a number, got {delta!r}")
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta", f"must be in (0, 1), got {delta!r}")
     require_positive_int("max_evals", max_evals)
+    require_positive_int("batch_size", batch_size)
+    if not isinstance(sync, bool):
+        raise ConfigError("sync", f"must be true or false, got {sync!r}")
+    c = _Campaign(evaluator, campaign_seed, mc_samples, transform, on_event)
+    n = len(c.models)
     need = MIN_EVALS_FOR_POSTERIOR * n
     if max_evals < need:
         raise ConfigError(
             "max_evals",
             f"must be at least 3 evaluations per model ({need} for {n} models), got {max_evals}",
         )
-    require_positive_int("mc_samples", mc_samples)
     if mc_samples * n * 8 > MAX_DRAW_BYTES:
         raise ConfigError(
             "mc_samples",
             f"must be at most {MAX_DRAW_BYTES // (8 * n)} for {n} models, "
             f"so that the draw matrix fits in {MAX_DRAW_BYTES >> 20} MiB, got {mc_samples}",
         )
-    return _Campaign(evaluator, campaign_seed, mc_samples, transform, on_event)
+    cap = evaluator.max_in_flight
+    if cap is not None and batch_size > cap:
+        raise ConfigError(
+            "batch_size",
+            f"evaluator supports at most {cap} concurrent requests, got {batch_size}",
+        )
+    return c
 
 
 def _fixed_confidence(
@@ -330,18 +363,18 @@ def sequential_halving(
     Ties at the elimination boundary break uniformly at random. Budget lost
     to flooring is reported in the trace, never redistributed.
     """
-    n = len(evaluator.models)
+    require_int("budget", budget)
+    c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
+    n = len(c.models)
     if n < 2:
         raise ConfigError("models", f"sequential halving needs at least 2 models, got {n}")
     rounds = math.ceil(math.log2(n))
+    # A budget below 1 is too small for any schedule.
     if budget < n * rounds:
         raise BudgetTooSmallError(
             f"budget too small: {n} models over {rounds} rounds need at least "
             f"{n * rounds} evaluations, got {budget}"
         )
-    # A budget too small for the schedule, 0 included, is refused above.
-    require_positive_int("budget", budget)
-    c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
     survivors = list(c.models)
     round_index = 0
     while len(survivors) > 1:
@@ -419,16 +452,7 @@ def bts(
     termination.
     """
     c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
-                             on_event)
-    require_positive_int("batch_size", batch_size)
-    if not isinstance(sync, bool):
-        raise ConfigError("sync", f"must be true or false, got {sync!r}")
-    cap = evaluator.max_in_flight
-    if cap is not None and batch_size > cap:
-        raise ConfigError(
-            "batch_size",
-            f"evaluator supports at most {cap} concurrent requests, got {batch_size}",
-        )
+                             on_event, batch_size, sync)
 
     def iid_draws(belief: Belief, k: int):
         return [c.models[_draw_index(belief.win_counts, c.algo_rng)] for _ in range(k)], None
@@ -447,13 +471,13 @@ def nonadaptive_fixed_budget(
 ) -> SelectionResult:
     """Equal-split baseline: floor(T/N) evaluations per model, round-robin,
     then pick the highest empirical mean."""
-    n = len(evaluator.models)
+    require_int("budget", budget)
+    c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
+    n = len(c.models)
     if budget < n:
         raise BudgetTooSmallError(
             f"budget too small: {n} models need at least {n} evaluations, got {budget}"
         )
-    require_positive_int("budget", budget)
-    c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
     c.run_batch(c.start_round(1, c.models, budget // n))
     means = [s.mean for s in c.stats]
     return c.finish_budget(c.models[max(range(n), key=lambda i: means[i])], budget)

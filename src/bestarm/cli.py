@@ -30,6 +30,7 @@ from .core import (
     SelectionResult,
     TerminationReason,
     TraceEvent,
+    require_positive_int,
 )
 from .evaluators import (
     Evaluator,
@@ -475,8 +476,7 @@ def run_replications(
     _validate_run(config)
     if config.trace_path is not None:
         raise ConfigError("trace_path", "replicate writes no trace; trace a single campaign instead")
-    if replications < 1:
-        raise ConfigError("replications", f"must be positive, got {replications}")
+    require_positive_int("replications", replications)
     if config.evaluator.kind == "subprocess" and not allow_subprocess:
         raise ConfigError(
             "evaluator.kind",

@@ -762,6 +762,78 @@ class TestParameters:
             ENTRY_POINTS[kind](evaluator, 0, budget=0)
         assert caught.value.field_name == "budget"
 
+    @staticmethod
+    def refusal(kind, **params):
+        """The ConfigError an entry point raises for ``params`` laid over
+        valid ones, and the requests it submitted first."""
+        evaluator = Recording(synthetic([0.4, 0.5, 0.6]))
+        valid = ({"budget": 20} if kind in ("fb", "baseline-fb")
+                 else {"delta": 0.1, "mc_samples": 1000})
+        if kind == "fc-batch":
+            valid["batch_size"] = 2
+        with pytest.raises(ConfigError) as caught:
+            ENTRY_POINTS[kind](evaluator, 0, **{**valid, **params})
+        return caught.value, evaluator.requests
+
+    @pytest.mark.parametrize("kind", ["fb", "baseline-fb"])
+    @pytest.mark.parametrize("budget", ["10", None])
+    def test_budget_not_an_integer_is_refused_before_the_schedule_is_checked(self, kind, budget):
+        error, submitted = self.refusal(kind, budget=budget)
+        assert (error.field_name, error.message) == ("budget", f"must be an integer, got {budget!r}")
+        assert submitted == []
+
+    @pytest.mark.parametrize("kind", ["fc", "baseline-fc", "fc-batch"])
+    @pytest.mark.parametrize("delta", ["0.1", None, True])
+    def test_delta_not_a_number_is_refused_before_any_evaluation(self, kind, delta):
+        error, submitted = self.refusal(kind, delta=delta)
+        assert (error.field_name, error.message) == ("delta", f"must be a number, got {delta!r}")
+        assert submitted == []
+
+    @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("name, value, problem", [
+        ("transform", "logit", "must be a TransformMode, got 'logit'"),
+        ("transform", None, "must be a TransformMode, got None"),
+        ("on_event", 5, "must be None or callable, got 5"),
+    ])
+    def test_transform_or_on_event_of_the_wrong_type_is_refused_before_any_evaluation(
+            self, kind, name, value, problem):
+        error, submitted = self.refusal(kind, **{name: value})
+        assert (error.field_name, error.message) == (name, problem)
+        assert submitted == []
+
+    @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
+    def test_an_evaluator_with_requests_in_flight_is_refused_before_any_evaluation(self, kind):
+        evaluator = Recording(synthetic([0.60, 0.62, 0.64], sd=0.03))
+        bts(evaluator, 1, delta=0.1, batch_size=3, sync=False, mc_samples=1000)
+        assert evaluator.pending() == 2
+        submitted = len(evaluator.requests)
+        params = {"budget": 20} if kind in ("fb", "baseline-fb") else {"delta": 0.1, "mc_samples": 1000}
+        if kind == "fc-batch":
+            params["batch_size"] = 2
+        with pytest.raises(ConfigError) as caught:
+            ENTRY_POINTS[kind](evaluator, 2, **params)
+        assert caught.value.field_name == "evaluator"
+        assert "2 requests of an earlier campaign in flight" in caught.value.message
+        assert len(evaluator.requests) == submitted
+
+    @pytest.mark.parametrize("entry, seed, params, name", [
+        (sequential_halving, -1, {"budget": 5}, "campaign_seed"),
+        (bts, 0, {"delta": 0.1, "max_evals": 5, "batch_size": 2, "sync": "no"}, "sync"),
+        (bts, -1, {"delta": 0.1, "max_evals": 5, "batch_size": 2, "mc_samples": 0},
+         "campaign_seed"),
+        (bts, 0, {"delta": 0.1, "max_evals": 5, "batch_size": 2, "mc_samples": 0}, "mc_samples"),
+    ])
+    def test_the_first_keyword_refused_is_the_first_the_config_refuses(self, entry, seed, params,
+                                                                       name):
+        # The config checks the mode's leaves, then campaign_seed, then
+        # mc_samples; what depends on the candidates (budget 5 and
+        # max_evals 5 are too few for 3 models) is checked last.
+        evaluator = Recording(synthetic([0.4, 0.5, 0.6]))
+        with pytest.raises(ConfigError) as caught:
+            entry(evaluator, seed, **params)
+        assert caught.value.field_name == name
+        assert evaluator.requests == []
+
 
 class TestCandidateOrder:
     """A campaign selects among its evaluator's ``models``, in their order."""

@@ -855,6 +855,23 @@ class TestReplications:
             run_replications(config, replications=2, true_best=good, allow_subprocess=True)
         assert len(runs) == 1
 
+    @pytest.mark.parametrize("replications, problem", [
+        (0, "must be positive, got 0"),
+        (-2, "must be positive, got -2"),
+        (True, "must be an integer, got True"),
+        (2.5, "must be an integer, got 2.5"),
+        ("3", "must be an integer, got '3'"),
+        (None, "must be an integer, got None"),
+    ])
+    def test_replications_not_a_positive_integer_is_refused_before_any_campaign(
+            self, replications, problem, arms_file, monkeypatch):
+        runs = []
+        monkeypatch.setattr(cli, "_run", lambda config, data: runs.append(config))
+        with pytest.raises(ConfigError) as caught:
+            run_replications(fc_config(arms_file), replications)
+        assert (caught.value.field_name, caught.value.message) == ("replications", problem)
+        assert runs == []
+
     @pytest.mark.parametrize("source", ["arm-file", "models", "csv"])
     def test_data_file_is_parsed_once(self, source, arms_file, tmp_path, monkeypatch):
         csv_path = tmp_path / "scores.csv"
