@@ -20,9 +20,9 @@ problem difficulty from the true mean gaps.
 Each entry point takes the evaluator, whose ``models`` are the candidates,
 and the campaign seed, an integer in [0, 2^64), then its mode's parameters
 as keyword-only arguments named as the campaign config's ``mode`` leaves
-(``budget``; ``delta`` and ``max_evals``; ``batch_size`` and ``sync``), and
-raises ``ConfigError`` naming the one it refuses, before any evaluation. It
-refuses an evaluator that still has requests in flight in the same way.
+(``budget``; ``delta`` and ``max_evals``; ``batch_size`` and ``sync``). It
+first calls ``check_arguments``, which raises ``ConfigError`` naming the
+first argument it refuses, before any evaluation.
 Every entry point takes an optional ``on_event`` callable, which receives
 each trace event as it is emitted, so a caller can stream the trace of a
 campaign that is still running or that fails.
@@ -54,9 +54,6 @@ from .core import (
     TraceEvent,
     UndefinedComplexityError,
     point_mass_belief,
-    require_int,
-    require_positive_int,
-    require_seed,
     rng_stream,
     stats_update,
 )
@@ -78,6 +75,88 @@ DEFAULT_MAX_TOTAL_EVALS = 10_000
 EventSink = Callable[[TraceEvent], None]
 
 
+def _is_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+_POSITIVE = (lambda n: n >= 1, "be positive")
+# The keywords in the campaign config's order: whether a value has the
+# keyword's type, that type's name, and what else a value of it must hold.
+_KEYWORDS = {
+    "budget": (_is_int, "an integer", None),
+    "delta": (lambda d: not isinstance(d, bool) and isinstance(d, numbers.Real), "a number",
+              (lambda d: 0.0 < d < 1.0, "be in (0, 1)")),
+    "max_evals": (_is_int, "an integer", _POSITIVE),
+    "batch_size": (_is_int, "an integer", _POSITIVE),
+    "sync": (lambda s: isinstance(s, bool), "true or false", None),
+    "campaign_seed": (_is_int, "an integer", (lambda s: 0 <= s < 2**64, "fit in 64 bits")),
+    "mc_samples": (_is_int, "an integer", _POSITIVE),
+    "transform": (lambda t: isinstance(t, TransformMode), "a TransformMode", None),
+    "on_event": (lambda f: f is None or callable(f), "None or callable", None),
+}
+
+
+def check_arguments(entry: str, evaluator: Evaluator, campaign_seed, **keywords) -> None:
+    """Raise the first ``ConfigError`` the entry point named ``entry``
+    would raise for these arguments; each entry point calls this first.
+
+    The order: each keyword's type, in the config's order (the mode's
+    keywords, ``campaign_seed``, ``mc_samples``, ``transform``,
+    ``on_event``); each value, in that order; an evaluator still holding
+    requests of an earlier campaign, whose scores would be folded into
+    this one; last, what depends on N or on the evaluator's depth.
+    """
+    values = {"campaign_seed": campaign_seed, **keywords}
+    checks = [(name, values[name], *rules) for name, rules in _KEYWORDS.items() if name in values]
+    for name, value, is_a, type_name, _ in checks:
+        if not is_a(value):
+            raise ConfigError(name, f"must be {type_name}, got {value!r}")
+    for name, value, _, _, rule in checks:
+        if rule is not None and not rule[0](value):
+            raise ConfigError(name, f"must {rule[1]}, got {value!r}")
+    if evaluator.pending() > 0:
+        raise ConfigError(
+            "evaluator",
+            f"has {evaluator.pending()} requests of an earlier campaign in flight; "
+            "build a fresh evaluator for each campaign",
+        )
+    n, budget = len(evaluator.models), keywords.get("budget")
+    if entry == "sequential_halving":
+        if n < 2:
+            raise ConfigError("models", f"sequential halving needs at least 2 models, got {n}")
+        rounds = math.ceil(math.log2(n))
+        if budget < n * rounds:
+            raise BudgetTooSmallError(
+                f"budget too small: {n} models over {rounds} rounds need at least "
+                f"{n * rounds} evaluations, got {budget}"
+            )
+    elif entry == "nonadaptive_fixed_budget":
+        if budget < n:
+            raise BudgetTooSmallError(
+                f"budget too small: {n} models need at least {n} evaluations, got {budget}"
+            )
+    else:
+        max_evals, mc_samples = keywords["max_evals"], keywords["mc_samples"]
+        if max_evals < MIN_EVALS_FOR_POSTERIOR * n:
+            raise ConfigError(
+                "max_evals",
+                f"must be at least 3 evaluations per model ({MIN_EVALS_FOR_POSTERIOR * n} for "
+                f"{n} models), got {max_evals}",
+            )
+        if mc_samples * n * 8 > MAX_DRAW_BYTES:
+            raise ConfigError(
+                "mc_samples",
+                f"must be at most {MAX_DRAW_BYTES // (8 * n)} for {n} models, "
+                f"so that the draw matrix fits in {MAX_DRAW_BYTES >> 20} MiB, got {mc_samples}",
+            )
+        batch_size, cap = keywords.get("batch_size", 1), evaluator.max_in_flight
+        if cap is not None and batch_size > cap:
+            raise ConfigError(
+                "batch_size",
+                f"evaluator supports at most {cap} concurrent requests, got {batch_size}",
+            )
+
+
 class _Campaign:
     """Single-coordinator mutable state of one selection run.
 
@@ -86,10 +165,6 @@ class _Campaign:
     evaluation counters) and the ordered trace, each event of which also
     goes to ``on_event`` as it is emitted. Algorithms drive it; all shared
     values it hands out (stats, beliefs) are immutable.
-
-    It refuses the keywords every entry point shares, and an evaluator
-    that still has requests of an earlier campaign in flight, whose scores
-    would be folded into this one.
     """
 
     def __init__(
@@ -100,19 +175,6 @@ class _Campaign:
         transform: TransformMode = IDENTITY,
         on_event: Optional[EventSink] = None,
     ):
-        # Every in-process draw of the campaign descends from this seed.
-        require_seed("campaign_seed", campaign_seed)
-        require_positive_int("mc_samples", mc_samples)
-        if not isinstance(transform, TransformMode):
-            raise ConfigError("transform", f"must be a TransformMode, got {transform!r}")
-        if on_event is not None and not callable(on_event):
-            raise ConfigError("on_event", f"must be None or callable, got {on_event!r}")
-        if evaluator.pending() > 0:
-            raise ConfigError(
-                "evaluator",
-                f"has {evaluator.pending()} requests of an earlier campaign in flight; "
-                "build a fresh evaluator for each campaign",
-            )
         self.models = evaluator.models
         self.evaluator = evaluator
         self.mc_samples = mc_samples
@@ -121,6 +183,7 @@ class _Campaign:
         self.trace: list[TraceEvent] = []
         self._on_event = on_event
         self._request_seq = 0
+        # Every in-process draw of the campaign descends from this seed.
         self._split_rng = rng_stream(campaign_seed, StreamPurpose.SPLIT_SEED)
         self._model_seed_rng = rng_stream(campaign_seed, StreamPurpose.MODEL_SEED)
         self._draws = PosteriorDraws(campaign_seed)
@@ -264,50 +327,6 @@ def _draw_index(win_counts: Sequence[int], rng: np.random.Generator, exclude: Op
     raise AssertionError("empty belief support")
 
 
-def _confidence_campaign(
-    evaluator: Evaluator,
-    campaign_seed: int,
-    delta: float,
-    max_evals: int,
-    mc_samples: int,
-    transform: TransformMode,
-    on_event: Optional[EventSink],
-    batch_size: int = 1,
-    sync: bool = True,
-) -> _Campaign:
-    # The mode's keywords in the config's order, then the campaign's, then
-    # what depends on the evaluator's candidates and capacity.
-    if isinstance(delta, bool) or not isinstance(delta, numbers.Real):
-        raise ConfigError("delta", f"must be a number, got {delta!r}")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta", f"must be in (0, 1), got {delta!r}")
-    require_positive_int("max_evals", max_evals)
-    require_positive_int("batch_size", batch_size)
-    if not isinstance(sync, bool):
-        raise ConfigError("sync", f"must be true or false, got {sync!r}")
-    c = _Campaign(evaluator, campaign_seed, mc_samples, transform, on_event)
-    n = len(c.models)
-    need = MIN_EVALS_FOR_POSTERIOR * n
-    if max_evals < need:
-        raise ConfigError(
-            "max_evals",
-            f"must be at least 3 evaluations per model ({need} for {n} models), got {max_evals}",
-        )
-    if mc_samples * n * 8 > MAX_DRAW_BYTES:
-        raise ConfigError(
-            "mc_samples",
-            f"must be at most {MAX_DRAW_BYTES // (8 * n)} for {n} models, "
-            f"so that the draw matrix fits in {MAX_DRAW_BYTES >> 20} MiB, got {mc_samples}",
-        )
-    cap = evaluator.max_in_flight
-    if cap is not None and batch_size > cap:
-        raise ConfigError(
-            "batch_size",
-            f"evaluator supports at most {cap} concurrent requests, got {batch_size}",
-        )
-    return c
-
-
 def _fixed_confidence(
     c: _Campaign,
     delta: float,
@@ -363,18 +382,10 @@ def sequential_halving(
     Ties at the elimination boundary break uniformly at random. Budget lost
     to flooring is reported in the trace, never redistributed.
     """
-    require_int("budget", budget)
+    check_arguments("sequential_halving", evaluator, campaign_seed, budget=budget,
+                    transform=transform, on_event=on_event)
     c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
-    n = len(c.models)
-    if n < 2:
-        raise ConfigError("models", f"sequential halving needs at least 2 models, got {n}")
-    rounds = math.ceil(math.log2(n))
-    # A budget below 1 is too small for any schedule.
-    if budget < n * rounds:
-        raise BudgetTooSmallError(
-            f"budget too small: {n} models over {rounds} rounds need at least "
-            f"{n * rounds} evaluations, got {budget}"
-        )
+    rounds = math.ceil(math.log2(len(c.models)))
     survivors = list(c.models)
     round_index = 0
     while len(survivors) > 1:
@@ -417,8 +428,9 @@ def ttts(
     two distinct models from the belief (the second renormalized over the
     rest), flip a fair coin between them, and evaluate the winner once.
     """
-    c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
-                             on_event)
+    check_arguments("ttts", evaluator, campaign_seed, delta=delta, max_evals=max_evals,
+                    mc_samples=mc_samples, transform=transform, on_event=on_event)
+    c = _Campaign(evaluator, campaign_seed, mc_samples, transform, on_event)
 
     def top_two(belief: Belief, k: int):
         first = _draw_index(belief.win_counts, c.algo_rng)
@@ -451,8 +463,10 @@ def bts(
     once, then the campaign aborts. In-flight work is discarded at
     termination.
     """
-    c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
-                             on_event, batch_size, sync)
+    check_arguments("bts", evaluator, campaign_seed, delta=delta, max_evals=max_evals,
+                    batch_size=batch_size, sync=sync, mc_samples=mc_samples, transform=transform,
+                    on_event=on_event)
+    c = _Campaign(evaluator, campaign_seed, mc_samples, transform, on_event)
 
     def iid_draws(belief: Belief, k: int):
         return [c.models[_draw_index(belief.win_counts, c.algo_rng)] for _ in range(k)], None
@@ -471,13 +485,10 @@ def nonadaptive_fixed_budget(
 ) -> SelectionResult:
     """Equal-split baseline: floor(T/N) evaluations per model, round-robin,
     then pick the highest empirical mean."""
-    require_int("budget", budget)
+    check_arguments("nonadaptive_fixed_budget", evaluator, campaign_seed, budget=budget,
+                    transform=transform, on_event=on_event)
     c = _Campaign(evaluator, campaign_seed, transform=transform, on_event=on_event)
     n = len(c.models)
-    if budget < n:
-        raise BudgetTooSmallError(
-            f"budget too small: {n} models need at least {n} evaluations, got {budget}"
-        )
     c.run_batch(c.start_round(1, c.models, budget // n))
     means = [s.mean for s in c.stats]
     return c.finish_budget(c.models[max(range(n), key=lambda i: means[i])], budget)
@@ -499,8 +510,10 @@ def nonadaptive_fixed_confidence(
     belief is recomputed after each full round. Same 3-per-model start and
     stopping threshold as top-two Thompson sampling.
     """
-    c = _confidence_campaign(evaluator, campaign_seed, delta, max_evals, mc_samples, transform,
-                             on_event)
+    check_arguments("nonadaptive_fixed_confidence", evaluator, campaign_seed, delta=delta,
+                    max_evals=max_evals, mc_samples=mc_samples, transform=transform,
+                    on_event=on_event)
+    c = _Campaign(evaluator, campaign_seed, mc_samples, transform, on_event)
     rounds = itertools.count(1)
 
     def every_model(belief: Belief, k: int):

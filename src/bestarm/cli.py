@@ -12,12 +12,13 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Iterator, Optional, Sequence, Union, get_args, get_origin
+from typing import Iterator, Literal, Optional, Sequence, Union, get_args, get_origin
 
-from .algorithms import (
+from .algorithms import (  # the entry points are looked up by name in _run
     DEFAULT_MAX_TOTAL_EVALS,
     EventSink,
     bts,
+    check_arguments,
     nonadaptive_fixed_budget,
     nonadaptive_fixed_confidence,
     sequential_halving,
@@ -43,15 +44,14 @@ from .evaluators import (
 )
 from .posterior import DEFAULT_MC_SAMPLES, IDENTITY, TransformMode
 
-_MODE_HELP = {
-    "fb": "fixed budget via sequential halving",
-    "fc": "fixed confidence via top-two Thompson sampling",
-    "fc-batch": "fixed confidence via batch Thompson sampling",
-    "baseline-fb": "non-adaptive equal budget split",
-    "baseline-fc": "non-adaptive evaluate-all until confident",
+# Each mode kind's subcommand help, and the name of its entry point.
+_MODES = {
+    "fb": ("fixed budget via sequential halving", "sequential_halving"),
+    "fc": ("fixed confidence via top-two Thompson sampling", "ttts"),
+    "fc-batch": ("fixed confidence via batch Thompson sampling", "bts"),
+    "baseline-fb": ("non-adaptive equal budget split", "nonadaptive_fixed_budget"),
+    "baseline-fc": ("non-adaptive evaluate-all until confident", "nonadaptive_fixed_confidence"),
 }
-MODE_KINDS = tuple(_MODE_HELP)
-EVALUATOR_KINDS = ("synthetic", "subprocess", "replay")
 _CONFIDENCE_KINDS = ("fc", "fc-batch", "baseline-fc")
 
 # 99% two-sided normal quantile, for the binomial interval in reports.
@@ -62,30 +62,23 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str:
                list[str]: "a list of strings", type(None): "null"}
 
 
-def _leaf(default=MISSING, *, kinds=None, required=False, check=None, load=None, dump=None,
-          flag=None, **flag_args):
+def _leaf(default=MISSING, *, kinds=None, required=False, load=None, dump=None, flag=None,
+          **flag_args):
     """Declare one config leaf; its annotation is its type.
 
     ``kinds`` names the mode or evaluator kinds the leaf belongs to (None:
-    all); only they ``check`` it (a predicate and what it demands), serialise
-    it (unless None) and, if ``required``, demand it. ``load(path, value)`` and
-    ``dump`` convert a leaf whose JSON form is not its type.
+    all); only they serialise it (unless None) and, if ``required``, demand
+    it. ``load(path, value)`` and ``dump`` convert a leaf whose JSON form is
+    not its type; ``load`` also checks that form.
     """
-    meta = dict(kinds=kinds, required=required, check=check, load=load, dump=dump,
-                flag=flag, flag_args=flag_args)
+    meta = dict(kinds=kinds, required=required, load=load, dump=dump, flag=flag,
+                flag_args=flag_args)
     return field(default=default, metadata=meta)
 
 
-# Checks: a predicate on a well-typed value, and what the value must be.
-_POSITIVE = (lambda n: n >= 1, "must be positive")
-_NON_EMPTY = (bool, "must not be empty")
-
-
-def _one_of(choices):
-    return (lambda v: v in choices, f"must be one of {choices}")
-
-
 def _load_transform(path: str, value) -> TransformMode:
+    if isinstance(value, TransformMode):
+        return value
     if isinstance(value, str):
         value = {"kind": value}
     if not isinstance(value, dict):
@@ -111,22 +104,20 @@ class _Section:
     """A config section: validated and serialised by walking its declared leaves."""
 
     def validate(self, _path: str = "") -> None:
+        """Check each leaf's JSON type, or load its form, in declaration
+        order, and that a leaf the section's kind requires is given. The
+        values are the library's to check."""
         kind = getattr(self, "kind", None)
         for f in fields(self):
             name, value, meta = _path + f.name, getattr(self, f.name), f.metadata
             if _is_section(f.type):
                 value.validate(name + ".")
+            elif meta["load"]:
+                setattr(self, f.name, meta["load"](name, value))
             elif not _is_a(value, f.type):
-                types = get_args(f.type) if get_origin(f.type) is Union else (f.type,)
-                must = " or ".join(_TYPE_NAMES.get(t, t.__name__) for t in types)
-                raise ConfigError(name, f"must be {must}, got {value!r}")
-            elif meta["kinds"] is not None and kind not in meta["kinds"]:
-                continue
-            elif value is None:
-                if meta["required"]:
-                    raise ConfigError(name, f"required when kind is {kind!r}")
-            elif meta["check"] and not meta["check"][0](value):
-                raise ConfigError(name, f"{meta['check'][1]}, got {value!r}")
+                raise ConfigError(name, f"must be {_type_name(f.type)}, got {value!r}")
+            elif value is None and meta["required"] and kind in meta["kinds"]:
+                raise ConfigError(name, f"required when kind is {kind!r}")
 
     def to_dict(self) -> dict:
         kind = getattr(self, "kind", None)
@@ -147,16 +138,14 @@ class _Section:
 class ModeConfig(_Section):
     """Which algorithm runs, and its policy parameters."""
 
-    kind: str = _leaf(check=_one_of(MODE_KINDS))
-    budget: Optional[int] = _leaf(None, kinds=("fb", "baseline-fb"), required=True, check=_POSITIVE,
+    kind: Literal[tuple(_MODES)] = _leaf()
+    budget: Optional[int] = _leaf(None, kinds=("fb", "baseline-fb"), required=True,
                                   flag="--budget", type=int, metavar="T", help="evaluation budget")
-    delta: Optional[float] = _leaf(
-        None, kinds=_CONFIDENCE_KINDS, required=True,
-        check=(lambda d: 0.0 < d < 1.0, "must be in (0, 1)"),
-        flag="--delta", type=float, metavar="D", help="target error probability")
-    max_evals: int = _leaf(DEFAULT_MAX_TOTAL_EVALS, kinds=_CONFIDENCE_KINDS, check=_POSITIVE,
+    delta: Optional[float] = _leaf(None, kinds=_CONFIDENCE_KINDS, required=True, flag="--delta",
+                                   type=float, metavar="D", help="target error probability")
+    max_evals: int = _leaf(DEFAULT_MAX_TOTAL_EVALS, kinds=_CONFIDENCE_KINDS,
                            flag="--max-evals", type=int, metavar="M", help="total-evaluation safeguard")
-    batch_size: Optional[int] = _leaf(None, kinds=("fc-batch",), required=True, check=_POSITIVE,
+    batch_size: Optional[int] = _leaf(None, kinds=("fc-batch",), required=True,
                                       flag="--batch-size", type=int, metavar="B", help="batch size")
     sync: bool = _leaf(True, kinds=("fc-batch",), flag="--async", action="store_const", const=False,
                        help="asynchronous workers")
@@ -166,18 +155,18 @@ class ModeConfig(_Section):
 class EvaluatorConfig(_Section):
     """Which score back-end serves the campaign."""
 
-    kind: str = _leaf(check=_one_of(EVALUATOR_KINDS))
-    arms_file: Optional[str] = _leaf(None, kinds=("synthetic",), required=True, check=_NON_EMPTY,
+    kind: Literal["synthetic", "subprocess", "replay"] = _leaf()
+    arms_file: Optional[str] = _leaf(None, kinds=("synthetic",), required=True,
                                      flag="--synthetic", metavar="ARMS_JSON",
                                      help="synthetic evaluator arm file")
-    command: Optional[str] = _leaf(None, kinds=("subprocess",), required=True, check=_NON_EMPTY,
+    command: Optional[str] = _leaf(None, kinds=("subprocess",), required=True,
                                    flag="--exec", metavar="CMD", help="subprocess evaluator command")
     max_in_flight: Optional[int] = _leaf(None, kinds=("subprocess",))
-    csv_file: Optional[str] = _leaf(None, kinds=("replay",), required=True, check=_NON_EMPTY,
+    csv_file: Optional[str] = _leaf(None, kinds=("replay",), required=True,
                                     flag="--replay", metavar="SCORES_CSV",
                                     help="replay evaluator score file")
-    exhaustion: str = _leaf(ExhaustionPolicy.RESAMPLE.value, kinds=("replay",),
-                            check=_one_of(tuple(p.value for p in ExhaustionPolicy)))
+    exhaustion: Literal[tuple(p.value for p in ExhaustionPolicy)] = _leaf(
+        ExhaustionPolicy.RESAMPLE.value, kinds=("replay",))
     timeout: Optional[float] = _leaf(None, kinds=("subprocess",), flag="--timeout", type=float,
                                      metavar="SECONDS",
                                      help="longest wait for any reply of the evaluator child")
@@ -190,12 +179,11 @@ class CampaignConfig(_Section):
     mode: ModeConfig
     evaluator: EvaluatorConfig
     models: Optional[list[str]] = _leaf(
-        None, check=_NON_EMPTY, dump=list, flag="--models", metavar="a,b,c",
+        None, dump=list, flag="--models", metavar="a,b,c",
         type=lambda text: [m for m in text.split(",") if m] if text else None,
         help="comma-separated candidate model names")
-    campaign_seed: int = _leaf(0, check=(lambda s: 0 <= s < 2**64, "must fit in 64 bits"),
-                               flag="--seed", type=int, metavar="U64", help="campaign seed")
-    mc_samples: int = _leaf(DEFAULT_MC_SAMPLES, check=_POSITIVE, flag="--mc-samples", type=int,
+    campaign_seed: int = _leaf(0, flag="--seed", type=int, metavar="U64", help="campaign seed")
+    mc_samples: int = _leaf(DEFAULT_MC_SAMPLES, flag="--mc-samples", type=int,
                             metavar="N", help="Monte-Carlo rounds per belief update")
     transform: TransformMode = _leaf(IDENTITY, load=_load_transform, dump=_dump_transform,
                                      flag="--transform", choices=["identity", "logit"],
@@ -216,6 +204,8 @@ def _is_section(hint) -> bool:
 
 def _is_a(value, hint) -> bool:
     """Whether a JSON value has a leaf's type: a bool is no number, an int is a float."""
+    if get_origin(hint) is Literal:
+        return isinstance(value, str) and value in get_args(hint)
     if get_origin(hint) is Union:
         return any(_is_a(value, h) for h in get_args(hint))
     if get_origin(hint) is list:
@@ -223,6 +213,13 @@ def _is_a(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    if get_origin(hint) is Literal:
+        return f"one of {get_args(hint)}"
+    types = get_args(hint) if get_origin(hint) is Union else (hint,)
+    return " or ".join(_TYPE_NAMES.get(t, t.__name__) for t in types)
 
 
 def _from_dict(cls, data, path: str = ""):
@@ -236,13 +233,12 @@ def _from_dict(cls, data, path: str = ""):
         name = path + f.name
         if f.name not in data:
             if f.default is MISSING:
-                check = f.metadata.get("check")
-                raise ConfigError(name, f"required, {check[1]}" if check else "required")
+                raise ConfigError(name, "required" if _is_section(f.type)
+                                  else f"required, must be {_type_name(f.type)}")
         elif _is_section(f.type):
             values[f.name] = _from_dict(f.type, data[f.name], name + ".")
         else:
-            load = f.metadata["load"]
-            values[f.name] = load(name, data[f.name]) if load else data[f.name]
+            values[f.name] = data[f.name]
     return cls(**values)
 
 
@@ -299,26 +295,6 @@ def _resolve(config: CampaignConfig, data: Optional[dict]) -> Evaluator:
                                    timeout=ev.timeout)
 
 
-def _dispatch(config: CampaignConfig, evaluator: Evaluator,
-              on_event: Optional[EventSink]) -> SelectionResult:
-    """Run the mode's algorithm with the mode's leaves as its keywords.
-
-    The algorithm is looked up in this module's namespace at each call, so
-    a wrapper set on ``bestarm.cli.ttts`` and the like sees every campaign.
-    A ConfigError naming a mode leaf is re-raised under its config path.
-    """
-    mode = config.mode
-    algorithm = {"fb": sequential_halving, "baseline-fb": nonadaptive_fixed_budget, "fc": ttts,
-                 "baseline-fc": nonadaptive_fixed_confidence, "fc-batch": bts}[mode.kind]
-    params = {f.name: getattr(mode, f.name) for f in fields(mode)
-              if mode.kind in (f.metadata["kinds"] or ())}
-    if mode.kind in _CONFIDENCE_KINDS:
-        params["mc_samples"] = config.mc_samples
-    with _leaf_errors("mode", ModeConfig):
-        return algorithm(evaluator, config.campaign_seed, transform=config.transform,
-                         on_event=on_event, **params)
-
-
 def _header_dict(config: CampaignConfig, models: Sequence[ModelId]) -> dict:
     # The header must be byte-identical across reruns of the same campaign
     # regardless of where each run writes its trace.
@@ -366,13 +342,27 @@ def format_summary(result: SelectionResult) -> str:
 
 
 def _run(config: CampaignConfig, data: Optional[dict]) -> SelectionResult:
-    """Resolve, open the trace (if configured), dispatch, close the evaluator."""
+    """Build the evaluator, check the call, open the trace (if configured),
+    then run the mode's entry point with the mode's leaves as its keywords.
+
+    The entry point is looked up in this module's namespace at each call, so
+    a wrapper set on ``bestarm.cli.ttts`` and the like sees every campaign.
+    A ConfigError naming a mode leaf is re-raised under its config path.
+    """
+    mode, entry = config.mode, _MODES[config.mode.kind][1]
+    params = {f.name: getattr(mode, f.name) for f in fields(mode)
+              if mode.kind in (f.metadata["kinds"] or ())}
+    if mode.kind in _CONFIDENCE_KINDS:
+        params["mc_samples"] = config.mc_samples
+    params["transform"] = config.transform
     evaluator = _resolve(config, data)
     try:
-        trace = (write_trace(config.trace_path, config, evaluator.models) if config.trace_path
-                 else contextlib.nullcontext())
-        with trace as on_event:
-            return _dispatch(config, evaluator, on_event)
+        with _leaf_errors("mode", ModeConfig):
+            check_arguments(entry, evaluator, config.campaign_seed, **params)
+            trace = (write_trace(config.trace_path, config, evaluator.models) if config.trace_path
+                     else contextlib.nullcontext())
+            with trace as on_event:
+                return globals()[entry](evaluator, config.campaign_seed, on_event=on_event, **params)
     finally:
         evaluator.close()
 
@@ -382,11 +372,14 @@ def _validate_run(config: CampaignConfig) -> None:
 
     A belief's pi has a standard error of up to 0.5/sqrt(mc_samples); above
     delta/2, a few lucky rows can pass the stop test. The algorithms accept
-    any mc_samples; this check guards only campaigns run from a config.
+    any mc_samples; this check guards only campaigns run from a config, and
+    judges only a delta in (0, 1) and an mc_samples of at least 1, leaving
+    other values to the library's refusals.
     """
     config.validate()
-    mode = config.mode
-    if mode.kind in _CONFIDENCE_KINDS and 0.5 / math.sqrt(config.mc_samples) > mode.delta / 2:
+    mode, mc = config.mode, config.mc_samples
+    if (mode.kind in _CONFIDENCE_KINDS and 0.0 < mode.delta < 1.0 and mc >= 1
+            and 0.5 / math.sqrt(mc) > mode.delta / 2):
         raise ConfigError(
             "mc_samples",
             f"must be at least 1/delta^2 = {math.ceil(1 / mode.delta**2)} for delta {mode.delta}, "
@@ -525,10 +518,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Adaptive selection of the best noisy candidate model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in {**_MODE_HELP, "replicate": "repeat a campaign over consecutive seeds"}.items():
+    replicate = ("repeat a campaign over consecutive seeds", None)
+    for command, (help_text, _) in {**_MODES, "replicate": replicate}.items():
         sp = sub.add_parser(command, help=help_text)
         if command == "replicate":
-            sp.add_argument("--mode", dest="mode.kind", choices=MODE_KINDS, help="algorithm to replicate")
+            sp.add_argument("--mode", dest="mode.kind", choices=list(_MODES), help="algorithm to replicate")
             sp.add_argument("--replications", type=int, required=True, metavar="R")
             sp.add_argument("--true-best", metavar="NAME", help="model treated as the true optimum")
             sp.add_argument("--allow-exec", action="store_true", help="permit replicating a subprocess campaign")

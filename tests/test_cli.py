@@ -107,14 +107,13 @@ class TestConfig:
         config = config_from_args(args)
         assert config.models == ["m4", "m3"]
 
-    def test_validation_names_offending_field(self):
-        with pytest.raises(ConfigError, match="mode.delta"):
-            CampaignConfig.from_dict(
-                {
-                    "mode": {"kind": "fc", "delta": 1.7},
-                    "evaluator": {"kind": "synthetic", "arms_file": "x.json"},
-                }
-            )
+    def test_validation_names_offending_field(self, arms_file, capsys, monkeypatch):
+        # The config checks types only; the library refuses the range.
+        submitted = []
+        monkeypatch.setattr(SyntheticEvaluator, "submit", lambda self, req: submitted.append(req))
+        assert main(["fc", "--delta", "1.7", "--synthetic", arms_file]) == 1
+        assert "error: mode.delta: must be in (0, 1), got 1.7" in capsys.readouterr().err
+        assert submitted == []
         with pytest.raises(ConfigError, match="evaluator.csv_file"):
             CampaignConfig.from_dict(
                 {"mode": {"kind": "fc", "delta": 0.1}, "evaluator": {"kind": "replay"}}
