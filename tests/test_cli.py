@@ -626,6 +626,30 @@ class TestMain:
         assert "error: mode.batch_size: evaluator supports at most 2 concurrent requests, got 4" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, leaf", [
+        (["fb", "--budget", "5"], "mode.budget"),
+        (["fc", "--delta", "0.1", "--max-evals", "5"], "mode.max_evals"),
+        (["fc-batch", "--delta", "0.1", "--batch-size", "20", "--models", "m0,m1,m2,m3",
+          "--exec", f"{sys.executable} {ECHO_CHILD} --max-in-flight 2"], "mode.batch_size"),
+    ])
+    def test_refusal_after_the_evaluator_is_built_leaves_the_trace_path_alone(
+            self, command, leaf, tmp_path, capsys):
+        arms = tmp_path / "four.json"
+        arms.write_text(json.dumps(FIG_ARMS[:4]))
+        if "--exec" not in command:
+            command = command + ["--synthetic", str(arms)]
+        command = command + ["--mc-samples", "1000"]
+        earlier = tmp_path / "earlier.jsonl"
+        earlier.write_bytes(b'{"config": {}}\n{"seq": 0}\n')
+        fresh = tmp_path / "fresh.jsonl"
+        for trace in (earlier, fresh):
+            code = main(command + ["--trace", str(trace)])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert f"error: {leaf}: " in err and "Traceback" not in err
+        assert earlier.read_bytes() == b'{"config": {}}\n{"seq": 0}\n'
+        assert not fresh.exists()
+
     def test_fb_runs_sequential_halving(self, arms_file, capsys):
         code = main(["fb", "--budget", "30", "--synthetic", arms_file, "--seed", "5"])
         out = capsys.readouterr().out

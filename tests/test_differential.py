@@ -12,10 +12,8 @@ Only the leaves the mode's kind takes are drawn, since the library has no
 keyword for the others; mc_samples is one of them only for the
 fixed-confidence kinds.
 
-At most one leaf is out of range or wrongly typed. With several, the two
-may name different ones: the config checks ``transform`` as it reads the
-file, before the mode, and counts a budget below 1 as out of range where
-the library counts it as too small for the candidates, after the seed.
+Up to two leaves are out of range or wrongly typed, so the two must also
+agree on which refusal comes first.
 """
 
 import contextlib
@@ -90,8 +88,7 @@ def cases(draw):
     if kind not in ("fb", "baseline-fb"):
         leaves.append("mc_samples")
     values = {name: draw(GOOD[name]) for name in leaves}
-    bad = draw(st.one_of(st.none(), st.sampled_from(leaves)))
-    if bad is not None:
+    for bad in draw(st.lists(st.sampled_from(leaves), max_size=2, unique=True)):
         values[bad] = draw(st.sampled_from(BAD[bad]))
     return kind, draw(st.integers(2, 3)), values
 
