@@ -470,6 +470,9 @@ def run_replications(
     if config.trace_path is not None:
         raise ConfigError("trace_path", "replicate writes no trace; trace a single campaign instead")
     require_positive_int("replications", replications)
+    if config.campaign_seed + replications > 2**64:
+        raise ConfigError("campaign_seed", f"must leave {replications} consecutive seeds below 2^64 "
+                          f"for the replications, got {config.campaign_seed}")
     if config.evaluator.kind == "subprocess" and not allow_subprocess:
         raise ConfigError(
             "evaluator.kind",

@@ -895,6 +895,28 @@ class TestReplications:
         assert (caught.value.field_name, caught.value.message) == ("replications", problem)
         assert runs == []
 
+    @pytest.mark.parametrize("seed, replications, refused", [
+        (2**64 - 1, 2, True), (2**64 - 3, 5, True), (2**64 - 2, 2, False), (2**64 - 1, 1, False),
+    ])
+    def test_last_seed_beyond_64_bits_is_refused_before_any_campaign(
+            self, seed, replications, refused, arms_file, capsys, monkeypatch):
+        runs = []
+
+        def first_campaign(config, data):
+            runs.append(config.campaign_seed)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_run", first_campaign)
+        code = main(["replicate", "--mode", "fc", "--replications", str(replications),
+                     "--delta", "0.2", "--seed", str(seed), "--synthetic", arms_file])
+        err = capsys.readouterr().err
+        if refused:
+            assert code == 1
+            assert f"error: campaign_seed: must leave {replications} consecutive seeds" in err
+            assert runs == []
+        else:
+            assert (code, runs) == (130, [seed])
+
     @pytest.mark.parametrize("source", ["arm-file", "models", "csv"])
     def test_data_file_is_parsed_once(self, source, arms_file, tmp_path, monkeypatch):
         csv_path = tmp_path / "scores.csv"
