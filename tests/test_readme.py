@@ -1,10 +1,12 @@
-"""The README's library quick start runs as written, and every name in
-``bestarm.__all__`` resolves."""
+"""The README's library quick start runs as written, every name in
+``bestarm.__all__`` resolves, and the Configuration table lists every leaf."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import bestarm
+from bestarm.cli import CampaignConfig, EvaluatorConfig, ModeConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +21,12 @@ def test_library_quick_start_runs(capsys):
 def test_every_exported_name_resolves():
     # bestarm's lazy __getattr__ hides a stale entry until someone uses it.
     assert [name for name in bestarm.__all__ if not hasattr(bestarm, name)] == []
+
+
+def test_configuration_table_lists_every_leaf_in_declaration_order():
+    section = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
+    sections = (ModeConfig, EvaluatorConfig)
+    leaves = [f"{f.name}.{g.name}" if f.type in sections else f.name
+              for f in fields(CampaignConfig) for g in (fields(f.type) if f.type in sections else [f])]
+    assert listed == leaves
