@@ -31,6 +31,7 @@ from .core import (
     SelectionResult,
     TerminationReason,
     TraceEvent,
+    make_model_ids,
     require_positive_int,
 )
 from .evaluators import (
@@ -481,7 +482,8 @@ def run_replications(
         )
     # Parsed once; each seed still gets its own fresh evaluator.
     data = _load_data(config)
-    names = _candidate_names(config, data)
+    # The candidates are refused, naming models, before true_best is judged.
+    names = [m.name for m in make_model_ids(_candidate_names(config, data))]
     if true_best is not None and true_best not in names:
         raise ConfigError("true_best", f"{true_best!r} is not a candidate model")
     counts = [0] * len(names)

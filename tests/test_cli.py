@@ -847,6 +847,10 @@ class TestReplications:
         with pytest.raises(ConfigError, match="true_best"):
             run_replications(fc_config(arms_file), replications=1, true_best="nope")
 
+    def test_empty_models_are_named_before_true_best(self, arms_file):
+        with pytest.raises(ConfigError, match="^models: need at least 1 candidate model"):
+            run_replications(fc_config(arms_file, models=[]), replications=1, true_best="m0")
+
     @pytest.mark.parametrize("source", ["arm-file", "models", "csv", "exec"])
     def test_true_best_checked_before_any_campaign(self, source, arms_file, tmp_path, monkeypatch):
         # (evaluator, models, a name that is not a candidate, one that is)
