@@ -30,7 +30,6 @@ from .core import (
     ModelId,
     SelectionResult,
     TerminationReason,
-    TraceEvent,
     make_model_ids,
     require_positive_int,
 )
@@ -257,7 +256,7 @@ def _leaf_errors(section: str, cls) -> Iterator[None]:
 def _load_data(config: CampaignConfig) -> Optional[dict]:
     """Parse the evaluator's data file: the arm file's name -> distribution,
     or the replay CSV's name -> scores; a subprocess evaluator has none."""
-    ev, names = config.evaluator, config.models
+    ev = config.evaluator
     with _leaf_errors("evaluator", EvaluatorConfig):
         if ev.kind == "synthetic":
             try:
@@ -266,7 +265,7 @@ def _load_data(config: CampaignConfig) -> Optional[dict]:
                 raise ConfigError("arms_file", str(e)) from None
         if ev.kind == "replay":
             try:
-                return read_replay_csv(ev.csv_file, known=None if names is None else set(names))
+                return read_replay_csv(ev.csv_file)
             except OSError as e:
                 raise ConfigError("csv_file", str(e)) from None
     return None

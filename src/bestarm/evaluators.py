@@ -247,18 +247,14 @@ class ExhaustionPolicy(str, Enum):
     RESAMPLE = "resample"
 
 
-def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, list[float]]:
-    """Read a "model,score" CSV into per-model ordered score lists.
-
-    Rows for models outside ``known`` are dropped with a warning.
-    """
+def read_replay_csv(path: str) -> dict[str, list[float]]:
+    """Read a "model,score" CSV into every model's ordered score list."""
     scores: dict[str, list[float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["model", "score"]:
             raise ValueError(f"{path}: expected CSV header 'model,score', got {header}")
-        unknown: set[str] = set()
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -273,12 +269,7 @@ def read_replay_csv(path: str, known: Optional[set[str]] = None) -> dict[str, li
                 raise ValueError(f"{path}:{lineno}: score {row[1]!r} is not a number") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: score {row[1]!r} is not finite")
-            if known is not None and name not in known:
-                unknown.add(name)
-                continue
             scores.setdefault(name, []).append(value)
-    if unknown:
-        warnings.warn(f"{path}: ignoring scores for unknown models: {sorted(unknown)}")
     return scores
 
 
@@ -295,6 +286,9 @@ class ReplayEvaluator(_InOrderEvaluator):
         empty = [m.name for m in self.models if not scores.get(m.name)]
         if empty:
             raise ConfigError("models", f"no recorded scores for models: {empty}")
+        ignored = sorted(set(scores) - {m.name for m in self.models})
+        if ignored:
+            warnings.warn(f"ignoring scores for models that are not candidates: {ignored}")
         self._pools = {m.index: list(scores[m.name]) for m in self.models}
         self._cursors = {m.index: 0 for m in self.models}
 

@@ -725,6 +725,22 @@ class TestMain:
         assert code == 0
         assert "chosen: b" in out
 
+    @pytest.mark.parametrize("models, problem", [
+        ([], "error: models: need at least 1 candidate model"),
+        (["a", "zzz"], "error: models: no recorded scores for models: ['zzz']"),
+    ])
+    def test_refused_candidates_give_no_ignored_scores_warning(self, models, problem, tmp_path,
+                                                               capsys, recwarn):
+        csv_path = tmp_path / "scores.csv"
+        csv_path.write_text("model,score\na,0.5\na,0.52\na,0.51\nb,0.6\nb,0.61\nb,0.62\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": models}))
+        code = main(["fc", "--delta", "0.2", "--replay", str(csv_path), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert problem in err
+        assert [str(w.message) for w in recwarn if "ignoring scores" in str(w.message)] == []
+
 
 class TestCrossProcessDeterminism:
     def test_same_seed_same_trace_across_processes(self, arms_file, tmp_path):
@@ -967,3 +983,17 @@ class TestReplications:
         out = capsys.readouterr().out
         assert code == 0
         assert "replications: 2" in out
+
+    def test_non_candidate_scores_are_warned_about_once_per_sweep(self, tmp_path):
+        csv_path = tmp_path / "scores.csv"
+        csv_path.write_text("model,score\na,0.5\na,0.52\na,0.51\nb,0.6\nb,0.61\nb,0.62\n")
+        # A subprocess, so that Python's default warning filter applies.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        proc = sp.run(
+            [sys.executable, "-m", "bestarm.cli", "replicate", "--mode", "fc", "--replications", "3",
+             "--delta", "0.2", "--replay", str(csv_path), "--models", "a", "--mc-samples", "500"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "replications: 3" in proc.stdout
+        assert proc.stderr.count("ignoring scores for models that are not candidates: ['b']") == 1

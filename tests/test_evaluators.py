@@ -337,12 +337,11 @@ class TestReplay:
         pools = read_replay_csv(str(path))
         assert pools == {"m1": [0.6, 0.7], "m2": [0.8]}
 
-    def test_csv_unknown_models_warn(self, tmp_path):
-        path = tmp_path / "scores.csv"
-        path.write_text("model,score\nm1,0.6\nmystery,0.9\n")
-        with pytest.warns(UserWarning, match="mystery"):
-            pools = read_replay_csv(str(path), known={"m1"})
-        assert pools == {"m1": [0.6]}
+    def test_csv_unknown_models_warn(self):
+        with pytest.warns(UserWarning, match=r"not candidates: \['mystery'\]"):
+            ev = ReplayEvaluator({"m1": [0.6], "mystery": [0.9]}, ["m1"])
+        assert [m.name for m in ev.models] == ["m1"]
+        assert [ev.evaluate(request(ev.models[0], seq)).score for seq in range(5)] == [0.6] * 5
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "scores.csv"
