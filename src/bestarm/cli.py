@@ -8,11 +8,13 @@ command-line flag, and flags win.
 
 import argparse
 import contextlib
+import csv
 import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Iterator, Literal, Optional, Sequence, Union, get_args, get_origin
+from pathlib import Path
+from typing import Callable, Iterator, Literal, Optional, Sequence, Union, get_args, get_origin
 
 from .algorithms import (  # the entry points are looked up by name in _run
     DEFAULT_MAX_TOTAL_EVALS,
@@ -253,21 +255,25 @@ def _leaf_errors(section: str, cls) -> Iterator[None]:
         raise ConfigError(f"{section}.{e.field_name}", e.message) from None
 
 
+def _read(leaf: str, path: str, reader: Callable):
+    """Return ``reader(path)``. A file it cannot open, decode, parse or accept
+    (bad UTF-8, over-deep JSON, a refused entry or line) is refused on ``leaf``."""
+    try:
+        return reader(path)
+    except json.JSONDecodeError as e:
+        raise ConfigError(leaf, f"invalid JSON: {e}") from None
+    except (OSError, ValueError, RecursionError, csv.Error) as e:
+        raise ConfigError(leaf, str(e)) from None
+
+
 def _load_data(config: CampaignConfig) -> Optional[dict]:
     """Parse the evaluator's data file: the arm file's name -> distribution,
     or the replay CSV's name -> scores; a subprocess evaluator has none."""
     ev = config.evaluator
-    with _leaf_errors("evaluator", EvaluatorConfig):
-        if ev.kind == "synthetic":
-            try:
-                return load_arm_file(ev.arms_file)
-            except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
-                raise ConfigError("arms_file", str(e)) from None
-        if ev.kind == "replay":
-            try:
-                return read_replay_csv(ev.csv_file)
-            except OSError as e:
-                raise ConfigError("csv_file", str(e)) from None
+    if ev.kind == "synthetic":
+        return _read("evaluator.arms_file", ev.arms_file, load_arm_file)
+    if ev.kind == "replay":
+        return _read("evaluator.csv_file", ev.csv_file, read_replay_csv)
     return None
 
 
@@ -568,15 +574,8 @@ def _with_flags(cls, data, args: argparse.Namespace, path=""):
 
 def config_from_args(args: argparse.Namespace) -> CampaignConfig:
     """Merge the config file (if any) with flags; flags win."""
-    data: dict = {}
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise ConfigError("config", str(e)) from None
-        except json.JSONDecodeError as e:
-            raise ConfigError("config", f"invalid JSON: {e}") from None
+    data = (_read("config", args.config, lambda path: json.loads(Path(path).read_text("utf-8")))
+            if args.config else {})
     return CampaignConfig.from_dict(_with_flags(CampaignConfig, data, args))
 
 

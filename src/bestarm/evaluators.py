@@ -138,7 +138,7 @@ def parse_arm_entries(entries: list) -> dict[str, Distribution]:
                 )
         try:
             dist = _FAMILIES[family](**params)
-        except TypeError as e:
+        except (TypeError, ValueError) as e:  # a missing or unknown parameter, or its range
             raise ValueError(f"arm entry {i} ({entry['name']}): {e}") from None
         out[name] = dist
     return out

@@ -433,7 +433,7 @@ class TestMain:
         code = main(["fc", "--delta", "0.2", "--replay", str(scores), "--mc-samples", "500"])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"error: {scores}:3: model name is empty" in err
+        assert f"error: evaluator.csv_file: {scores}:3: model name is empty" in err
 
     @pytest.mark.parametrize("command, problem", [("   ", "names no program"),
                                                   ("'unclosed", "No closing quotation")])

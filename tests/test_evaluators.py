@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -33,6 +34,7 @@ from bestarm import (
     read_replay_csv,
     ttts,
 )
+from bestarm import evaluators
 from bestarm.evaluators import parse_arm_entries
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
@@ -55,6 +57,11 @@ def request(model, sequence, split_seed=None, model_seed=None):
 
 def child_score(rid):
     return ((rid * 2654435761) % 2**32) / 2**32
+
+
+# A `python -c` child that completes the handshake and then runs ``then``.
+HANDSHAKE = ("import os, sys, time; sys.stdin.readline(); "
+             "print('{\"ok\": true, \"max_in_flight\": 1}', flush=True); ")
 
 
 class TestArmSpecs:
@@ -564,6 +571,41 @@ class TestSubprocessEvaluator:
         ev.evaluate(request(ids[0], 0))
         ev.close()
         assert ev._child.returncode == 0
+
+    def test_second_close_is_a_no_op(self, monkeypatch):
+        ids, ev = self.make()
+        ev.evaluate(request(ids[0], 0))
+        ev.close()
+        monkeypatch.setattr(ev, "_send", lambda obj: pytest.fail("sent after close"))
+        monkeypatch.setattr(ev, "_release", lambda: pytest.fail("released twice"))
+        ev.close()
+        assert ev._child.returncode == 0
+
+    def test_close_kills_a_child_that_ignores_shutdown_and_end_of_input(self, monkeypatch):
+        monkeypatch.setattr(evaluators, "_EXIT_WAIT_S", 0.2)
+        child = HANDSHAKE + "[None for _ in sys.stdin]; time.sleep(60)"
+        ev = SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
+        start = time.monotonic()
+        ev.close()
+        assert time.monotonic() - start < 1.0
+        assert ev._child.returncode == -signal.SIGKILL
+        assert ev._child.stdout.closed
+
+    def test_child_that_closes_its_output_but_runs_on_fails_collect(self, monkeypatch):
+        monkeypatch.setattr(evaluators, "_EXIT_WAIT_S", 0.2)
+        child = HANDSHAKE + "os.close(1); time.sleep(60)"
+        (model,) = make_model_ids(["a"])
+        ev = SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
+        try:
+            ev.submit(request(model, 0))
+            with pytest.raises(EvaluatorFailure,
+                               match="closed its output with 1 requests outstanding"):
+                ev.collect()
+        finally:
+            start = time.monotonic()
+            ev.close()
+        assert time.monotonic() - start < 1.0
+        assert ev._child.returncode == -signal.SIGKILL
 
     def test_flaky_child_errors_then_succeeds_on_retry(self):
         ids, ev = self.make("--flaky")
