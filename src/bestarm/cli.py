@@ -8,7 +8,6 @@ command-line flag, and flags win.
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -103,23 +102,7 @@ def _dump_transform(t: TransformMode) -> dict:
 
 
 class _Section:
-    """A config section: validated and serialised by walking its declared leaves."""
-
-    def validate(self, _path: str = "") -> None:
-        """Check each leaf's JSON type, or load its form, in declaration
-        order, and that a leaf the section's kind requires is given. The
-        values are the library's to check."""
-        kind = getattr(self, "kind", None)
-        for f in fields(self):
-            name, value, meta = _path + f.name, getattr(self, f.name), f.metadata
-            if _is_section(f.type):
-                value.validate(name + ".")
-            elif meta["load"]:
-                setattr(self, f.name, meta["load"](name, value))
-            elif not _is_a(value, f.type):
-                raise ConfigError(name, f"must be {_type_name(f.type)}, got {value!r}")
-            elif value is None and meta["required"] and kind in meta["kinds"]:
-                raise ConfigError(name, f"required when kind is {kind!r}")
+    """A config section: built and checked by ``_from_dict``, serialised here."""
 
     def to_dict(self) -> dict:
         kind = getattr(self, "kind", None)
@@ -195,9 +178,7 @@ class CampaignConfig(_Section):
 
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignConfig":
-        config = _from_dict(cls, data)
-        config.validate()
-        return config
+        return _from_dict(cls, data)
 
 
 def _is_section(hint) -> bool:
@@ -224,23 +205,50 @@ def _type_name(hint) -> str:
     return " or ".join(_TYPE_NAMES.get(t, t.__name__) for t in types)
 
 
-def _from_dict(cls, data, path: str = ""):
+def _from_dict(cls, data, path: str = "", args: Optional[argparse.Namespace] = None):
+    """Build and check a config section from its JSON form or a section of its
+    class: it is an object; the flags in ``args`` lie over it (a null section is
+    empty, and one flag of a leaf some kinds require implies the first of them,
+    unless a flag sets the kind); it has no unknown key; each leaf passes its
+    required, ``load``, type and kind checks, leaving its value to the library."""
+    fs = fields(cls)
+    if isinstance(data, cls) or data is None and args is not None:
+        data = {} if data is None else vars(data)
     if not isinstance(data, dict):
         raise ConfigError(path.rstrip(".") or "config", "must be a JSON object")
-    extra = [k for k in data if k not in {f.name for f in fields(cls)}]
+    if args is not None:
+        data, implied = dict(data), 0
+        for f in fs:
+            flag, kinds = getattr(args, path + f.name, None), f.metadata.get("kinds")
+            if _is_section(f.type):
+                data.setdefault(f.name, None)
+            elif flag is not None:
+                if kinds and f.metadata["required"] and not hasattr(args, path + "kind"):
+                    implied += 1
+                    data = data if data.get("kind") in kinds else {"kind": kinds[0]}
+                data[f.name] = flag
+        if implied > 1:
+            flags = ", ".join(f.metadata["flag"] for f in fs if f.metadata.get("required"))
+            raise ConfigError(path.rstrip("."), f"choose exactly one of {flags}")
+    extra = [k for k in data if k not in {f.name for f in fs}]
     if extra:
         raise ConfigError(f"{path}{extra[0]}", "unknown key")
     values = {}
-    for f in fields(cls):
-        name = path + f.name
-        if f.name not in data:
-            if f.default is MISSING:
-                raise ConfigError(name, "required" if _is_section(f.type)
-                                  else f"required, must be {_type_name(f.type)}")
-        elif _is_section(f.type):
-            values[f.name] = _from_dict(f.type, data[f.name], name + ".")
-        else:
-            values[f.name] = data[f.name]
+    for f in fs:
+        name, meta, kind = path + f.name, f.metadata, values.get("kind")
+        if f.name not in data and f.default is MISSING:
+            raise ConfigError(name, "required" if _is_section(f.type)
+                              else f"required, must be {_type_name(f.type)}")
+        value = data.get(f.name, f.default)
+        if _is_section(f.type):
+            value = _from_dict(f.type, value, name + ".", args)
+        elif meta["load"]:
+            value = meta["load"](name, value)
+        elif not _is_a(value, f.type):
+            raise ConfigError(name, f"must be {_type_name(f.type)}, got {value!r}")
+        elif value is None and meta["required"] and kind in meta["kinds"]:
+            raise ConfigError(name, f"required when kind is {kind!r}")
+        values[f.name] = value
     return cls(**values)
 
 
@@ -262,7 +270,7 @@ def _read(leaf: str, path: str, reader: Callable):
         return reader(path)
     except json.JSONDecodeError as e:
         raise ConfigError(leaf, f"invalid JSON: {e}") from None
-    except (OSError, ValueError, RecursionError, csv.Error) as e:
+    except (OSError, ValueError, RecursionError) as e:
         raise ConfigError(leaf, str(e)) from None
 
 
@@ -373,8 +381,8 @@ def _run(config: CampaignConfig, data: Optional[dict]) -> SelectionResult:
         evaluator.close()
 
 
-def _validate_run(config: CampaignConfig) -> None:
-    """Validate the config, and refuse a Monte-Carlo belief too coarse for delta.
+def _validate_run(config: CampaignConfig) -> CampaignConfig:
+    """Return a checked copy; refuse a Monte-Carlo belief too coarse for delta.
 
     A belief's pi has a standard error of up to 0.5/sqrt(mc_samples); above
     delta/2, a few lucky rows can pass the stop test. The algorithms accept
@@ -382,7 +390,7 @@ def _validate_run(config: CampaignConfig) -> None:
     judges only a delta in (0, 1) and an mc_samples of at least 1, leaving
     other values to the library's refusals.
     """
-    config.validate()
+    config = _from_dict(CampaignConfig, config)
     mode, mc = config.mode, config.mc_samples
     if (mode.kind in _CONFIDENCE_KINDS and 0.0 < mode.delta < 1.0 and mc >= 1
             and 0.5 / math.sqrt(mc) > mode.delta / 2):
@@ -391,17 +399,18 @@ def _validate_run(config: CampaignConfig) -> None:
             f"must be at least 1/delta^2 = {math.ceil(1 / mode.delta**2)} for delta {mode.delta}, "
             f"so that 0.5/sqrt(mc_samples) is at most delta/2, got {config.mc_samples}",
         )
+    return config
 
 
 def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
-    """Validate, run, report: the one-campaign entry point.
+    """Check a copy, run it, report: the one-campaign entry point.
 
     Streams the trace when a path is configured (so a failed or interrupted
     campaign leaves every event emitted so far), prints the human-readable
     summary to stdout, and returns the result with its exit code: 0 for
     budget/confidence termination, 2 when the safeguard tripped.
     """
-    _validate_run(config)
+    config = _validate_run(config)
     result = _run(config, _load_data(config))
     print(format_summary(result))
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
@@ -472,7 +481,7 @@ def run_replications(
     sweep against live training runs is rarely what anyone wants. Refuses a
     trace path, since the replications write no trace.
     """
-    _validate_run(config)
+    config = _validate_run(config)
     if config.trace_path is not None:
         raise ConfigError("trace_path", "replicate writes no trace; trace a single campaign instead")
     require_positive_int("replications", replications)
@@ -543,40 +552,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _with_flags(cls, data, args: argparse.Namespace, path=""):
-    """Lay the flags given in ``args`` over one section of the config file.
-
-    Where no flag sets the section's kind, the flag of a leaf required by
-    some kinds implies the first of them, so at most one such flag may be
-    given; a flag of an optional leaf keeps the section's kind.
-    """
-    data = {} if data is None else data
-    if not isinstance(data, dict):
-        raise ConfigError(path.rstrip(".") or "config", "must be a JSON object")
-    implies = [f for f in fields(cls) if f.metadata.get("kinds") and f.metadata["required"]
-               and not hasattr(args, path + "kind")]
-    out, implied = dict(data), 0
-    for f in fields(cls):
-        name = path + f.name
-        if _is_section(f.type):
-            out[f.name] = _with_flags(f.type, out.get(f.name), args, name + ".")
-        elif getattr(args, name, None) is not None:
-            if f in implies:
-                implied += 1
-                if out.get("kind") not in f.metadata["kinds"]:
-                    out = {"kind": f.metadata["kinds"][0]}
-            out[f.name] = getattr(args, name)
-    if implied > 1:
-        flags = [f.metadata["flag"] for f in implies if f.metadata["flag"]]
-        raise ConfigError(path.rstrip("."), f"choose exactly one of {', '.join(flags)}")
-    return out
-
-
 def config_from_args(args: argparse.Namespace) -> CampaignConfig:
     """Merge the config file (if any) with flags; flags win."""
     data = (_read("config", args.config, lambda path: json.loads(Path(path).read_text("utf-8")))
             if args.config else {})
-    return CampaignConfig.from_dict(_with_flags(CampaignConfig, data, args))
+    return _from_dict(CampaignConfig, data, args=args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

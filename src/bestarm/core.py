@@ -34,16 +34,11 @@ class ConfigError(ValueError):
         self.message = message
 
 
-def require_int(name: str, value) -> None:
-    """Refuse a value that is not an integer (a bool is not one) as a
-    ``ConfigError`` on ``name``, in the words of the config's checks."""
+def require_positive_int(name: str, value) -> None:
+    """Refuse a value that is not an integer (a bool is not one) or is below
+    1 as a ``ConfigError`` on ``name``, in the words of the config's checks."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(name, f"must be an integer, got {value!r}")
-
-
-def require_positive_int(name: str, value) -> None:
-    """Refuse a value that is not an integer of at least 1 as ``require_int`` does."""
-    require_int(name, value)
     if value < 1:
         raise ConfigError(name, f"must be positive, got {value!r}")
 

@@ -248,28 +248,32 @@ class ExhaustionPolicy(str, Enum):
 
 
 def read_replay_csv(path: str) -> dict[str, list[float]]:
-    """Read a "model,score" CSV into every model's ordered score list."""
+    """Read a "model,score" CSV into every model's ordered score list. A line
+    error, the csv module's own included, names the line it ends on."""
     scores: dict[str, list[float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["model", "score"]:
-            raise ValueError(f"{path}: expected CSV header 'model,score', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{path}:{lineno}: expected 'model,score', got {row}")
-            name = row[0].strip()
-            if not name:
-                raise ValueError(f"{path}:{lineno}: model name is empty")
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: score {row[1]!r} is not a number") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: score {row[1]!r} is not finite")
-            scores.setdefault(name, []).append(value)
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header[:2]] != ["model", "score"]:
+                raise ValueError(f"{path}: expected CSV header 'model,score', got {header}")
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"{path}:{reader.line_num}: expected 'model,score', got {row}")
+                name = row[0].strip()
+                if not name:
+                    raise ValueError(f"{path}:{reader.line_num}: model name is empty")
+                try:
+                    value = float(row[1])
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: score {row[1]!r} is not a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{reader.line_num}: score {row[1]!r} is not finite")
+                scores.setdefault(name, []).append(value)
+        except csv.Error as e:
+            raise ValueError(f"{path}:{reader.line_num}: {e}") from None
     return scores
 
 
@@ -319,7 +323,7 @@ class SubprocessEvaluator(Evaluator):
     thread, through ``poll`` (POSIX only). Bad model names, a command that
     is blank or badly quoted, a ``max_in_flight`` below 1 and a ``timeout``
     that is not a positive number of seconds are refused before the child is
-    spawned.
+    spawned, and a program that cannot be found or run as a bad ``command``.
     """
 
     def __init__(
@@ -355,6 +359,8 @@ class SubprocessEvaluator(Evaluator):
             )
         except OSError as e:
             self._stderr.close()
+            if isinstance(e, (FileNotFoundError, PermissionError)):
+                raise ConfigError("command", f"failed to spawn evaluator {argv!r}: {e}") from None
             raise EvaluatorFailure(f"failed to spawn evaluator {argv!r}: {e}") from e
         # poll, unlike select, takes descriptors past 1023.
         self._poll = select.poll()

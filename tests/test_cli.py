@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -241,6 +242,51 @@ class TestConfigSchema:
         assert f"error: {path}: " in err
         assert "must be" in err or "unknown key" in err
         assert "Traceback" not in err
+
+
+class TestOneWalk:
+    """A config file, the flags laid over it and a config handed to the
+    runners are built and checked by one walk, section by section."""
+
+    @pytest.mark.parametrize("run", [run_campaign, lambda config: run_replications(config, 1)],
+                             ids=["run_campaign", "run_replications"])
+    def test_runners_leave_their_config_as_it_was(self, run, pair_arms_file, capsys):
+        config = CampaignConfig(cli.ModeConfig(kind="fc", delta=0.2),
+                                cli.EvaluatorConfig(kind="synthetic", arms_file=pair_arms_file),
+                                mc_samples=500, transform="logit")
+        before = copy.deepcopy(config)
+        run(config)
+        assert config == before
+
+    def test_runners_refuse_a_config_instance_as_a_file(self, pair_arms_file):
+        config = CampaignConfig(cli.ModeConfig(kind="fc", delta="0.2"),
+                                cli.EvaluatorConfig(kind="synthetic", arms_file=pair_arms_file))
+        with pytest.raises(ConfigError, match=r"^mode\.delta: must be a number or null, got '0\.2'$"):
+            run_campaign(config)
+
+    # Each file also holds a bad mode.delta; the mode section comes first.
+    @pytest.mark.parametrize("evaluator, flags", [
+        ({"kind": "synthetic", "arms_file": "arms.json", "bogus": 1}, []),
+        (None, ["--synthetic", "arms.json", "--replay", "scores.csv"]),
+    ], ids=["unknown-evaluator-key", "two-evaluator-flags"])
+    def test_sections_are_refused_in_table_order(self, evaluator, flags, tmp_path, capsys):
+        data = {"mode": {"kind": "fc", "delta": "x"}}
+        if evaluator is not None:
+            data["evaluator"] = evaluator
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert main(["fc", "--config", str(path), *flags]) == 1
+        assert capsys.readouterr().err == "error: mode.delta: must be a number or null, got 'x'\n"
+
+    def test_flags_fill_a_null_section(self, pair_arms_file, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"mode": null}')
+        argv = ["fc", "--delta", "0.2", "--synthetic", pair_arms_file, "--mc-samples", "500"]
+        assert main(argv + ["--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("chosen: hi\n")
+        with pytest.raises(ConfigError, match="^mode: must be a JSON object$"):
+            CampaignConfig.from_dict({"mode": None, "evaluator": {"kind": "synthetic",
+                                                                   "arms_file": pair_arms_file}})
 
 
 class TestRunCampaign:

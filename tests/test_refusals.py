@@ -84,7 +84,7 @@ def test_bad_arm_file_names_arms_file_and_entry(arms, expected, tmp_path, capsys
 @pytest.mark.parametrize("content, expected", [
     ("model,score\na\n", "{path}:2: expected 'model,score', got ['a']"),
     (b"model,score\na,0.5\xff\n", "'utf-8' codec can't decode byte 0xff "),
-    ("model,score\na," + "1" * 200_000 + "\n", "field larger than field limit (131072)"),
+    ("model,score\na," + "1" * 200_000 + "\n", "{path}:2: field larger than field limit (131072)"),
     (None, "[Errno 2] No such file or directory: "),
 ], ids=["one-field", "not-utf8", "huge-field", "missing"])
 def test_bad_replay_csv_names_csv_file_and_line(content, expected, tmp_path, capsys):
@@ -132,4 +132,5 @@ def test_missing_program_is_refused(tmp_path, capsys):
     program = str(tmp_path / "no-such-child")
     line = refusal(["fc", "--delta", "0.2", "--exec", program, "--models", "a,b",
                     "--mc-samples", "500"], capsys)
-    assert line.startswith(f"error: failed to spawn evaluator [{program!r}]: [Errno 2] ")
+    assert line.startswith(f"error: evaluator.command: failed to spawn evaluator [{program!r}]: "
+                           "[Errno 2] ")
