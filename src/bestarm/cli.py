@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Literal, Optional, Sequence, Union, get_args, get_origin
 
@@ -207,12 +208,12 @@ def _type_name(hint) -> str:
 
 def _from_dict(cls, data, path: str = "", args: Optional[argparse.Namespace] = None):
     """Build and check a config section from its JSON form or a section of its
-    class: it is an object; the flags in ``args`` lie over it (a null section is
-    empty, and one flag of a leaf some kinds require implies the first of them,
+    class: it is an object; the flags in ``args`` lie over it (a null inner section
+    is empty, and one flag of a leaf some kinds require implies the first of them,
     unless a flag sets the kind); it has no unknown key; each leaf passes its
     required, ``load``, type and kind checks, leaving its value to the library."""
     fs = fields(cls)
-    if isinstance(data, cls) or data is None and args is not None:
+    if isinstance(data, cls) or data is None and args is not None and path:
         data = {} if data is None else vars(data)
     if not isinstance(data, dict):
         raise ConfigError(path.rstrip(".") or "config", "must be a JSON object")
@@ -274,48 +275,25 @@ def _read(leaf: str, path: str, reader: Callable):
         raise ConfigError(leaf, str(e)) from None
 
 
-def _load_data(config: CampaignConfig) -> Optional[dict]:
-    """Parse the evaluator's data file: the arm file's name -> distribution,
-    or the replay CSV's name -> scores; a subprocess evaluator has none."""
+def _load_data(config: CampaignConfig) -> tuple[list[str], Callable[[], Evaluator]]:
+    """Read the evaluator's data file once; return the candidates' names
+    (``models`` when given, else the arm file's or replay CSV's names in order;
+    a subprocess campaign must give them) and ``build``, which makes a fresh
+    evaluator back-end of them, the owner of the candidate set."""
     ev = config.evaluator
     if ev.kind == "synthetic":
-        return _read("evaluator.arms_file", ev.arms_file, load_arm_file)
-    if ev.kind == "replay":
-        return _read("evaluator.csv_file", ev.csv_file, read_replay_csv)
-    return None
-
-
-def _candidate_names(config: CampaignConfig, data: Optional[dict]) -> list[str]:
-    """The candidates' names: ``models`` when given, otherwise the arm
-    file's names in order or the replay CSV's in first-seen order;
-    subprocess campaigns must name their models explicitly."""
-    if config.models is not None:
-        return list(config.models)
-    if data is None:
+        data = _read("evaluator.arms_file", ev.arms_file, load_arm_file)
+        make = partial(SyntheticEvaluator, data)
+    elif ev.kind == "replay":
+        data = _read("evaluator.csv_file", ev.csv_file, read_replay_csv)
+        make = partial(ReplayEvaluator, data, exhaustion_policy=ev.exhaustion)
+    elif config.models is None:
         raise ConfigError("models", "required for the subprocess evaluator")
-    return list(data)
-
-
-def _resolve(config: CampaignConfig, data: Optional[dict]) -> Evaluator:
-    """Build a fresh evaluator back-end, which owns the candidate set, from
-    ``_load_data(config)``."""
-    ev, names = config.evaluator, _candidate_names(config, data)
-    with _leaf_errors("evaluator", EvaluatorConfig):
-        if ev.kind == "synthetic":
-            return SyntheticEvaluator(data, names)
-        if ev.kind == "replay":
-            return ReplayEvaluator(data, names, ev.exhaustion)
-        return SubprocessEvaluator(ev.command, names, max_in_flight=ev.max_in_flight,
-                                   timeout=ev.timeout)
-
-
-def _header_dict(config: CampaignConfig, models: Sequence[ModelId]) -> dict:
-    # The header must be byte-identical across reruns of the same campaign
-    # regardless of where each run writes its trace.
-    d = config.to_dict()
-    d.pop("trace_path", None)
-    d["models"] = [m.name for m in models]
-    return {"config": d}
+    else:
+        make = partial(SubprocessEvaluator, ev.command, max_in_flight=ev.max_in_flight,
+                       timeout=ev.timeout)
+    names = list(data if config.models is None else config.models)
+    return names, partial(make, names)
 
 
 @contextlib.contextmanager
@@ -338,8 +316,13 @@ def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) ->
         except OSError as e:
             raise ConfigError("trace_path", str(e)) from None
 
+    # The header must be byte-identical across reruns of the same campaign
+    # regardless of where each run writes its trace.
+    header = config.to_dict()
+    header.pop("trace_path", None)
+    header["models"] = [m.name for m in models]
     with fh:
-        write_line(_header_dict(config, models))
+        write_line({"config": header})
         yield lambda event: write_line(event.to_dict())
 
 
@@ -355,8 +338,8 @@ def format_summary(result: SelectionResult) -> str:
     return "\n".join(lines)
 
 
-def _run(config: CampaignConfig, data: Optional[dict]) -> SelectionResult:
-    """Build the evaluator, check the call, open the trace (if configured),
+def _run(config: CampaignConfig, build: Callable[[], Evaluator]) -> SelectionResult:
+    """Build the evaluator with ``build``, check the call, open the trace (if configured),
     then run the mode's entry point with the mode's leaves as its keywords.
 
     The entry point is looked up in this module's namespace at each call, so
@@ -369,7 +352,8 @@ def _run(config: CampaignConfig, data: Optional[dict]) -> SelectionResult:
     if mode.kind in _CONFIDENCE_KINDS:
         params["mc_samples"] = config.mc_samples
     params["transform"] = config.transform
-    evaluator = _resolve(config, data)
+    with _leaf_errors("evaluator", EvaluatorConfig):
+        evaluator = build()
     try:
         with _leaf_errors("mode", ModeConfig):
             check_arguments(entry, evaluator, config.campaign_seed, **params)
@@ -394,9 +378,12 @@ def _validate_run(config: CampaignConfig) -> CampaignConfig:
     mode, mc = config.mode, config.mc_samples
     if (mode.kind in _CONFIDENCE_KINDS and 0.0 < mode.delta < 1.0 and mc >= 1
             and 0.5 / math.sqrt(mc) > mode.delta / 2):
+        # 1/delta^2 is named only where it fits in a float.
+        inverse = 1 / mode.delta**2 if mode.delta**2 else math.inf
+        need = f" = {math.ceil(inverse)}" if math.isfinite(inverse) else ""
         raise ConfigError(
             "mc_samples",
-            f"must be at least 1/delta^2 = {math.ceil(1 / mode.delta**2)} for delta {mode.delta}, "
+            f"must be at least 1/delta^2{need} for delta {mode.delta}, "
             f"so that 0.5/sqrt(mc_samples) is at most delta/2, got {config.mc_samples}",
         )
     return config
@@ -411,7 +398,7 @@ def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     budget/confidence termination, 2 when the safeguard tripped.
     """
     config = _validate_run(config)
-    result = _run(config, _load_data(config))
+    result = _run(config, _load_data(config)[1])
     print(format_summary(result))
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
     return result, code
@@ -495,16 +482,16 @@ def run_replications(
             "(pass --allow-exec to override)",
         )
     # Parsed once; each seed still gets its own fresh evaluator.
-    data = _load_data(config)
+    names, build = _load_data(config)
     # The candidates are refused, naming models, before true_best is judged.
-    names = [m.name for m in make_model_ids(_candidate_names(config, data))]
+    make_model_ids(names)
     if true_best is not None and true_best not in names:
         raise ConfigError("true_best", f"{true_best!r} is not a candidate model")
     counts = [0] * len(names)
     totals: list[int] = []
     correct = 0
     for i in range(replications):
-        result = _run(replace(config, campaign_seed=config.campaign_seed + i), data)
+        result = _run(replace(config, campaign_seed=config.campaign_seed + i), build)
         counts[result.chosen.index] += 1
         totals.append(result.total_evals)
         correct += result.chosen.name == true_best
@@ -531,8 +518,13 @@ def _add_flags(sp: argparse.ArgumentParser, command: str, cls=CampaignConfig, pa
             sp.add_argument(f.metadata["flag"], dest=path + f.name, **f.metadata["flag_args"])
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, as any error does; 2 means the safeguard tripped
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bestarm",
         description="Adaptive selection of the best noisy candidate model.",
     )
@@ -584,9 +576,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 130
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -143,6 +143,7 @@ def stats_update(stats: ModelStats, score: float) -> ModelStats:
     """Fold one score into the statistics via the stable single-pass recurrence.
 
     Never computed as sum(x^2) - n*mean^2, which cancels catastrophically.
+    A score, or a new mean or ``sq_dev_sum``, that is not finite is refused.
     """
     score = float(score)
     if not math.isfinite(score):
@@ -151,6 +152,9 @@ def stats_update(stats: ModelStats, score: float) -> ModelStats:
     delta = score - stats.mean
     mean = stats.mean + delta / count
     sq_dev_sum = stats.sq_dev_sum + delta * (score - mean)
+    if not (math.isfinite(mean) and math.isfinite(sq_dev_sum)):
+        raise NonFiniteScoreError(f"statistics overflow after score {score!r}: mean {mean!r}, "
+                                  f"sq_dev_sum {sq_dev_sum!r} over {count} scores")
     return ModelStats(count=count, mean=mean, sq_dev_sum=sq_dev_sum)
 
 

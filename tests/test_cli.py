@@ -538,6 +538,25 @@ class TestMain:
         evaluated = [e for e in lines[1:] if e["kind"] == "evaluated"]
         assert len(evaluated) <= 3
 
+    @pytest.mark.parametrize("argv, code", [
+        (["fc", "--delta", "x"], 1),
+        (["fc", "--delta", "0.1", "--bogus"], 1),
+        ([], 1),
+        (["replicate", "--mode", "zz", "--replications", "2"], 1),
+        (["fc", "--help"], 0),
+    ], ids=["bad-value", "unknown-flag", "no-subcommand", "bad-choice", "help"])
+    def test_a_refused_flag_exits_one_not_the_safeguards_two(self, argv, code):
+        proc = sp.run([sys.executable, "-m", "bestarm.cli", *argv],
+                      capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert proc.stderr.startswith("usage: bestarm")
+            assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+                proc.stderr.splitlines()[-1]]
+        else:
+            assert proc.stdout.startswith("usage: bestarm fc") and proc.stderr == ""
+
     def test_non_utf8_child_output_exits_one(self):
         # The child stays alive after its undecodable reply.
         reply = b'{"id": 0, "score": 0.5, "x": "\xff"}'

@@ -62,6 +62,15 @@ class TestStatsUpdate:
         with pytest.raises(NonFiniteScoreError):
             stats_update(ModelStats(), bad)
 
+    @pytest.mark.parametrize("start, score", [
+        (ModelStats(count=1, mean=1e200), 1.1e200 + 1e199),  # sq_dev_sum overflows
+        (ModelStats(count=1, mean=-1.5e308), 1.5e308),       # the deviation overflows
+        (ModelStats(count=2, sq_dev_sum=1.7e308), 1e154),    # the sum overflows
+    ])
+    def test_rejects_finite_scores_whose_statistics_overflow(self, start, score):
+        with pytest.raises(NonFiniteScoreError, match="statistics overflow"):
+            stats_update(start, score)
+
     def test_empty_convention(self):
         s = ModelStats()
         assert (s.count, s.mean, s.sq_dev_sum) == (0, 0.0, 0.0)

@@ -8,6 +8,8 @@ underscore; the module's functions, classes and assigned constants, and its
 classes' methods, are checked."""
 
 import ast
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -80,3 +82,12 @@ def test_an_unreferenced_private_name_is_found():
                      "    def _m(self): pass\n    def _n(self): self._m()\n    def __init__(self): pass\n"
                      "def _r(n): return _r(n - 1)\n_g()\nt = {'_K': 1}\n")
     assert unreferenced_private_names(tree) == ["_B", "_f", "_n", "_r"]
+
+
+def test_console_script_names_a_callable():
+    # Python 3.10 has no tomllib, so the one script line is read by pattern.
+    pyproject = (SOURCES[0].parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    targets = re.findall(r'^bestarm\s*=\s*"([\w.]+):(\w+)"\s*$', pyproject, re.MULTILINE)
+    assert len(targets) == 1, targets
+    module, function = targets[0]
+    assert callable(getattr(importlib.import_module(module), function, None)), targets[0]

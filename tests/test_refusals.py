@@ -47,13 +47,40 @@ def write(tmp_path, name, content):
     ('{"campaign_seed": ' + "1" * 5000 + "}", "error: config: Exceeds the limit (4300 digits) "),
     ("[]", "error: config: must be a JSON object"),
     ('{"mode": 5}', "error: mode: must be a JSON object"),
-], ids=["missing", "bad-json", "not-utf8", "deep", "long-int", "list", "mode-5"])
+    ("null", "error: config: must be a JSON object"),
+], ids=["missing", "bad-json", "not-utf8", "deep", "long-int", "list", "mode-5", "null"])
 def test_bad_config_file_names_config(content, expected, tmp_path, capsys):
     path = str(tmp_path / "config.json") if content is None else write(tmp_path, "config.json",
                                                                            content)
     arms = write(tmp_path, "arms.json", json.dumps(PAIR))
     line = refusal(["fc", "--delta", "0.2", "--synthetic", arms, "--config", path], capsys)
     assert line.startswith(expected)
+
+
+@pytest.mark.parametrize("delta, expected", [
+    ("1e-154", "error: mc_samples: must be at least 1/delta^2 = 1000000000000000"),
+    ("1e-160", "error: mc_samples: must be at least 1/delta^2 for delta 1e-160, so that "),
+    ("1e-300", "error: mc_samples: must be at least 1/delta^2 for delta 1e-300, so that "),
+])
+def test_tiny_delta_is_refused_by_the_resolution_guard(delta, expected, tmp_path, capsys):
+    # Below about 1e-154, 1/delta^2 no longer fits in a float and is not named.
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    line = refusal(["fc", "--delta", delta, "--synthetic", arms, "--mc-samples", "1000"], capsys)
+    assert line.startswith(expected)
+
+
+def test_scores_whose_statistics_overflow_are_refused(tmp_path, capsys):
+    # Each score is finite, but a model's second one overflows its sq_dev_sum.
+    arms = write(tmp_path, "arms.json", json.dumps([
+        {"name": "a", "family": "gaussian", "mean": 1e200, "sd": 1e199},
+        {"name": "b", "family": "gaussian", "mean": 1.1e200, "sd": 1e199}]))
+    trace = tmp_path / "trace.jsonl"
+    line = refusal(["fc", "--delta", "0.1", "--mc-samples", "1000", "--synthetic", arms,
+                    "--trace", str(trace)], capsys)
+    assert line.startswith("error: statistics overflow after score ")
+    evaluated = [e for e in map(json.loads, trace.read_text().splitlines()[1:])
+                 if e["kind"] == "evaluated"]
+    assert 1 <= len(evaluated) <= 3 * 2
 
 
 @pytest.mark.parametrize("arms, expected", [
