@@ -48,6 +48,7 @@ from .core import (
     EventKind,
     ModelId,
     ModelStats,
+    NonFiniteScoreError,
     SelectionResult,
     StreamPurpose,
     TerminationReason,
@@ -223,14 +224,13 @@ class _Campaign:
                 for i, (m, s, t) in enumerate(zip(batch, splits, model_seeds))]
 
     def fold(self, result: EvaluationScore, extra: Optional[dict] = None) -> None:
-        model = result.request.model
+        model, sequence = result.request.model, result.request.sequence
         value = transform_score(result.score, self.transform)
-        self.stats[model.index] = stats_update(self.stats[model.index], value)
-        payload = {
-            "model": model.name,
-            "request": result.request.sequence,
-            "score": result.score,
-        }
+        try:
+            self.stats[model.index] = stats_update(self.stats[model.index], value)
+        except NonFiniteScoreError as e:  # stats_update does not know the model
+            raise NonFiniteScoreError(f"{e} (model {model.name}, request {sequence})") from None
+        payload = {"model": model.name, "request": sequence, "score": result.score}
         if self.transform.kind != "identity":
             payload["transformed_score"] = value
         if extra:

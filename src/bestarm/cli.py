@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
@@ -147,7 +148,6 @@ class EvaluatorConfig(_Section):
                                      help="synthetic evaluator arm file")
     command: Optional[str] = _leaf(None, kinds=("subprocess",), required=True,
                                    flag="--exec", metavar="CMD", help="subprocess evaluator command")
-    max_in_flight: Optional[int] = _leaf(None, kinds=("subprocess",))
     csv_file: Optional[str] = _leaf(None, kinds=("replay",), required=True,
                                     flag="--replay", metavar="SCORES_CSV",
                                     help="replay evaluator score file")
@@ -290,8 +290,7 @@ def _load_data(config: CampaignConfig) -> tuple[list[str], Callable[[], Evaluato
     elif config.models is None:
         raise ConfigError("models", "required for the subprocess evaluator")
     else:
-        make = partial(SubprocessEvaluator, ev.command, max_in_flight=ev.max_in_flight,
-                       timeout=ev.timeout)
+        make = partial(SubprocessEvaluator, ev.command, timeout=ev.timeout)
     names = list(data if config.models is None else config.models)
     return names, partial(make, names)
 
@@ -399,7 +398,7 @@ def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     """
     config = _validate_run(config)
     result = _run(config, _load_data(config)[1])
-    print(format_summary(result))
+    print(format_summary(result), flush=True)
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
     return result, code
 
@@ -562,7 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 true_best=args.true_best,
                 allow_subprocess=args.allow_exec,
             )
-            print(report.format())
+            print(report.format(), flush=True)
             return 0
         _, code = run_campaign(config)
         return code
@@ -570,6 +569,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, EvaluatorFailure) and e.stderr:
             print(f"evaluator stderr:\n{e.stderr}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout's reader has gone; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

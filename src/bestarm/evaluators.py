@@ -40,7 +40,6 @@ from .core import (
     ProtocolError,
     StreamPurpose,
     make_model_ids,
-    require_positive_int,
     rng_stream,
 )
 
@@ -319,9 +318,9 @@ class SubprocessEvaluator(Evaluator):
     One child process serves the whole campaign (model setup costs are paid
     once). Requests carry the seeds the child must honor; responses are
     demultiplexed strictly by id, so the child may reply out of order up to
-    its advertised pipeline depth. The child's stdout is read on the calling
-    thread, through ``poll`` (POSIX only). Bad model names, a command that
-    is blank or badly quoted, a ``max_in_flight`` below 1 and a ``timeout``
+    the pipeline depth it advertises, the evaluator's ``max_in_flight``. Its
+    stdout is read on the calling thread, through ``poll`` (POSIX only). Bad
+    model names, a command that is blank or badly quoted and a ``timeout``
     that is not a positive number of seconds are refused before the child is
     spawned, and a program that cannot be found or run as a bad ``command``.
     """
@@ -330,7 +329,6 @@ class SubprocessEvaluator(Evaluator):
         self,
         command: Union[str, Sequence[str]],
         models: Sequence[str],
-        max_in_flight: Optional[int] = None,
         timeout: Optional[float] = None,
     ):
         self.models = make_model_ids(models)
@@ -340,8 +338,6 @@ class SubprocessEvaluator(Evaluator):
             raise ConfigError("command", str(e)) from None
         if not argv:
             raise ConfigError("command", f"command {command!r} names no program")
-        if max_in_flight is not None:
-            require_positive_int("max_in_flight", max_in_flight)
         if timeout is not None and not (_is_finite_number(timeout) and timeout > 0):
             raise ConfigError("timeout", f"must be a positive number of seconds, got {timeout!r}")
         self._timeout = timeout
@@ -378,7 +374,7 @@ class SubprocessEvaluator(Evaluator):
             self._kill()
             self._release()
             raise
-        self._max_in_flight = advertised if max_in_flight is None else min(advertised, max_in_flight)
+        self._max_in_flight = advertised
 
     def _stderr_text(self) -> str:
         # pread leaves alone the file offset the child writes at.

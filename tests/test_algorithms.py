@@ -259,17 +259,23 @@ class TestTtts:
         assert top_two > result.total_evals / 2
 
     def test_drawn_pairs_are_distinct(self):
-        evaluator = synthetic(FIG_MEANS, sd=0.01)
-        result = ttts(
-            evaluator, campaign_seed=77, delta=0.05,
-            mc_samples=4000,
-        )
-        steps = [e for e in events_of(result, EventKind.EVALUATED) if "candidates" in e.payload]
+        steps = []
+        for seed in (77, 78, 79, 80):
+            evaluator = synthetic(FIG_MEANS, sd=0.01)
+            result = ttts(
+                evaluator, campaign_seed=seed, delta=0.05,
+                mc_samples=4000,
+            )
+            steps += [e for e in events_of(result, EventKind.EVALUATED) if "candidates" in e.payload]
         assert steps, "adaptive phase never ran"
         for e in steps:
             first, second = e.payload["candidates"]
             assert first != second
             assert e.payload["model"] in (first, second)
+        # A fair coin picks between the two: the second is evaluated about half the time.
+        seconds = sum(e.payload["model"] == e.payload["candidates"][1] for e in steps)
+        low, high = scistats.binom.interval(0.999, len(steps), 0.5)
+        assert low <= seconds <= high, (seconds, len(steps))
 
     def test_stopping_contract(self):
         for seed in (5, 6, 7):

@@ -142,8 +142,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
         ),
         "evaluator": st.one_of(
             st.fixed_dictionaries({"kind": st.just("synthetic"), "arms_file": NAMES}),
-            st.fixed_dictionaries({"kind": st.just("subprocess"), "command": NAMES},
-                                  optional={"max_in_flight": POSITIVE}),
+            st.fixed_dictionaries({"kind": st.just("subprocess"), "command": NAMES}),
             st.fixed_dictionaries({"kind": st.just("replay"), "csv_file": NAMES},
                                   optional={"exhaustion": st.sampled_from(["resample", "cycle", "error"])}),
         ),
@@ -192,6 +191,7 @@ class TestConfigSchema:
             ("fc", "synthetic", "evaluator.kind", 1),
             ("fc", "synthetic", "evaluator.arms_file", 5),
             ("fc", "subprocess", "evaluator.command", ["python3"]),
+            # The child's handshake alone sets the pipeline depth: an unknown key.
             ("fc", "subprocess", "evaluator.max_in_flight", "2"),
             ("fc", "subprocess", "evaluator.max_in_flight", 2.5),
             ("fc", "subprocess", "evaluator.max_in_flight", True),
@@ -556,6 +556,20 @@ class TestMain:
                 proc.stderr.splitlines()[-1]]
         else:
             assert proc.stdout.startswith("usage: bestarm fc") and proc.stderr == ""
+
+    @pytest.mark.parametrize("command", [["fc"], ["replicate", "--mode", "fc", "--replications", "2"]],
+                             ids=["fc", "replicate"])
+    def test_a_closed_stdout_exits_one_without_a_traceback(self, command, pair_arms_file):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = sp.run([sys.executable, "-m", "bestarm.cli", *command, "--delta", "0.2",
+                           "--mc-samples", "500", "--synthetic", pair_arms_file],
+                          stdout=write_end, stderr=sp.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
     def test_non_utf8_child_output_exits_one(self):
         # The child stays alive after its undecodable reply.

@@ -159,10 +159,6 @@ class TestCandidateSet:
     @pytest.mark.parametrize(
         "leaf, value, problem",
         [
-            ("max_in_flight", 0, "must be positive, got 0"),
-            ("max_in_flight", -1, "must be positive, got -1"),
-            ("max_in_flight", 1.5, "must be an integer, got 1.5"),
-            ("max_in_flight", True, "must be an integer, got True"),
             ("timeout", 0, "must be a positive number of seconds, got 0"),
             ("timeout", -1, "must be a positive number of seconds, got -1"),
             ("timeout", float("nan"), "must be a positive number of seconds, got nan"),
@@ -439,6 +435,18 @@ class TestSubprocessEvaluator:
         with pytest.raises(ProtocolError, match="max_in_flight must be a positive integer"):
             SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
 
+    # The handshake is the only source of the pipeline depth.
+    @pytest.mark.parametrize("reply", ['{"ok": true, "max_in_flight": 0}',
+                                       '{"ok": true, "max_in_flight": -1}',
+                                       '{"ok": true, "max_in_flight": 1.5}',
+                                       '{"ok": true, "max_in_flight": "4"}',
+                                       '{"ok": true}'],
+                             ids=["zero", "negative", "fraction", "string", "missing"])
+    def test_bad_handshake_depth_is_protocol_error(self, reply):
+        child = f"import sys; sys.stdin.readline(); print({reply!r}, flush=True); sys.stdin.read()"
+        with pytest.raises(ProtocolError, match="max_in_flight must be a positive integer"):
+            SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
+
     @pytest.mark.parametrize("command", [[], "", "   "])
     def test_empty_command_is_refused(self, command):
         with pytest.raises(ValueError, match="names no program"):
@@ -505,13 +513,6 @@ class TestSubprocessEvaluator:
             with pytest.raises(RuntimeError, match="pipeline depth"):
                 ev.submit(request(ids[0], 1))
             ev.collect()
-        finally:
-            ev.close()
-
-    def test_configured_capacity_caps_advertised(self):
-        _, ev = self.make("--max-in-flight", "8", max_in_flight=2)
-        try:
-            assert ev.max_in_flight == 2
         finally:
             ev.close()
 

@@ -7,6 +7,7 @@ A file's refusal names its leaf (``config``, ``evaluator.arms_file`` or
 
 import json
 import os
+import re
 import sys
 
 import pytest
@@ -57,6 +58,15 @@ def test_bad_config_file_names_config(content, expected, tmp_path, capsys):
     assert line.startswith(expected)
 
 
+def test_a_parent_side_pipeline_depth_is_an_unknown_key(tmp_path, capsys):
+    # The child's handshake alone sets the pipeline depth.
+    config = write(tmp_path, "config.json", json.dumps({
+        "evaluator": {"kind": "subprocess", "command": echo_child(), "max_in_flight": 2},
+        "models": ["a", "b"]}))
+    line = refusal(["fc", "--delta", "0.2", "--config", config], capsys)
+    assert line == "error: evaluator.max_in_flight: unknown key"
+
+
 @pytest.mark.parametrize("delta, expected", [
     ("1e-154", "error: mc_samples: must be at least 1/delta^2 = 1000000000000000"),
     ("1e-160", "error: mc_samples: must be at least 1/delta^2 for delta 1e-160, so that "),
@@ -81,6 +91,8 @@ def test_scores_whose_statistics_overflow_are_refused(tmp_path, capsys):
     evaluated = [e for e in map(json.loads, trace.read_text().splitlines()[1:])
                  if e["kind"] == "evaluated"]
     assert 1 <= len(evaluated) <= 3 * 2
+    # Scores are folded in request order, so the refused one is the next request.
+    assert re.search(rf" \(model [ab], request {len(evaluated)}\)$", line), line
 
 
 @pytest.mark.parametrize("arms, expected", [
