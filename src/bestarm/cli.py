@@ -94,7 +94,7 @@ def _load_transform(path: str, value) -> TransformMode:
         raise ConfigError(f"{path}.epsilon", f"must be a number, got {epsilon!r}")
     kind = value.get("kind")
     try:
-        return TransformMode.logit(epsilon) if kind == "logit" else TransformMode(kind)
+        return TransformMode(kind, epsilon) if kind == "logit" else TransformMode(kind)
     except ValueError as e:
         raise ConfigError(path, str(e)) from None
 

@@ -154,9 +154,10 @@ class Evaluator(ABC):
     ``models`` is the candidate set the back-end serves, built from the
     names its constructor takes; a campaign on the evaluator selects among
     exactly these. ``submit`` enqueues a request, ``collect`` blocks for the
-    next completed response (completion order, matched to its request).
-    Back-ends that can hold several requests in flight report the pipeline
-    depth via ``max_in_flight``; ``None`` means unlimited.
+    next completed response (completion order, matched to its request), and
+    ``pending`` counts the requests submitted and not yet collected. Every
+    back-end states its pipeline depth as ``max_in_flight``; ``None`` means
+    unlimited.
     """
 
     models: tuple[ModelId, ...]
@@ -173,13 +174,6 @@ class Evaluator(ABC):
 
     @abstractmethod
     def pending(self) -> int: ...
-
-    def evaluate(self, request: EvaluationRequest) -> EvaluationScore:
-        """Serial convenience: submit one request and wait for its score."""
-        if self.pending():
-            raise RuntimeError("evaluate() requires no outstanding requests")
-        self.submit(request)
-        return self.collect()
 
     def close(self) -> None:
         """Release any resources; safe to call more than once."""

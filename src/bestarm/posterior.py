@@ -56,9 +56,10 @@ class PosteriorParams:
 
 @dataclass(frozen=True)
 class TransformMode:
-    """Score transform applied at ingestion: identity, or logit with clamping."""
+    """Score transform applied at ingestion: identity (``IDENTITY``), or
+    logit with clamping into [epsilon, 1 - epsilon]."""
 
-    kind: str = "identity"
+    kind: str
     epsilon: float = 1e-6
 
     def __post_init__(self):
@@ -67,16 +68,8 @@ class TransformMode:
         if self.kind == "logit" and not (0.0 < self.epsilon < 0.5):
             raise ValueError(f"logit epsilon must be in (0, 0.5), got {self.epsilon}")
 
-    @classmethod
-    def identity(cls) -> "TransformMode":
-        return cls(kind="identity")
 
-    @classmethod
-    def logit(cls, epsilon: float = 1e-6) -> "TransformMode":
-        return cls(kind="logit", epsilon=epsilon)
-
-
-IDENTITY = TransformMode.identity()
+IDENTITY = TransformMode("identity")
 
 
 def transform_score(score: float, mode: TransformMode) -> float:

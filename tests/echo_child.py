@@ -18,6 +18,7 @@ Speaks the line-delimited JSON protocol on stdin/stdout. Behavior knobs:
   --const-score X     fixed score instead of the id hash
   --split-reply-ms N  write each reply in two parts, N ms apart
   --grandchild-s S    start a process that holds stdout open for S seconds
+  --log PATH          append each request line, as received, to PATH
 
 Scores default to a deterministic hash of the request id so the parent can
 verify that no response was attributed to the wrong request.
@@ -73,6 +74,7 @@ def main() -> int:
     ap.add_argument("--const-score", type=float, default=None)
     ap.add_argument("--split-reply-ms", type=int, default=0)
     ap.add_argument("--grandchild-s", type=float, default=None)
+    ap.add_argument("--log", default=None)
     args = ap.parse_args()
     if args.grandchild_s is not None:
         # Inherits stdout, so the parent sees no end of file until it exits.
@@ -147,6 +149,9 @@ def main() -> int:
         if obj.get("shutdown"):
             flush()
             return 0
+        if args.log is not None:
+            with open(args.log, "ab") as fh:
+                fh.write(line + b"\n")
         pending.append(obj)
         if not args.reorder or len(pending) >= args.max_in_flight:
             flush()

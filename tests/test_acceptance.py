@@ -111,7 +111,8 @@ def test_criterion_2_pi_symmetry():
         for m in evaluator.models:
             req = EvaluationRequest(model=m, split_seed=0, model_seed=0, sequence=seq)
             seq += 1
-            stats[m.index] = stats_update(stats[m.index], evaluator.evaluate(req).score)
+            evaluator.submit(req)
+            stats[m.index] = stats_update(stats[m.index], evaluator.collect().score)
     belief = estimate_pi([stats[i] for i in range(5)], 100_000, PosteriorDraws(99))
     worst = max(abs(p - 0.2) for p in belief.pi)
     report(

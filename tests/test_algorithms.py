@@ -320,7 +320,7 @@ class TestTtts:
 
     def test_identity_transform_is_bit_identical_to_default(self):
         runs = []
-        for transform in (None, TransformMode.identity()):
+        for transform in (None, TransformMode("identity")):
             evaluator = synthetic(FIG_MEANS, sd=0.01)
             kwargs = {} if transform is None else {"transform": transform}
             runs.append(
@@ -628,7 +628,7 @@ class TestLogitCampaign:
         evaluator = SyntheticEvaluator(dists, ["low", "high"])
         result = ttts(
             evaluator, campaign_seed=71, delta=0.1,
-            mc_samples=4000, transform=TransformMode.logit(),
+            mc_samples=4000, transform=TransformMode("logit"),
         )
         assert result.chosen.name == "high"
         evaluated = events_of(result, EventKind.EVALUATED)

@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestarm import (
+from bestarm import ConfigError, cli
+from bestarm.cli import (
     CampaignConfig,
-    ConfigError,
     ReplicationReport,
+    build_parser,
+    config_from_args,
+    main,
     run_campaign,
     run_replications,
 )
-from bestarm import cli
-from bestarm.cli import config_from_args, build_parser, main
 from bestarm.evaluators import SyntheticEvaluator
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
@@ -155,6 +156,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
             st.sampled_from(["identity", "logit"]),
             st.fixed_dictionaries({"kind": st.just("logit"),
                                    "epsilon": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)}),
+            st.fixed_dictionaries({"kind": st.just("identity"), "epsilon": st.floats(0.0, 1.0)}),
         ),
         "trace_path": st.one_of(st.none(), NAMES),
     },

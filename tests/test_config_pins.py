@@ -17,8 +17,7 @@ import sys
 
 import pytest
 
-from bestarm import CampaignConfig, run_campaign
-from bestarm.cli import build_parser, config_from_args
+from bestarm.cli import CampaignConfig, build_parser, config_from_args, run_campaign
 from test_golden_traces import ECHO_CHILD, EVALUATORS, MODELS, MODES, sources  # noqa: F401
 
 HEADERS = {

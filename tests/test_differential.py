@@ -100,9 +100,7 @@ def library_transform(value):
     if not isinstance(form, dict) or set(form) - {"kind", "epsilon"}:
         return value
     try:
-        if form.get("kind") == "logit":
-            return TransformMode.logit(form.get("epsilon", 1e-6))
-        return TransformMode(form.get("kind"))
+        return TransformMode(form.get("kind"), form.get("epsilon", 1e-6))
     except ValueError:
         return value
 

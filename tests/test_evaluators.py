@@ -55,6 +55,12 @@ def request(model, sequence, split_seed=None, model_seed=None):
     )
 
 
+def evaluate(ev, req):
+    """Submit one request and wait for its score."""
+    ev.submit(req)
+    return ev.collect()
+
+
 def child_score(rid):
     return ((rid * 2654435761) % 2**32) / 2**32
 
@@ -184,35 +190,35 @@ class TestSyntheticEvaluator:
         model, ev1 = self.make()
         _, ev2 = self.make()
         for seq in (0, 1, 99):
-            s1 = ev1.evaluate(request(model, seq)).score
-            s2 = ev2.evaluate(request(model, seq)).score
+            s1 = evaluate(ev1, request(model, seq)).score
+            s2 = evaluate(ev2, request(model, seq)).score
             assert s1 == s2
 
     def test_independent_of_dispatch_order(self):
         model, ev1 = self.make()
         _, ev2 = self.make()
-        forward = {seq: ev1.evaluate(request(model, seq)).score for seq in range(5)}
-        backward = {seq: ev2.evaluate(request(model, seq)).score for seq in reversed(range(5))}
+        forward = {seq: evaluate(ev1, request(model, seq)).score for seq in range(5)}
+        backward = {seq: evaluate(ev2, request(model, seq)).score for seq in reversed(range(5))}
         assert forward == backward
 
     def test_equal_seeds_give_equal_scores_whatever_the_sequence_or_a_retry(self):
         model, ev = self.make()
         requests = [request(model, seq, split_seed=5, model_seed=6) for seq in (0, 1, 99)]
-        scores = {ev.evaluate(req).score for req in [*requests, requests[0]]}
+        scores = {evaluate(ev, req).score for req in [*requests, requests[0]]}
         assert len(scores) == 1
 
     def test_each_seed_of_the_request_moves_the_score(self):
         model, ev = self.make()
-        score = ev.evaluate(request(model, 0, split_seed=5, model_seed=6)).score
-        assert ev.evaluate(request(model, 0, split_seed=7, model_seed=6)).score != score
-        assert ev.evaluate(request(model, 0, split_seed=5, model_seed=7)).score != score
+        score = evaluate(ev, request(model, 0, split_seed=5, model_seed=6)).score
+        assert evaluate(ev, request(model, 0, split_seed=7, model_seed=6)).score != score
+        assert evaluate(ev, request(model, 0, split_seed=5, model_seed=7)).score != score
 
     def test_score_is_the_draw_keyed_by_split_seed_model_and_model_seed(self):
         ev = SyntheticEvaluator({"a": Gaussian(0.5, 0.1), "b": Gaussian(0.6, 0.1)}, ["a", "b"])
         split, model_seed = 2**64 - 1, 12345
         req = request(ev.models[1], 9, split_seed=split, model_seed=model_seed)
         key = np.random.SeedSequence(split, spawn_key=(int(StreamPurpose.SYNTHETIC), 1, model_seed))
-        assert ev.evaluate(req).score == float(np.random.default_rng(key).normal(0.6, 0.1))
+        assert evaluate(ev, req).score == float(np.random.default_rng(key).normal(0.6, 0.1))
 
     def test_campaigns_on_one_evaluator_get_fresh_scores(self):
         dists = {name: Gaussian(mu, 0.01) for name, mu in zip("abc", (0.5, 0.6, 0.7))}
@@ -227,19 +233,19 @@ class TestSyntheticEvaluator:
 
     def test_gaussian_sample_mean(self):
         model, ev = self.make(mean=0.71, sd=0.01)
-        scores = [ev.evaluate(request(model, seq)).score for seq in range(100_000)]
+        scores = [evaluate(ev, request(model, seq)).score for seq in range(100_000)]
         tol = 4 * 0.01 / np.sqrt(100_000)
         assert np.mean(scores) == pytest.approx(0.71, abs=tol)
 
     def test_degenerate_arm(self):
         model, ev = self.make(mean=0.66, sd=1e-12)
-        scores = [ev.evaluate(request(model, seq)).score for seq in range(100)]
+        scores = [evaluate(ev, request(model, seq)).score for seq in range(100)]
         assert max(abs(s - 0.66) for s in scores) < 1e-9
 
     def test_truncated_support(self):
         (model,) = make_model_ids(["m"])
         ev = SyntheticEvaluator({"m": TruncatedGaussian(0.5, 0.2, 0.0, 1.0)}, ["m"])
-        scores = [ev.evaluate(request(model, seq)).score for seq in range(2000)]
+        scores = [evaluate(ev, request(model, seq)).score for seq in range(2000)]
         assert all(0.0 <= s <= 1.0 for s in scores)
 
     def test_truncated_rejection_cap(self):
@@ -265,7 +271,7 @@ class TestSyntheticEvaluator:
     def test_distributional_fidelity(self, dist, cdf):
         (model,) = make_model_ids(["m"])
         ev = SyntheticEvaluator({"m": dist}, ["m"])
-        scores = np.array([ev.evaluate(request(model, seq)).score for seq in range(100_000)])
+        scores = np.array([evaluate(ev, request(model, seq)).score for seq in range(100_000)])
         assert scistats.kstest(scores, cdf).pvalue > 0.001
 
 
@@ -273,22 +279,22 @@ class TestReplay:
     def test_ordered_replay(self):
         models = make_model_ids(["m1"])
         ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.ERROR)
-        assert ev.evaluate(request(models[0], 0)).score == 0.6
-        assert ev.evaluate(request(models[0], 1)).score == 0.7
+        assert evaluate(ev, request(models[0], 0)).score == 0.6
+        assert evaluate(ev, request(models[0], 1)).score == 0.7
 
     def test_cycle_wraps(self):
         models = make_model_ids(["m1"])
         ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.CYCLE)
-        scores = [ev.evaluate(request(models[0], seq)).score for seq in range(3)]
+        scores = [evaluate(ev, request(models[0], seq)).score for seq in range(3)]
         assert scores == [0.6, 0.7, 0.6]
 
     def test_error_policy_raises(self):
         models = make_model_ids(["m1"])
         ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.ERROR)
-        ev.evaluate(request(models[0], 0))
-        ev.evaluate(request(models[0], 1))
+        evaluate(ev, request(models[0], 0))
+        evaluate(ev, request(models[0], 1))
         with pytest.raises(PoolExhaustedError):
-            ev.evaluate(request(models[0], 2))
+            evaluate(ev, request(models[0], 2))
 
     def test_resample_mean_converges_to_pool_mean(self):
         rng = np.random.default_rng(4)
@@ -296,7 +302,7 @@ class TestReplay:
         models = make_model_ids(["m1"])
         ev = ReplayEvaluator({"m1": pool}, ["m1"], ExhaustionPolicy.RESAMPLE)
         n = 10_000
-        scores = [ev.evaluate(request(models[0], seq)).score for seq in range(n)]
+        scores = [evaluate(ev, request(models[0], seq)).score for seq in range(n)]
         pool_mean, pool_sd = np.mean(pool), np.std(pool)
         assert np.mean(scores) == pytest.approx(pool_mean, abs=4 * pool_sd / np.sqrt(n))
 
@@ -317,8 +323,8 @@ class TestReplay:
         ev = ReplayEvaluator({"a": [0.5], "b": pool}, ["a", "b"], ExhaustionPolicy.RESAMPLE)
         model = ev.models[1]
         for seq in range(len(pool)):  # use up the recorded scores
-            ev.evaluate(request(model, seq))
-        scores = [ev.evaluate(request(model, seq, split_seed=21, model_seed=34)).score
+            evaluate(ev, request(model, seq))
+        scores = [evaluate(ev, request(model, seq, split_seed=21, model_seed=34)).score
                   for seq in (9, 40)]
         key = np.random.SeedSequence(21, spawn_key=(int(StreamPurpose.REPLAY), 1, 34))
         assert scores == [pool[int(np.random.default_rng(key).integers(len(pool)))]] * 2
@@ -344,7 +350,7 @@ class TestReplay:
         with pytest.warns(UserWarning, match=r"not candidates: \['mystery'\]"):
             ev = ReplayEvaluator({"m1": [0.6], "mystery": [0.9]}, ["m1"])
         assert [m.name for m in ev.models] == ["m1"]
-        assert [ev.evaluate(request(ev.models[0], seq)).score for seq in range(5)] == [0.6] * 5
+        assert [evaluate(ev, request(ev.models[0], seq)).score for seq in range(5)] == [0.6] * 5
 
     def test_csv_rejects_bad_header(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -384,7 +390,7 @@ class TestSubprocessEvaluator:
         ids, ev = self.make("--const-score", "0.6631")
         try:
             req = EvaluationRequest(model=ids[0], split_seed=123, model_seed=456, sequence=7)
-            score = ev.evaluate(req)
+            score = evaluate(ev, req)
             assert score.score == 0.6631
             assert score.request is req
         finally:
@@ -394,7 +400,7 @@ class TestSubprocessEvaluator:
         ids, ev = self.make("--error-model", "tdlstm")
         try:
             with pytest.raises(EvaluationError, match="OOM"):
-                ev.evaluate(request(ids[0], 7))
+                evaluate(ev, request(ids[0], 7))
         finally:
             ev.close()
 
@@ -402,7 +408,7 @@ class TestSubprocessEvaluator:
         ids, ev = self.make("--wrong-id")
         try:
             with pytest.raises(ProtocolError, match="id"):
-                ev.evaluate(request(ids[0], 7))
+                evaluate(ev, request(ids[0], 7))
         finally:
             ev.close()
 
@@ -412,7 +418,7 @@ class TestSubprocessEvaluator:
         ids, ev = self.make("--id-json", rid)
         try:
             with pytest.raises(ProtocolError, match="id"):
-                ev.evaluate(request(ids[0], 1))
+                evaluate(ev, request(ids[0], 1))
         finally:
             ev.close()
 
@@ -421,7 +427,7 @@ class TestSubprocessEvaluator:
         ids, ev = self.make("--raw-reply", b'{"id": 0, "score": 0.5, "x": "\xff"}'.hex(), timeout=10)
         try:
             with pytest.raises(ProtocolError, match="malformed"):
-                ev.evaluate(request(ids[0], 0))
+                evaluate(ev, request(ids[0], 0))
         finally:
             ev.close()
 
@@ -462,9 +468,9 @@ class TestSubprocessEvaluator:
             else:
                 ids, ev = self.make(*(["--crash-after", "1"] if ending == "crash-then-close" else []))
                 if ending == "crash-then-close":
-                    ev.evaluate(request(ids[0], 1))
+                    evaluate(ev, request(ids[0], 1))
                     with pytest.raises(EvaluatorFailure):
-                        ev.evaluate(request(ids[0], 2))
+                        evaluate(ev, request(ids[0], 2))
                 ev.close()
                 del ev
             gc.collect()
@@ -474,7 +480,7 @@ class TestSubprocessEvaluator:
         before = threading.active_count()
         ids, ev = self.make()
         try:
-            ev.evaluate(request(ids[0], 0))
+            evaluate(ev, request(ids[0], 0))
             assert threading.active_count() == before
         finally:
             ev.close()
@@ -482,7 +488,7 @@ class TestSubprocessEvaluator:
     def test_reply_written_in_two_parts_is_one_line(self):
         ids, ev = self.make("--split-reply-ms", "100", timeout=10)
         try:
-            assert ev.evaluate(request(ids[0], 3)).score == child_score(3)
+            assert evaluate(ev, request(ids[0], 3)).score == child_score(3)
         finally:
             ev.close()
 
@@ -493,7 +499,7 @@ class TestSubprocessEvaluator:
 
     def test_close_does_not_wait_for_a_grandchild_holding_stdout(self):
         ids, ev = self.make("--grandchild-s", "3")
-        ev.evaluate(request(ids[0], 0))
+        evaluate(ev, request(ids[0], 0))
         start = time.monotonic()
         ev.close()
         assert time.monotonic() - start < 2.0
@@ -539,10 +545,10 @@ class TestSubprocessEvaluator:
     def test_child_crash_surfaces_stderr(self):
         ids, ev = self.make("--crash-after", "2")
         try:
-            ev.evaluate(request(ids[0], 0))
-            ev.evaluate(request(ids[0], 1))
+            evaluate(ev, request(ids[0], 0))
+            evaluate(ev, request(ids[0], 1))
             with pytest.raises(EvaluatorFailure) as exc_info:
-                ev.evaluate(request(ids[0], 2))
+                evaluate(ev, request(ids[0], 2))
             assert "boom" in (exc_info.value.stderr or "")
         finally:
             ev.close()
@@ -552,7 +558,7 @@ class TestSubprocessEvaluator:
         ids, ev = self.make("--crash-after", "0", "--stderr-kib", "100")
         try:
             with pytest.raises(EvaluatorFailure) as exc_info:
-                ev.evaluate(request(ids[0], 0))
+                evaluate(ev, request(ids[0], 0))
             stderr = exc_info.value.stderr or ""
             assert len(stderr) > 100 * 1024
             assert stderr.endswith("boom: simulated crash")
@@ -563,19 +569,19 @@ class TestSubprocessEvaluator:
         ids, ev = self.make("--delay-ms", "3000", timeout=0.3)
         try:
             with pytest.raises(EvaluatorFailure, match="timed out"):
-                ev.evaluate(request(ids[0], 0))
+                evaluate(ev, request(ids[0], 0))
         finally:
             ev.close()
 
     def test_clean_shutdown(self):
         ids, ev = self.make()
-        ev.evaluate(request(ids[0], 0))
+        evaluate(ev, request(ids[0], 0))
         ev.close()
         assert ev._child.returncode == 0
 
     def test_second_close_is_a_no_op(self, monkeypatch):
         ids, ev = self.make()
-        ev.evaluate(request(ids[0], 0))
+        evaluate(ev, request(ids[0], 0))
         ev.close()
         monkeypatch.setattr(ev, "_send", lambda obj: pytest.fail("sent after close"))
         monkeypatch.setattr(ev, "_release", lambda: pytest.fail("released twice"))
@@ -613,8 +619,8 @@ class TestSubprocessEvaluator:
         try:
             req = request(ids[0], 5)
             with pytest.raises(EvaluationError):
-                ev.evaluate(req)
-            score = ev.evaluate(req)
+                evaluate(ev, req)
+            score = evaluate(ev, req)
             assert score.score == child_score(5)
         finally:
             ev.close()
@@ -638,7 +644,7 @@ def test_any_reply_gives_a_score_or_an_evaluator_failure(reply):
     ev = SubprocessEvaluator(echo_command("--raw-reply", reply.hex()), ["m"], timeout=10)
     try:
         try:
-            score = ev.evaluate(request(model, 0))
+            score = evaluate(ev, request(model, 0))
         except EvaluatorFailure:
             return
         assert score.request.sequence == 0 and np.isfinite(score.score)

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from bestarm import CampaignConfig, run_campaign
+from bestarm.cli import CampaignConfig, run_campaign
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 

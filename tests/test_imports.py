@@ -5,7 +5,10 @@ bind nothing, so both are skipped.
 Every private name a ``bestarm`` module defines is referenced in that
 module: code with no caller goes. A private name starts with one
 underscore; the module's functions, classes and assigned constants, and its
-classes' methods, are checked."""
+classes' methods, are checked.
+
+Every Python file of the package, its tests and its benchmark parses as the
+Python 3.10 that ``requires-python`` names as the floor."""
 
 import ast
 import importlib
@@ -15,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bestarm").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "bestarm").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -84,9 +88,25 @@ def test_an_unreferenced_private_name_is_found():
     assert unreferenced_private_names(tree) == ["_B", "_f", "_n", "_r"]
 
 
+def parse_as_3_10(source: str, filename: str = "<unknown>") -> ast.Module:
+    return ast.parse(source, filename, feature_version=(3, 10))
+
+
+def test_every_file_parses_as_python_3_10():
+    paths = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        parse_as_3_10(path.read_text(encoding="utf-8"), str(path.relative_to(ROOT)))
+
+
+def test_syntax_newer_than_3_10_is_refused():
+    with pytest.raises(SyntaxError):
+        parse_as_3_10("try:\n    pass\nexcept* ValueError:\n    pass\n")
+
+
 def test_console_script_names_a_callable():
     # Python 3.10 has no tomllib, so the one script line is read by pattern.
-    pyproject = (SOURCES[0].parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     targets = re.findall(r'^bestarm\s*=\s*"([\w.]+):(\w+)"\s*$', pyproject, re.MULTILINE)
     assert len(targets) == 1, targets
     module, function = targets[0]

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from bestarm import CampaignConfig, algorithms, cli, evaluators
+from bestarm import algorithms, cli, evaluators
+from bestarm.cli import CampaignConfig
 
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = str(TESTS.parent / "perfbench")

@@ -1,7 +1,10 @@
 """The README's library quick start runs as written, every name in
-``bestarm.__all__`` resolves, and the Configuration table lists every leaf."""
+``bestarm.__all__`` resolves, the package root leaves the CLI layer to
+``bestarm.cli``, and the Configuration table lists every leaf."""
 
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -19,8 +22,17 @@ def test_library_quick_start_runs(capsys):
 
 
 def test_every_exported_name_resolves():
-    # bestarm's lazy __getattr__ hides a stale entry until someone uses it.
     assert [name for name in bestarm.__all__ if not hasattr(bestarm, name)] == []
+
+
+def test_package_root_is_the_library_alone():
+    # The campaign config and its runners have one home, bestarm.cli.
+    assert not hasattr(bestarm, "__getattr__")
+    cli_names = {"CampaignConfig", "ReplicationReport", "run_campaign", "run_replications"}
+    assert cli_names.isdisjoint(bestarm.__all__)
+    probe = "import sys, bestarm; print('bestarm.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def test_configuration_table_lists_every_leaf_in_declaration_order():
