@@ -9,7 +9,6 @@ until a target confidence is reached.
 
 from .core import (
     Belief,
-    BudgetTooSmallError,
     ConfigError,
     EvaluationError,
     EvaluationRequest,
@@ -54,7 +53,6 @@ from .algorithms import (
 from .evaluators import (
     Beta,
     Evaluator,
-    ExhaustionPolicy,
     Gaussian,
     ReplayEvaluator,
     SubprocessEvaluator,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Belief",
     "Beta",
-    "BudgetTooSmallError",
     "ConfigError",
     "DEFAULT_MAX_TOTAL_EVALS",
     "DEFAULT_MC_SAMPLES",
@@ -79,7 +76,6 @@ __all__ = [
     "EvaluationScore",
     "EvaluatorFailure",
     "EventKind",
-    "ExhaustionPolicy",
     "Gaussian",
     "IDENTITY",
     "InsufficientDataError",

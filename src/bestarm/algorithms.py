@@ -40,7 +40,6 @@ import numpy as np
 
 from .core import (
     Belief,
-    BudgetTooSmallError,
     ConfigError,
     EvaluationRequest,
     EvaluationScore,
@@ -127,15 +126,12 @@ def check_arguments(entry: str, evaluator: Evaluator, campaign_seed, **keywords)
             raise ConfigError("models", f"sequential halving needs at least 2 models, got {n}")
         rounds = math.ceil(math.log2(n))
         if budget < n * rounds:
-            raise BudgetTooSmallError(
-                f"budget too small: {n} models over {rounds} rounds need at least "
-                f"{n * rounds} evaluations, got {budget}"
-            )
+            raise ConfigError("budget", f"budget too small: {n} models over {rounds} rounds "
+                              f"need at least {n * rounds} evaluations, got {budget}")
     elif entry == "nonadaptive_fixed_budget":
         if budget < n:
-            raise BudgetTooSmallError(
-                f"budget too small: {n} models need at least {n} evaluations, got {budget}"
-            )
+            raise ConfigError("budget", f"budget too small: {n} models need at least {n} "
+                              f"evaluations, got {budget}")
     else:
         max_evals, mc_samples = keywords["max_evals"], keywords["mc_samples"]
         if max_evals < MIN_EVALS_FOR_POSTERIOR * n:

@@ -37,8 +37,8 @@ from .core import (
     require_positive_int,
 )
 from .evaluators import (
+    EXHAUSTION_POLICIES,
     Evaluator,
-    ExhaustionPolicy,
     ReplayEvaluator,
     SubprocessEvaluator,
     SyntheticEvaluator,
@@ -151,8 +151,7 @@ class EvaluatorConfig(_Section):
     csv_file: Optional[str] = _leaf(None, kinds=("replay",), required=True,
                                     flag="--replay", metavar="SCORES_CSV",
                                     help="replay evaluator score file")
-    exhaustion: Literal[tuple(p.value for p in ExhaustionPolicy)] = _leaf(
-        ExhaustionPolicy.RESAMPLE.value, kinds=("replay",))
+    exhaustion: Literal[EXHAUSTION_POLICIES] = _leaf("resample", kinds=("replay",))
     timeout: Optional[float] = _leaf(None, kinds=("subprocess",), flag="--timeout", type=float,
                                      metavar="SECONDS",
                                      help="longest wait for any reply of the evaluator child")
@@ -286,7 +285,7 @@ def _load_data(config: CampaignConfig) -> tuple[list[str], Callable[[], Evaluato
         make = partial(SyntheticEvaluator, data)
     elif ev.kind == "replay":
         data = _read("evaluator.csv_file", ev.csv_file, read_replay_csv)
-        make = partial(ReplayEvaluator, data, exhaustion_policy=ev.exhaustion)
+        make = partial(ReplayEvaluator, data, exhaustion=ev.exhaustion)
     elif config.models is None:
         raise ConfigError("models", "required for the subprocess evaluator")
     else:
@@ -302,8 +301,17 @@ def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) ->
     The header embeds the resolved configuration, with the evaluator's
     candidate set as its ``models``. The writer writes and flushes one line
     per event, so the file holds every event emitted so far even if the
-    campaign dies.
+    campaign dies. A ``path`` that is the run's arm file or replay CSV is
+    refused before anything is opened, since the trace would replace it.
     """
+    ev = config.evaluator
+    leaf = {"synthetic": "arms_file", "replay": "csv_file"}.get(ev.kind)
+    try:
+        same = leaf is not None and os.path.samefile(path, getattr(ev, leaf))
+    except OSError:  # a file that does not exist is no input file
+        same = False
+    if same:
+        raise ConfigError("trace_path", f"{path!r} is evaluator.{leaf}, the run's input file")
     try:
         fh = open(path, "w", encoding="utf-8")
     except OSError as e:

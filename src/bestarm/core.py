@@ -43,13 +43,6 @@ def require_positive_int(name: str, value) -> None:
         raise ConfigError(name, f"must be positive, got {value!r}")
 
 
-class BudgetTooSmallError(ConfigError):
-    """The evaluation budget cannot give every model one evaluation per round."""
-
-    def __init__(self, message: str):
-        super().__init__("budget", message)
-
-
 class EvaluatorFailure(RuntimeError):
     """An evaluator back-end failed (dead child, timeout, aborted campaign)."""
 
@@ -59,7 +52,7 @@ class EvaluatorFailure(RuntimeError):
 
 
 class PoolExhaustedError(EvaluatorFailure):
-    """A replay score pool ran out under the Error exhaustion policy."""
+    """A replay score pool ran out under the ``error`` exhaustion policy."""
 
 
 class ProtocolError(EvaluatorFailure):

@@ -26,7 +26,6 @@ import warnings
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import (
@@ -229,15 +228,15 @@ class SyntheticEvaluator(_InOrderEvaluator):
     def _score(self, request: EvaluationRequest) -> float:
         rng = rng_stream(request.split_seed, StreamPurpose.SYNTHETIC, request.model.index,
                          request.model_seed)
-        return self._dists[request.model.index].sample(rng)
+        try:
+            return self._dists[request.model.index].sample(rng)
+        except EvaluatorFailure as e:  # an infeasible truncated Gaussian
+            raise EvaluatorFailure(
+                f"{e} (model {request.model.name}, request {request.sequence})") from None
 
 
-class ExhaustionPolicy(str, Enum):
-    """What a replay pool does once its recorded scores run out."""
-
-    ERROR = "error"
-    CYCLE = "cycle"
-    RESAMPLE = "resample"
+# What a replay pool does once its recorded scores run out.
+EXHAUSTION_POLICIES = ("error", "cycle", "resample")
 
 
 def read_replay_csv(path: str) -> dict[str, list[float]]:
@@ -274,12 +273,11 @@ class ReplayEvaluator(_InOrderEvaluator):
     """Serves each model's recorded scores in order, then by the exhaustion policy."""
 
     def __init__(self, scores: Mapping[str, Sequence[float]], models: Sequence[str],
-                 exhaustion_policy: ExhaustionPolicy = ExhaustionPolicy.RESAMPLE):
+                 exhaustion: str = "resample"):
         super().__init__(models)
-        policies = tuple(p.value for p in ExhaustionPolicy)
-        if exhaustion_policy not in policies:
-            raise ConfigError("exhaustion_policy", f"must be one of {policies}, got {exhaustion_policy!r}")
-        self.policy = ExhaustionPolicy(exhaustion_policy)
+        if exhaustion not in EXHAUSTION_POLICIES:
+            raise ConfigError("exhaustion", f"must be one of {EXHAUSTION_POLICIES}, got {exhaustion!r}")
+        self._exhaustion = exhaustion
         empty = [m.name for m in self.models if not scores.get(m.name)]
         if empty:
             raise ConfigError("models", f"no recorded scores for models: {empty}")
@@ -295,11 +293,11 @@ class ReplayEvaluator(_InOrderEvaluator):
         if cursor < len(pool):
             self._cursors[idx] = cursor + 1
             return pool[cursor]
-        if self.policy is ExhaustionPolicy.ERROR:
+        if self._exhaustion == "error":
             raise PoolExhaustedError(
                 f"replay pool for {request.model.name} exhausted after {len(pool)} scores"
             )
-        if self.policy is ExhaustionPolicy.CYCLE:
+        if self._exhaustion == "cycle":
             self._cursors[idx] = cursor + 1
             return pool[cursor % len(pool)]
         rng = rng_stream(request.split_seed, StreamPurpose.REPLAY, idx, request.model_seed)
@@ -316,7 +314,8 @@ class SubprocessEvaluator(Evaluator):
     stdout is read on the calling thread, through ``poll`` (POSIX only). Bad
     model names, a command that is blank or badly quoted and a ``timeout``
     that is not a positive number of seconds are refused before the child is
-    spawned, and a program that cannot be found or run as a bad ``command``.
+    spawned, and any failure to spawn the program, its errno named, as a bad
+    ``command``.
     """
 
     def __init__(
@@ -349,9 +348,7 @@ class SubprocessEvaluator(Evaluator):
             )
         except OSError as e:
             self._stderr.close()
-            if isinstance(e, (FileNotFoundError, PermissionError)):
-                raise ConfigError("command", f"failed to spawn evaluator {argv!r}: {e}") from None
-            raise EvaluatorFailure(f"failed to spawn evaluator {argv!r}: {e}") from e
+            raise ConfigError("command", f"failed to spawn evaluator {argv!r}: {e}") from None
         # poll, unlike select, takes descriptors past 1023.
         self._poll = select.poll()
         self._poll.register(self._child.stdout, select.POLLIN)

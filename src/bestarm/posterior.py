@@ -167,20 +167,13 @@ def _win_counts(block: np.ndarray, tie_stream: np.random.Generator) -> list[int]
     won by a column drawn uniformly from the tied ones, one ``tie_stream``
     draw per tied row, in row order.
 
-    One running maximum over the contiguous columns of a column-major
-    block, then a count per column of the rows at that maximum. Rows almost
-    never tie: when the counts sum to the rows, they are the win counts.
+    One reduction for the row maxima, then a count per column of the rows
+    at that maximum. Rows almost never tie: when the counts sum to the rows,
+    they are the win counts.
     """
-    rows, n = block.shape
-    row_max = block[:, 0].copy()
-    for j in range(1, n):
-        np.maximum(row_max, block[:, j], out=row_max)
-    at_max = np.empty(rows, dtype=bool)
-    counts = []
-    for j in range(n):
-        np.equal(block[:, j], row_max, out=at_max)
-        counts.append(int(np.count_nonzero(at_max)))
-    if sum(counts) > rows:
+    row_max = block.max(axis=1)
+    counts = [int(np.count_nonzero(block[:, j] == row_max)) for j in range(block.shape[1])]
+    if sum(counts) > block.shape[0]:
         ties = block == row_max[:, None]
         for r in np.flatnonzero(ties.sum(axis=1) > 1):
             tied = np.flatnonzero(ties[r])

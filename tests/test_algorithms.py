@@ -9,7 +9,6 @@ import pytest
 from scipy import stats as scistats
 
 from bestarm import (
-    BudgetTooSmallError,
     ConfigError,
     EvaluationError,
     EvaluatorFailure,
@@ -31,7 +30,7 @@ from bestarm import (
 from bestarm import StreamPurpose, posterior, rng_stream
 from bestarm.algorithms import _Campaign
 from bestarm.cli import ModeConfig
-from bestarm.evaluators import Evaluator, ExhaustionPolicy
+from bestarm.evaluators import Evaluator
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
@@ -116,14 +115,14 @@ class TestSequentialHalving:
 
     def test_budget_too_small(self):
         evaluator = synthetic([0.1] * 12)
-        with pytest.raises(BudgetTooSmallError, match="budget too small"):
+        with pytest.raises(ConfigError, match="^budget: budget too small"):
             sequential_halving(evaluator, campaign_seed=7, budget=10)
 
     def test_budget_boundary(self):
         means = list(np.linspace(0.1, 0.9, 12))
         need = 12 * math.ceil(math.log2(12))
         evaluator = synthetic(means)
-        with pytest.raises(BudgetTooSmallError):
+        with pytest.raises(ConfigError, match="^budget: budget too small"):
             sequential_halving(evaluator, campaign_seed=9, budget=need - 1)
         evaluator = synthetic(means)
         result = sequential_halving(evaluator, campaign_seed=9, budget=need)
@@ -184,7 +183,7 @@ class TestSequentialHalving:
                 "d": [0.2, 0.2],
             },
             ["a", "b", "c", "d"],
-            exhaustion_policy=ExhaustionPolicy.ERROR,
+            exhaustion="error",
         )
         result = sequential_halving(evaluator, campaign_seed=0, budget=16)
         assert result.chosen.name == "a"
@@ -193,7 +192,7 @@ class TestSequentialHalving:
         winners = set()
         for seed in range(40):
             evaluator = ReplayEvaluator(
-                {"a": [0.5] * 10, "b": [0.5] * 10}, ["a", "b"], ExhaustionPolicy.CYCLE
+                {"a": [0.5] * 10, "b": [0.5] * 10}, ["a", "b"], "cycle"
             )
             result = sequential_halving(evaluator, campaign_seed=seed, budget=4)
             winners.add(result.chosen.name)
@@ -765,7 +764,7 @@ class TestParameters:
     @pytest.mark.parametrize("kind", ["fb", "baseline-fb"])
     def test_budget_below_one_names_budget(self, kind):
         evaluator = synthetic([0.4, 0.6])
-        with pytest.raises(BudgetTooSmallError, match="^budget: budget too small") as caught:
+        with pytest.raises(ConfigError, match="^budget: budget too small") as caught:
             ENTRY_POINTS[kind](evaluator, 0, budget=0)
         assert caught.value.field_name == "budget"
 

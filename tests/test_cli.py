@@ -600,6 +600,7 @@ class TestMain:
         )
         assert proc.returncode == 1
         assert "rejection sampling failed" in proc.stderr
+        assert "(model far, request 1)" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         lines = [json.loads(line) for line in trace.read_text().splitlines()]

@@ -21,7 +21,6 @@ from bestarm import (
     EvaluationRequest,
     EvaluatorFailure,
     EventKind,
-    ExhaustionPolicy,
     Gaussian,
     PoolExhaustedError,
     ProtocolError,
@@ -278,19 +277,19 @@ class TestSyntheticEvaluator:
 class TestReplay:
     def test_ordered_replay(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.ERROR)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], "error")
         assert evaluate(ev, request(models[0], 0)).score == 0.6
         assert evaluate(ev, request(models[0], 1)).score == 0.7
 
     def test_cycle_wraps(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.CYCLE)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], "cycle")
         scores = [evaluate(ev, request(models[0], seq)).score for seq in range(3)]
         assert scores == [0.6, 0.7, 0.6]
 
     def test_error_policy_raises(self):
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], ExhaustionPolicy.ERROR)
+        ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], "error")
         evaluate(ev, request(models[0], 0))
         evaluate(ev, request(models[0], 1))
         with pytest.raises(PoolExhaustedError):
@@ -300,7 +299,7 @@ class TestReplay:
         rng = np.random.default_rng(4)
         pool = rng.normal(0.7, 0.05, size=40).tolist()
         models = make_model_ids(["m1"])
-        ev = ReplayEvaluator({"m1": pool}, ["m1"], ExhaustionPolicy.RESAMPLE)
+        ev = ReplayEvaluator({"m1": pool}, ["m1"], "resample")
         n = 10_000
         scores = [evaluate(ev, request(models[0], seq)).score for seq in range(n)]
         pool_mean, pool_sd = np.mean(pool), np.std(pool)
@@ -311,7 +310,7 @@ class TestReplay:
         models = make_model_ids(["m1"])
         scores = {}
         for attempt in range(2):
-            ev = ReplayEvaluator({"m1": pool}, ["m1"], ExhaustionPolicy.RESAMPLE)
+            ev = ReplayEvaluator({"m1": pool}, ["m1"], "resample")
             for seq in range(5, 10):  # past exhaustion immediately
                 ev.submit(request(models[0], seq))
             got = {s.request.sequence: s.score for s in (ev.collect() for _ in range(5))}
@@ -320,7 +319,7 @@ class TestReplay:
 
     def test_resample_is_keyed_by_the_request_seeds(self):
         pool = [0.1 * k for k in range(1, 10)]
-        ev = ReplayEvaluator({"a": [0.5], "b": pool}, ["a", "b"], ExhaustionPolicy.RESAMPLE)
+        ev = ReplayEvaluator({"a": [0.5], "b": pool}, ["a", "b"], "resample")
         model = ev.models[1]
         for seq in range(len(pool)):  # use up the recorded scores
             evaluate(ev, request(model, seq))
@@ -334,7 +333,7 @@ class TestReplay:
         with pytest.raises(ConfigError) as caught:
             ReplayEvaluator({"m1": [0.6]}, ["m1"], policy)
         assert (caught.value.field_name, caught.value.message) == (
-            "exhaustion_policy", f"must be one of ('error', 'cycle', 'resample'), got {policy!r}")
+            "exhaustion", f"must be one of ('error', 'cycle', 'resample'), got {policy!r}")
 
     def test_requires_scores_for_every_model(self):
         with pytest.raises(ValueError, match="m2"):

@@ -1,7 +1,10 @@
 """The README's library quick start runs as written, every name in
 ``bestarm.__all__`` resolves, the package root leaves the CLI layer to
-``bestarm.cli``, and the Configuration table lists every leaf."""
+``bestarm.cli``, the spelled constructors and the entry-point table match
+the signatures, and the Configuration table lists every leaf."""
 
+import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -33,6 +36,39 @@ def test_package_root_is_the_library_alone():
     probe = "import sys, bestarm; print('bestarm.cli' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _spelled(params: str) -> list[tuple]:
+    """``"a, b=1"`` or ``"`a`, `b=1`"`` as [(name, default)], with
+    ``inspect.Parameter.empty`` for a parameter spelled without a default."""
+    out = []
+    for param in params.split(","):
+        name, _, default = param.strip().strip("`").partition("=")
+        out.append((name, ast.literal_eval(default) if default else inspect.Parameter.empty))
+    return out
+
+
+def test_spelled_constructors_match_their_signatures():
+    text = README.read_text(encoding="utf-8")
+    for cls in (bestarm.SyntheticEvaluator, bestarm.ReplayEvaluator, bestarm.SubprocessEvaluator):
+        (params,) = set(re.findall(rf"`{cls.__name__}\(([^)]*)\)`", text))
+        parameters = inspect.signature(cls).parameters
+        spelled = _spelled(params)
+        assert [name for name, _ in spelled] == list(parameters)
+        for name, default in spelled:
+            assert default is inspect.Parameter.empty or default == parameters[name].default
+
+
+def test_entry_point_table_lists_each_keyword_with_its_default():
+    rows = re.findall(r"^\| `(\w+)` \| `[\w-]+` \| (.*) \|$", README.read_text(encoding="utf-8"),
+                      re.M)
+    assert [entry for entry, _ in rows] == ["sequential_halving", "nonadaptive_fixed_budget",
+                                            "ttts", "nonadaptive_fixed_confidence", "bts"]
+    for entry, keywords in rows:
+        parameters = inspect.signature(getattr(bestarm, entry)).parameters.values()
+        assert _spelled(keywords) == [(p.name, p.default) for p in parameters
+                                      if p.kind is p.KEYWORD_ONLY
+                                      and p.name not in ("mc_samples", "transform", "on_event")]
 
 
 def test_configuration_table_lists_every_leaf_in_declaration_order():

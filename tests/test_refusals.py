@@ -5,6 +5,7 @@ A file's refusal names its leaf (``config``, ``evaluator.arms_file`` or
 ``evaluator.csv_file``), and the arm entry or CSV line where there is one.
 """
 
+import errno
 import json
 import os
 import re
@@ -142,6 +143,23 @@ def test_blank_replay_row_is_skipped(tmp_path, capsys):
     assert captured.out.startswith("chosen: b\n") and captured.err == ""
 
 
+@pytest.mark.parametrize("flag, leaf, content", [
+    ("--synthetic", "arms_file", json.dumps(PAIR)),
+    ("--replay", "csv_file", "model,score\n" + "a,0.5\nb,0.7\n" * 5),
+], ids=["arms", "csv"])
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+def test_trace_path_that_is_the_input_file_is_refused(flag, leaf, content, link, tmp_path, capsys):
+    source = write(tmp_path, "input", content)
+    trace = source
+    if link:
+        trace = str(tmp_path / "link")
+        os.symlink(source, trace)
+    line = refusal(["fc", "--delta", "0.2", flag, source, "--mc-samples", "500", "--trace", trace],
+                   capsys)
+    assert line == f"error: trace_path: {trace!r} is evaluator.{leaf}, the run's input file"
+    assert (tmp_path / "input").read_text() == content
+
+
 def echo_child(*flags):
     return " ".join([sys.executable, ECHO_CHILD, *flags])
 
@@ -167,9 +185,21 @@ def test_subprocess_without_models_is_refused(capsys):
     assert line == "error: models: required for the subprocess evaluator"
 
 
-def test_missing_program_is_refused(tmp_path, capsys):
-    program = str(tmp_path / "no-such-child")
+def _not_executable_format(tmp_path):
+    # Executable, but neither a binary format nor a script with a #! line.
+    path = write(tmp_path, "child", b"\x00\x01\x02\x03")
+    os.chmod(path, 0o755)
+    return path
+
+
+@pytest.mark.parametrize("program, code", [
+    (lambda tmp_path: str(tmp_path / "no-such-child"), errno.ENOENT),
+    (_not_executable_format, errno.ENOEXEC),
+    (lambda tmp_path: os.path.join(write(tmp_path, "file", ""), "child"), errno.ENOTDIR),
+], ids=["missing", "exec-format", "not-a-directory"])
+def test_missing_program_is_refused(program, code, tmp_path, capsys):
+    program = program(tmp_path)
     line = refusal(["fc", "--delta", "0.2", "--exec", program, "--models", "a,b",
                     "--mc-samples", "500"], capsys)
     assert line.startswith(f"error: evaluator.command: failed to spawn evaluator [{program!r}]: "
-                           "[Errno 2] ")
+                           f"[Errno {code}] ")
