@@ -15,17 +15,12 @@ from .core import (
     EvaluationScore,
     EvaluatorFailure,
     EventKind,
-    InsufficientDataError,
     ModelId,
     ModelStats,
     NonFiniteScoreError,
-    PoolExhaustedError,
-    ProtocolError,
     SelectionResult,
     StreamPurpose,
     TerminationReason,
-    TraceEvent,
-    UndefinedComplexityError,
     make_model_ids,
     rng_stream,
     stats_update,
@@ -78,24 +73,19 @@ __all__ = [
     "EventKind",
     "Gaussian",
     "IDENTITY",
-    "InsufficientDataError",
     "ModelId",
     "ModelStats",
     "NonFiniteScoreError",
-    "PoolExhaustedError",
     "PosteriorDraws",
     "PosteriorParams",
-    "ProtocolError",
     "ReplayEvaluator",
     "SelectionResult",
     "StreamPurpose",
     "SubprocessEvaluator",
     "SyntheticEvaluator",
     "TerminationReason",
-    "TraceEvent",
     "TransformMode",
     "TruncatedGaussian",
-    "UndefinedComplexityError",
     "VARIANCE_FLOOR",
     "bts",
     "complexity_h",

@@ -51,8 +51,6 @@ from .core import (
     SelectionResult,
     StreamPurpose,
     TerminationReason,
-    TraceEvent,
-    UndefinedComplexityError,
     point_mass_belief,
     rng_stream,
     stats_update,
@@ -71,8 +69,8 @@ from .posterior import (
 
 DEFAULT_MAX_TOTAL_EVALS = 10_000
 
-# Receives each trace event as the campaign emits it.
-EventSink = Callable[[TraceEvent], None]
+# Receives each trace event, the dict of its JSON line, as the campaign emits it.
+EventSink = Callable[[dict], None]
 
 
 def _is_int(value) -> bool:
@@ -177,7 +175,7 @@ class _Campaign:
         self.mc_samples = mc_samples
         self.transform = transform
         self.stats: list[ModelStats] = [ModelStats() for _ in self.models]
-        self.trace: list[TraceEvent] = []
+        self.trace: list[dict] = []
         self._on_event = on_event
         self._request_seq = 0
         # Every in-process draw of the campaign descends from this seed.
@@ -197,7 +195,7 @@ class _Campaign:
         return sum(s.count for s in self.stats)
 
     def emit(self, kind: EventKind, payload: dict) -> None:
-        event = TraceEvent(seq=len(self.trace), kind=kind, payload=payload)
+        event = {"seq": len(self.trace), "kind": kind.value, **payload}
         self.trace.append(event)
         if self._on_event is not None:
             self._on_event(event)
@@ -527,7 +525,5 @@ def complexity_h(true_means: Sequence[float]) -> float:
         raise ValueError("need at least one mean")
     best = max(means)
     if means.count(best) != 1:
-        raise UndefinedComplexityError(
-            f"complexity is undefined when the best mean ({best}) is not unique"
-        )
+        raise ValueError(f"complexity is undefined when the best mean ({best}) is not unique")
     return sum(1.0 / (best - m) ** 2 for m in means if m != best)

@@ -294,6 +294,14 @@ def _load_data(config: CampaignConfig) -> tuple[list[str], Callable[[], Evaluato
     return names, partial(make, names)
 
 
+def _same_file(path: str, other: str) -> bool:
+    """Whether two paths name one file; a file that does not exist is no input file."""
+    try:
+        return os.path.samefile(path, other)
+    except OSError:
+        return False
+
+
 @contextlib.contextmanager
 def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) -> Iterator[EventSink]:
     """Open the JSON-lines trace and write its header; yield the event writer.
@@ -306,11 +314,7 @@ def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) ->
     """
     ev = config.evaluator
     leaf = {"synthetic": "arms_file", "replay": "csv_file"}.get(ev.kind)
-    try:
-        same = leaf is not None and os.path.samefile(path, getattr(ev, leaf))
-    except OSError:  # a file that does not exist is no input file
-        same = False
-    if same:
+    if leaf is not None and _same_file(path, getattr(ev, leaf)):
         raise ConfigError("trace_path", f"{path!r} is evaluator.{leaf}, the run's input file")
     try:
         fh = open(path, "w", encoding="utf-8")
@@ -330,7 +334,7 @@ def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) ->
     header["models"] = [m.name for m in models]
     with fh:
         write_line({"config": header})
-        yield lambda event: write_line(event.to_dict())
+        yield write_line
 
 
 def format_summary(result: SelectionResult) -> str:
@@ -552,10 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    """Merge the config file (if any) with flags; flags win."""
+    """Merge the config file (if any) with flags; flags win. A trace path
+    that is the config file is refused, since the trace would replace it."""
     data = (_read("config", args.config, lambda path: json.loads(Path(path).read_text("utf-8")))
             if args.config else {})
-    return _from_dict(CampaignConfig, data, args=args)
+    config = _from_dict(CampaignConfig, data, args=args)
+    if args.config and config.trace_path and _same_file(config.trace_path, args.config):
+        raise ConfigError("trace_path", f"{config.trace_path!r} is the --config file, "
+                          "the run's input file")
+    return config
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -579,7 +588,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"evaluator stderr:\n{e.stderr}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # stdout's reader has gone; keep the flush at exit quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

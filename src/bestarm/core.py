@@ -1,12 +1,12 @@
 """Shared domain types: candidate models, evaluation records, online
-statistics, belief vectors, trace events, and the seeded randomness contract
-used by every selection algorithm."""
+statistics, belief vectors, trace event kinds, and the seeded randomness
+contract used by every selection algorithm."""
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Optional, Sequence
 
@@ -15,14 +15,6 @@ import numpy as np
 
 class NonFiniteScoreError(ValueError):
     """A NaN or infinite score was offered where a finite metric is required."""
-
-
-class InsufficientDataError(ValueError):
-    """A posterior was requested for a model with fewer than 3 evaluations."""
-
-
-class UndefinedComplexityError(ValueError):
-    """The difficulty measure is undefined when the best mean is not unique."""
 
 
 class ConfigError(ValueError):
@@ -49,14 +41,6 @@ class EvaluatorFailure(RuntimeError):
     def __init__(self, message: str, *, stderr: Optional[str] = None):
         super().__init__(message)
         self.stderr = stderr
-
-
-class PoolExhaustedError(EvaluatorFailure):
-    """A replay score pool ran out under the ``error`` exhaustion policy."""
-
-
-class ProtocolError(EvaluatorFailure):
-    """The external evaluator violated the wire protocol."""
 
 
 class EvaluationError(EvaluatorFailure):
@@ -207,7 +191,8 @@ def point_mass_belief(stats: Sequence[ModelStats], winner_index: int) -> Belief:
 
 
 class EventKind(str, Enum):
-    """Trace event discriminator."""
+    """The ``kind`` of a trace event. An event is the dict of its JSON line:
+    ``{"seq": n, "kind": kind.value, **payload}``, ``seq`` counting from 0."""
 
     EVALUATED = "evaluated"
     ELIMINATED = "eliminated"
@@ -225,28 +210,15 @@ class TerminationReason(str, Enum):
 
 
 @dataclass(frozen=True)
-class TraceEvent:
-    """One entry of the campaign trace, ordered by the campaign event counter."""
-
-    seq: int
-    kind: EventKind
-    payload: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {"seq": self.seq, "kind": self.kind.value}
-        d.update(self.payload)
-        return d
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     """Outcome of one selection campaign; ``models`` is the evaluator's
-    candidate set, in the order ``eval_counts`` and ``final_belief.pi`` follow."""
+    candidate set, in the order ``eval_counts`` and ``final_belief.pi`` follow,
+    and ``trace`` holds the event dicts in the order they were emitted."""
 
     chosen: ModelId
     final_belief: Belief
     eval_counts: tuple[int, ...]
     total_evals: int
-    trace: tuple[TraceEvent, ...]
+    trace: tuple[dict, ...]
     terminated_by: TerminationReason
     models: tuple[ModelId, ...]

@@ -35,8 +35,6 @@ from .core import (
     EvaluationScore,
     EvaluatorFailure,
     ModelId,
-    PoolExhaustedError,
-    ProtocolError,
     StreamPurpose,
     make_model_ids,
     rng_stream,
@@ -294,7 +292,7 @@ class ReplayEvaluator(_InOrderEvaluator):
             self._cursors[idx] = cursor + 1
             return pool[cursor]
         if self._exhaustion == "error":
-            raise PoolExhaustedError(
+            raise EvaluatorFailure(
                 f"replay pool for {request.model.name} exhausted after {len(pool)} scores"
             )
         if self._exhaustion == "cycle":
@@ -357,10 +355,10 @@ class SubprocessEvaluator(Evaluator):
             self._send({"fiesta_protocol": PROTOCOL_VERSION, "models": [m.name for m in self.models]})
             reply = self._read_object()
             if reply.get("ok") is not True:
-                raise ProtocolError(f"handshake rejected: {reply}")
+                raise EvaluatorFailure(f"handshake rejected: {reply}")
             advertised = reply.get("max_in_flight")
             if isinstance(advertised, bool) or not isinstance(advertised, int) or advertised < 1:
-                raise ProtocolError(f"handshake max_in_flight must be a positive integer: {reply}")
+                raise EvaluatorFailure(f"handshake max_in_flight must be a positive integer: {reply}")
         except BaseException:
             self._kill()
             self._release()
@@ -415,9 +413,9 @@ class SubprocessEvaluator(Evaluator):
         try:
             obj = json.loads(line.decode("utf-8"))
         except (ValueError, RecursionError):  # not UTF-8 or JSON, an over-long int, deep nesting
-            raise ProtocolError(f"malformed response line: {line.strip()!r}") from None
+            raise EvaluatorFailure(f"malformed response line: {line.strip()!r}") from None
         if not isinstance(obj, dict):
-            raise ProtocolError(f"response must be a JSON object: {line.strip()!r}")
+            raise EvaluatorFailure(f"response must be a JSON object: {line.strip()!r}")
         return obj
 
     @property
@@ -446,13 +444,13 @@ class SubprocessEvaluator(Evaluator):
         rid = obj.get("id")
         # JSON true would otherwise match request 1, and a list is unhashable.
         if isinstance(rid, bool) or not isinstance(rid, int) or rid not in self._pending:
-            raise ProtocolError(f"response id {rid!r} does not match any outstanding request")
+            raise EvaluatorFailure(f"response id {rid!r} does not match any outstanding request")
         request = self._pending.pop(rid)
         if "error" in obj:
             raise EvaluationError(request, str(obj["error"]))
         score = obj.get("score")
         if not _is_finite_number(score):
-            raise ProtocolError(f"response for id {rid} has no finite score: {obj}")
+            raise EvaluatorFailure(f"response for id {rid} has no finite score: {obj}")
         return EvaluationScore(request=request, score=float(score))
 
     def pending(self) -> int:

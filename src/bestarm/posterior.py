@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Belief, InsufficientDataError, ModelStats, StreamPurpose, rng_stream
+from .core import Belief, ModelStats, StreamPurpose, rng_stream
 
 # Substituted for the sum of squared deviations when a model's scores are
 # (near-)constant, so the posterior scale stays positive.
@@ -86,7 +86,7 @@ def posterior_from_stats(stats: ModelStats) -> PosteriorParams:
     Requires at least 3 evaluations so the t distribution has dof >= 1.
     """
     if stats.count < MIN_EVALS_FOR_POSTERIOR:
-        raise InsufficientDataError(
+        raise ValueError(
             f"posterior needs at least {MIN_EVALS_FOR_POSTERIOR} evaluations, "
             f"got {stats.count}"
         )
@@ -152,7 +152,7 @@ class PosteriorDraws:
         """Draw the chunk of rows ``lo:hi`` in each column not yet drawn that
         far. Chunks are filled in order from row 0, so such a column has
         been drawn exactly to ``lo``. A model with fewer than 3 evaluations
-        raises ``InsufficientDataError`` here."""
+        raises ``ValueError`` here."""
         for j, stats in enumerate(self._drawn_for):
             if self._filled[j] < hi:
                 p = posterior_from_stats(stats)

@@ -180,8 +180,8 @@ def test_criterion_6_sh_schedule_golden():
         return sequential_halving(evaluator, campaign_seed=seed, budget=16)
 
     result = run(6)
-    rounds = [e for e in result.trace if e.kind is EventKind.ROUND_STARTED]
-    schedule = [(len(r.payload["survivors"]), r.payload["evals_per_model"]) for r in rounds]
+    rounds = [e for e in result.trace if e["kind"] == EventKind.ROUND_STARTED]
+    schedule = [(len(r["survivors"]), r["evals_per_model"]) for r in rounds]
     deterministic = run(6).trace == result.trace
     ok = (
         schedule == [(4, 2), (2, 4)]

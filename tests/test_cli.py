@@ -573,6 +573,27 @@ class TestMain:
         assert proc.returncode == 1
         assert proc.stderr == ""
 
+    def test_a_closed_stdout_leaves_no_descriptor_open(self, pair_arms_file, monkeypatch):
+        read_end, write_end = os.pipe()
+
+        class ClosedPipe(io.TextIOBase):
+            def fileno(self):
+                return write_end
+
+            def write(self, text):
+                raise BrokenPipeError("Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            code = main(["fc", "--delta", "0.2", "--mc-samples", "500", "--synthetic", pair_arms_file])
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert code == 1
+        assert after == before
+
     def test_non_utf8_child_output_exits_one(self):
         # The child stays alive after its undecodable reply.
         reply = b'{"id": 0, "score": 0.5, "x": "\xff"}'

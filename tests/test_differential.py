@@ -137,7 +137,7 @@ def run_library(kind, values, arms_path):
         result = ENTRY_POINTS[kind](evaluator, values["campaign_seed"], **params)
     except ConfigError as e:
         return "mode." + e.field_name if e.field_name in MODE_LEAVES[kind] else e.field_name
-    return [e.to_dict() for e in result.trace]
+    return list(result.trace)
 
 
 @settings(max_examples=200, deadline=None)

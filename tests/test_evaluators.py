@@ -22,8 +22,6 @@ from bestarm import (
     EvaluatorFailure,
     EventKind,
     Gaussian,
-    PoolExhaustedError,
-    ProtocolError,
     ReplayEvaluator,
     StreamPurpose,
     SubprocessEvaluator,
@@ -226,8 +224,8 @@ class TestSyntheticEvaluator:
         for seed in range(20):
             # max_evals=9 stops each campaign after its 3 evaluations per model.
             result = ttts(ev, seed, delta=0.1, max_evals=9, mc_samples=1000)
-            firsts.add(tuple(e.payload["score"] for e in result.trace
-                             if e.kind is EventKind.EVALUATED))
+            firsts.add(tuple(e["score"] for e in result.trace
+                             if e["kind"] == EventKind.EVALUATED))
         assert len(firsts) == 20
 
     def test_gaussian_sample_mean(self):
@@ -292,7 +290,7 @@ class TestReplay:
         ev = ReplayEvaluator({"m1": [0.6, 0.7]}, ["m1"], "error")
         evaluate(ev, request(models[0], 0))
         evaluate(ev, request(models[0], 1))
-        with pytest.raises(PoolExhaustedError):
+        with pytest.raises(EvaluatorFailure, match="replay pool for m1 exhausted after 2 scores"):
             evaluate(ev, request(models[0], 2))
 
     def test_resample_mean_converges_to_pool_mean(self):
@@ -406,7 +404,7 @@ class TestSubprocessEvaluator:
     def test_unknown_id_is_protocol_error(self):
         ids, ev = self.make("--wrong-id")
         try:
-            with pytest.raises(ProtocolError, match="id"):
+            with pytest.raises(EvaluatorFailure, match="does not match any outstanding request"):
                 evaluate(ev, request(ids[0], 7))
         finally:
             ev.close()
@@ -416,7 +414,7 @@ class TestSubprocessEvaluator:
         # Request 1 is outstanding, so a bool id must not be taken for it.
         ids, ev = self.make("--id-json", rid)
         try:
-            with pytest.raises(ProtocolError, match="id"):
+            with pytest.raises(EvaluatorFailure, match="does not match any outstanding request"):
                 evaluate(ev, request(ids[0], 1))
         finally:
             ev.close()
@@ -425,19 +423,19 @@ class TestSubprocessEvaluator:
         # The child stays alive after replying, so this must not wait on its exit.
         ids, ev = self.make("--raw-reply", b'{"id": 0, "score": 0.5, "x": "\xff"}'.hex(), timeout=10)
         try:
-            with pytest.raises(ProtocolError, match="malformed"):
+            with pytest.raises(EvaluatorFailure, match="malformed response line"):
                 evaluate(ev, request(ids[0], 0))
         finally:
             ev.close()
 
     def test_bad_handshake(self):
-        with pytest.raises(ProtocolError, match="handshake"):
+        with pytest.raises(EvaluatorFailure, match="handshake rejected"):
             self.make("--bad-handshake")
 
     def test_bool_handshake_depth_is_protocol_error(self):
         child = ("import sys; sys.stdin.readline(); "
                  "print('{\"ok\": true, \"max_in_flight\": true}', flush=True); sys.stdin.read()")
-        with pytest.raises(ProtocolError, match="max_in_flight must be a positive integer"):
+        with pytest.raises(EvaluatorFailure, match="max_in_flight must be a positive integer"):
             SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
 
     # The handshake is the only source of the pipeline depth.
@@ -449,7 +447,7 @@ class TestSubprocessEvaluator:
                              ids=["zero", "negative", "fraction", "string", "missing"])
     def test_bad_handshake_depth_is_protocol_error(self, reply):
         child = f"import sys; sys.stdin.readline(); print({reply!r}, flush=True); sys.stdin.read()"
-        with pytest.raises(ProtocolError, match="max_in_flight must be a positive integer"):
+        with pytest.raises(EvaluatorFailure, match="max_in_flight must be a positive integer"):
             SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
 
     @pytest.mark.parametrize("command", [[], "", "   "])
@@ -462,7 +460,7 @@ class TestSubprocessEvaluator:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ResourceWarning)
             if ending == "bad-handshake":
-                with pytest.raises(ProtocolError):
+                with pytest.raises(EvaluatorFailure, match="handshake rejected"):
                     self.make("--bad-handshake")
             else:
                 ids, ev = self.make(*(["--crash-after", "1"] if ending == "crash-then-close" else []))

@@ -3,7 +3,8 @@
 Every mode runs against every evaluator back-end at two seeds, and the event
 lines of each trace must hash to the digest recorded here. The header line is
 left out of the digest because it embeds the arm file, the CSV file and the
-child command with absolute paths, which change with the checkout.
+child command with absolute paths, which change with the checkout. The
+campaign's in-memory trace must equal the file's parsed event lines.
 
 A change that alters any digest changes campaign behaviour; it must say why
 in its commit message before the digest here is updated.
@@ -122,6 +123,9 @@ def test_trace_matches_golden_digest(mode, evaluator, seed, sources, tmp_path, c
             "trace_path": str(trace),
         }
     )
-    run_campaign(config)
+    result, _ = run_campaign(config)
     capsys.readouterr()
     assert event_digest(trace) == DIGESTS[f"{mode}/{evaluator}/{seed}"]
+    # The in-memory trace holds the same events as the file's lines.
+    lines = trace.read_bytes().splitlines()
+    assert list(result.trace) == [json.loads(line) for line in lines[1:]]

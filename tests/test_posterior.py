@@ -7,7 +7,6 @@ from scipy import stats as scistats
 
 from bestarm import (
     IDENTITY,
-    InsufficientDataError,
     ModelStats,
     PosteriorDraws,
     PosteriorParams,
@@ -45,7 +44,7 @@ class TestPosteriorFromStats:
         assert p.scale == pytest.approx(0.08165, abs=5e-6)
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="posterior needs at least 3 evaluations, got 2"):
             posterior_from_stats(fold([0.6, 0.7]))
 
     def test_dof_grows_with_count(self):
@@ -106,7 +105,7 @@ class TestEstimatePi:
 
     def test_requires_three_evals_everywhere(self):
         stats = [fold([0.5, 0.6, 0.7]), fold([0.5, 0.6])]
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ValueError, match="posterior needs at least 3 evaluations, got 2"):
             estimate_pi(stats, 100, PosteriorDraws(1))
 
     def test_rejects_non_positive_mc_samples(self):

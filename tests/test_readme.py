@@ -1,7 +1,8 @@
 """The README's library quick start runs as written, every name in
 ``bestarm.__all__`` resolves, the package root leaves the CLI layer to
 ``bestarm.cli``, the spelled constructors and the entry-point table match
-the signatures, and the Configuration table lists every leaf."""
+the signatures, the Configuration table lists every leaf, the Trace section
+lists every event kind, and the errors paragraph names every exception."""
 
 import ast
 import inspect
@@ -78,3 +79,21 @@ def test_configuration_table_lists_every_leaf_in_declaration_order():
     leaves = [f"{f.name}.{g.name}" if f.type in sections else f.name
               for f in fields(CampaignConfig) for g in (fields(f.type) if f.type in sections else [f])]
     assert listed == leaves
+
+
+def test_trace_section_lists_every_event_kind():
+    section = README.read_text(encoding="utf-8").split("\n## Trace\n")[1].split("\n## ")[0]
+    (listed,) = re.findall(r"Each event \(([^)]*)\)", section)
+    kinds = re.findall(r"`(\w+)`", listed)
+    assert len(kinds) == 5
+    assert set(kinds) == {k.value for k in bestarm.EventKind}
+
+
+def test_errors_paragraph_names_every_exported_exception():
+    paragraphs = README.read_text(encoding="utf-8").split("\n\n")
+    (errors,) = [p for p in paragraphs if p.startswith("A campaign raises")]
+    exceptions = [name for name in bestarm.__all__
+                  if isinstance(getattr(bestarm, name), type)
+                  and issubclass(getattr(bestarm, name), BaseException)]
+    assert len(exceptions) == 4
+    assert [name for name in exceptions if f"`{name}`" not in errors] == []

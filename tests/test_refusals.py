@@ -143,12 +143,16 @@ def test_blank_replay_row_is_skipped(tmp_path, capsys):
     assert captured.out.startswith("chosen: b\n") and captured.err == ""
 
 
-@pytest.mark.parametrize("flag, leaf, content", [
-    ("--synthetic", "arms_file", json.dumps(PAIR)),
-    ("--replay", "csv_file", "model,score\n" + "a,0.5\nb,0.7\n" * 5),
-], ids=["arms", "csv"])
+@pytest.mark.parametrize("flag, name, content", [
+    ("--synthetic", "evaluator.arms_file", json.dumps(PAIR)),
+    ("--replay", "evaluator.csv_file", "model,score\n" + "a,0.5\nb,0.7\n" * 5),
+    ("--config", "the --config file", None),
+], ids=["arms", "csv", "config"])
 @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
-def test_trace_path_that_is_the_input_file_is_refused(flag, leaf, content, link, tmp_path, capsys):
+def test_trace_path_that_is_the_input_file_is_refused(flag, name, content, link, tmp_path, capsys):
+    if content is None:  # a config naming a real arm file, so only the trace can refuse it
+        arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+        content = json.dumps({"evaluator": {"kind": "synthetic", "arms_file": arms}})
     source = write(tmp_path, "input", content)
     trace = source
     if link:
@@ -156,7 +160,7 @@ def test_trace_path_that_is_the_input_file_is_refused(flag, leaf, content, link,
         os.symlink(source, trace)
     line = refusal(["fc", "--delta", "0.2", flag, source, "--mc-samples", "500", "--trace", trace],
                    capsys)
-    assert line == f"error: trace_path: {trace!r} is evaluator.{leaf}, the run's input file"
+    assert line == f"error: trace_path: {trace!r} is {name}, the run's input file"
     assert (tmp_path / "input").read_text() == content
 
 
