@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from collections import deque
 from typing import Callable, Optional, Sequence
 
@@ -100,9 +101,10 @@ def check_arguments(entry: str, evaluator: Evaluator, campaign_seed, **keywords)
 
     The order: each keyword's type, in the config's order (the mode's
     keywords, ``campaign_seed``, ``mc_samples``, ``transform``,
-    ``on_event``); each value, in that order; an evaluator still holding
-    requests of an earlier campaign, whose scores would be folded into
-    this one; last, what depends on N or on the evaluator's depth.
+    ``on_event``); each value, in that order; an ``mc_samples`` whose
+    Monte-Carlo resolution is too coarse for ``delta``; an evaluator still
+    holding requests of an earlier campaign, whose scores would be folded
+    into this one; last, what depends on N or on the evaluator's depth.
     """
     values = {"campaign_seed": campaign_seed, **keywords}
     checks = [(name, values[name], *rules) for name, rules in _KEYWORDS.items() if name in values]
@@ -112,6 +114,14 @@ def check_arguments(entry: str, evaluator: Evaluator, campaign_seed, **keywords)
     for name, value, _, _, rule in checks:
         if rule is not None and not rule[0](value):
             raise ConfigError(name, f"must {rule[1]}, got {value!r}")
+    # pi has a standard error of up to 0.5/sqrt(mc_samples); above delta/2, a few
+    # lucky rows can pass the stop test. An mc_samples past a float is left to the draw cap.
+    delta, mc = keywords.get("delta"), keywords.get("mc_samples")
+    if delta is not None and mc <= sys.float_info.max and 0.5 / math.sqrt(mc) > delta / 2:
+        inverse = 1 / delta**2 if delta**2 else math.inf  # named only where it fits in a float
+        need = f" = {math.ceil(inverse)}" if math.isfinite(inverse) else ""
+        raise ConfigError("mc_samples", f"must be at least 1/delta^2{need} for delta {delta}, "
+                          f"so that 0.5/sqrt(mc_samples) is at most delta/2, got {mc}")
     if evaluator.pending() > 0:
         raise ConfigError(
             "evaluator",
@@ -234,17 +244,16 @@ class _Campaign:
     def run_batch(
         self,
         batch: Sequence[ModelId],
-        retry_once: bool = False,
         extras: Optional[Sequence[Optional[dict]]] = None,
         keep: int = 0,
     ) -> None:
         """Submit ``batch`` and collect until ``keep`` evaluations remain in flight.
 
-        Submissions are pipelined up to the evaluator's capacity, and with
-        ``retry_once`` a failed evaluation is resubmitted once. What was
-        collected is folded in request-sequence order whatever the completion
-        order, keeping campaigns reproducible under concurrent dispatch; a
-        request's trace extra waits until its score is folded.
+        Submissions are pipelined up to the evaluator's capacity, and a failed
+        evaluation is resubmitted once, with the same sequence and seeds. What
+        was collected is folded in request-sequence order whatever the
+        completion order, keeping campaigns reproducible under concurrent
+        dispatch; a request's trace extra waits until its score is folded.
         """
         queue = deque(self.new_requests(batch))
         if extras:
@@ -257,7 +266,7 @@ class _Campaign:
             try:
                 collected.append(self.evaluator.collect())
             except EvaluationError as e:
-                if not retry_once or e.request.sequence in self._retried:
+                if e.request.sequence in self._retried:
                     raise
                 self._retried.add(e.request.sequence)
                 queue.appendleft(e.request)
@@ -328,7 +337,6 @@ def _fixed_confidence(
     depth: int,
     propose: Callable[[Belief, int], tuple[list[ModelId], Optional[list[dict]]]],
     step: Optional[int] = None,
-    retry_once: bool = False,
 ) -> SelectionResult:
     """The one fixed-confidence loop; the rules differ in proposal, depth and step.
 
@@ -340,10 +348,11 @@ def _fixed_confidence(
     flight up to ``depth`` with the k models ``propose(belief, k)`` returns
     (and their optional trace extras), and collect until ``depth - step``
     remain in flight. ``step`` defaults to ``depth``: each proposal is
-    folded whole before the next belief.
+    folded whole before the next belief. As in every mode, a failed
+    evaluation is retried once before the campaign aborts.
     """
     step = depth if step is None else step
-    c.run_batch([m for _ in range(MIN_EVALS_FOR_POSTERIOR) for m in c.models], retry_once)
+    c.run_batch([m for _ in range(MIN_EVALS_FOR_POSTERIOR) for m in c.models])
     while True:
         # The belief a campaign ends on uses every row: a confident one
         # always does, and a safeguard stop asks for all of them.
@@ -355,7 +364,7 @@ def _fixed_confidence(
             reason = TerminationReason.MAX_EVALS_SAFEGUARD
         else:
             batch, extras = propose(belief, depth - c.evaluator.pending())
-            c.run_batch(batch, retry_once, extras, keep=depth - step)
+            c.run_batch(batch, extras, keep=depth - step)
             continue
         return c.finish(c.models[belief.argmax()], reason, belief)
 
@@ -453,8 +462,7 @@ def bts(
     (with replacement), evaluates all B, then updates the belief once.
     Otherwise it keeps B evaluations in flight; whenever one finishes it is
     folded in, the belief is republished, and the freed worker draws
-    its next model from that newest belief. A failed evaluation is retried
-    once, then the campaign aborts. In-flight work is discarded at
+    its next model from that newest belief. In-flight work is discarded at
     termination.
     """
     check_arguments("bts", evaluator, campaign_seed, delta=delta, max_evals=max_evals,
@@ -466,7 +474,7 @@ def bts(
         return [c.models[_draw_index(belief.win_counts, c.algo_rng)] for _ in range(k)], None
 
     step = batch_size if sync else 1
-    return _fixed_confidence(c, delta, max_evals, batch_size, iid_draws, step, retry_once=True)
+    return _fixed_confidence(c, delta, max_evals, batch_size, iid_draws, step)
 
 
 def nonadaptive_fixed_budget(

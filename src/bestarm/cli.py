@@ -295,10 +295,10 @@ def _load_data(config: CampaignConfig) -> tuple[list[str], Callable[[], Evaluato
 
 
 def _same_file(path: str, other: str) -> bool:
-    """Whether two paths name one file; a file that does not exist is no input file."""
+    """Whether two paths name one file; a missing file, or a path with a NUL byte, is no input file."""
     try:
         return os.path.samefile(path, other)
-    except OSError:
+    except (OSError, ValueError):
         return False
 
 
@@ -318,7 +318,7 @@ def write_trace(path: str, config: CampaignConfig, models: Sequence[ModelId]) ->
         raise ConfigError("trace_path", f"{path!r} is evaluator.{leaf}, the run's input file")
     try:
         fh = open(path, "w", encoding="utf-8")
-    except OSError as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
         raise ConfigError("trace_path", str(e)) from None
     def write_line(obj: dict) -> None:
         try:
@@ -376,30 +376,6 @@ def _run(config: CampaignConfig, build: Callable[[], Evaluator]) -> SelectionRes
         evaluator.close()
 
 
-def _validate_run(config: CampaignConfig) -> CampaignConfig:
-    """Return a checked copy; refuse a Monte-Carlo belief too coarse for delta.
-
-    A belief's pi has a standard error of up to 0.5/sqrt(mc_samples); above
-    delta/2, a few lucky rows can pass the stop test. The algorithms accept
-    any mc_samples; this check guards only campaigns run from a config, and
-    judges only a delta in (0, 1) and an mc_samples of at least 1, leaving
-    other values to the library's refusals.
-    """
-    config = _from_dict(CampaignConfig, config)
-    mode, mc = config.mode, config.mc_samples
-    if (mode.kind in _CONFIDENCE_KINDS and 0.0 < mode.delta < 1.0 and mc >= 1
-            and 0.5 / math.sqrt(mc) > mode.delta / 2):
-        # 1/delta^2 is named only where it fits in a float.
-        inverse = 1 / mode.delta**2 if mode.delta**2 else math.inf
-        need = f" = {math.ceil(inverse)}" if math.isfinite(inverse) else ""
-        raise ConfigError(
-            "mc_samples",
-            f"must be at least 1/delta^2{need} for delta {mode.delta}, "
-            f"so that 0.5/sqrt(mc_samples) is at most delta/2, got {config.mc_samples}",
-        )
-    return config
-
-
 def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     """Check a copy, run it, report: the one-campaign entry point.
 
@@ -408,7 +384,7 @@ def run_campaign(config: CampaignConfig) -> tuple[SelectionResult, int]:
     summary to stdout, and returns the result with its exit code: 0 for
     budget/confidence termination, 2 when the safeguard tripped.
     """
-    config = _validate_run(config)
+    config = _from_dict(CampaignConfig, config)
     result = _run(config, _load_data(config)[1])
     print(format_summary(result), flush=True)
     code = 2 if result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD else 0
@@ -479,7 +455,7 @@ def run_replications(
     sweep against live training runs is rarely what anyone wants. Refuses a
     trace path, since the replications write no trace.
     """
-    config = _validate_run(config)
+    config = _from_dict(CampaignConfig, config)
     if config.trace_path is not None:
         raise ConfigError("trace_path", "replicate writes no trace; trace a single campaign instead")
     require_positive_int("replications", replications)

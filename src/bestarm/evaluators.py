@@ -344,7 +344,7 @@ class SubprocessEvaluator(Evaluator):
                 stdout=subprocess.PIPE,
                 stderr=self._stderr,
             )
-        except OSError as e:
+        except (OSError, ValueError) as e:  # ValueError: a NUL byte in an argument
             self._stderr.close()
             raise ConfigError("command", f"failed to spawn evaluator {argv!r}: {e}") from None
         # poll, unlike select, takes descriptors past 1023.

@@ -35,6 +35,14 @@ ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
 FIG_MEANS = [0.65, 0.69, 0.69, 0.70, 0.71]
 
+ENTRY_POINTS = {
+    "fb": sequential_halving,
+    "baseline-fb": nonadaptive_fixed_budget,
+    "fc": ttts,
+    "baseline-fc": nonadaptive_fixed_confidence,
+    "fc-batch": bts,
+}
+
 
 def synthetic(means, sd=0.01):
     names = [f"m{i}" for i in range(len(means))]
@@ -390,7 +398,7 @@ class TestBts:
         try:
             result = bts(
                 evaluator, campaign_seed=7, delta=0.01, max_evals=40,
-                batch_size=4, sync=sync, mc_samples=200,
+                batch_size=4, sync=sync, mc_samples=10_000,
                 on_event=lambda e: evaluator.log.append((e["kind"], evaluator.pending())),
             )
             in_flight_at_end = evaluator.pending()
@@ -445,33 +453,29 @@ class TestBts:
         finally:
             evaluator.close()
 
-    def test_persistent_error_aborts_campaign(self):
+    @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
+    def test_persistent_error_aborts_campaign(self, kind):
         names = ["a", "b"]
-        evaluator = SubprocessEvaluator(
+        evaluator = Recording(SubprocessEvaluator(
             [sys.executable, ECHO_CHILD, "--error-model", "b", "--max-in-flight", "4"],
             names,
-        )
+        ))
+        params = ({"budget": 8} if kind in ("fb", "baseline-fb")
+                  else {"delta": 0.05, "mc_samples": 1000})
+        if kind == "fc-batch":
+            params["batch_size"] = 2
         events = []
         try:
-            with pytest.raises(EvaluationError):
-                bts(evaluator, campaign_seed=5, delta=0.05, batch_size=2,
-                    mc_samples=1000, on_event=events.append)
+            with pytest.raises(EvaluationError) as caught:
+                ENTRY_POINTS[kind](evaluator, 5, on_event=events.append, **params)
             # It fails inside its first batch, so nothing may have been emitted.
             assert all(e["kind"] != EventKind.TERMINATED for e in events)
         finally:
             evaluator.close()
-
-    def test_ttts_does_not_retry(self):
-        names = ["a", "b"]
-        evaluator = SubprocessEvaluator(
-            [sys.executable, ECHO_CHILD, "--flaky", "--max-in-flight", "4"], names
-        )
-        try:
-            with pytest.raises(EvaluationError):
-                ttts(evaluator, campaign_seed=5, delta=0.05,
-                     mc_samples=1000)
-        finally:
-            evaluator.close()
+        # The failed request went out twice, with the same seeds, and no more.
+        failed = caught.value.request
+        assert failed.model.name == "b"
+        assert [r for r in evaluator.requests if r.sequence == failed.sequence] == [failed] * 2
 
 
 class Recording(Evaluator):
@@ -658,15 +662,6 @@ class TestOnEvent:
         assert events[-1]["kind"] == EventKind.TERMINATED
 
 
-ENTRY_POINTS = {
-    "fb": sequential_halving,
-    "baseline-fb": nonadaptive_fixed_budget,
-    "fc": ttts,
-    "baseline-fc": nonadaptive_fixed_confidence,
-    "fc-batch": bts,
-}
-
-
 class TestParameters:
     @pytest.mark.parametrize("kind", list(ENTRY_POINTS))
     def test_keywords_are_the_mode_leaves_of_the_kind(self, kind):
@@ -707,6 +702,34 @@ class TestParameters:
             ENTRY_POINTS[kind](evaluator, 0, delta=0.1, mc_samples=mc_samples, **extra)
         assert (caught.value.field_name, caught.value.message) == ("mc_samples", problem)
         assert evaluator.requests == []
+
+    @pytest.mark.parametrize("kind", ["fc", "baseline-fc", "fc-batch"])
+    @pytest.mark.parametrize("delta, problem", [
+        (0.1, "must be at least 1/delta^2 = 100 for delta 0.1, "
+              "so that 0.5/sqrt(mc_samples) is at most delta/2, got 99"),
+        # 1/delta^2 does not fit in a float, so no number is named.
+        (1e-300, "must be at least 1/delta^2 for delta 1e-300, "
+                 "so that 0.5/sqrt(mc_samples) is at most delta/2, got 99"),
+    ], ids=["0.1", "1e-300"])
+    def test_mc_samples_coarser_than_delta_is_refused_before_any_evaluation(self, kind, delta,
+                                                                             problem):
+        evaluator = Recording(synthetic([0.4, 0.5, 0.6]))
+        extra = {"batch_size": 2} if kind == "fc-batch" else {}
+        with pytest.raises(ConfigError) as caught:
+            ENTRY_POINTS[kind](evaluator, 0, delta=delta, mc_samples=99, **extra)
+        assert (caught.value.field_name, caught.value.message) == ("mc_samples", problem)
+        assert evaluator.requests == []
+
+    @pytest.mark.parametrize("kind", ["fc", "baseline-fc", "fc-batch"])
+    def test_mc_samples_at_the_resolution_bound_runs(self, kind):
+        extra = {"batch_size": 2} if kind == "fc-batch" else {}
+        result = ENTRY_POINTS[kind](synthetic([0.4, 0.5, 0.6]), 0, delta=0.1, mc_samples=100,
+                                    **extra)
+        assert result.final_belief.mc_samples == 100
+
+    def test_mc_samples_past_a_float_is_refused_by_the_draw_matrix_cap(self):
+        with pytest.raises(ConfigError, match=r"^mc_samples: must be at most 44739242 for 3 models"):
+            ttts(synthetic([0.4, 0.5, 0.6]), 0, delta=1e-300, mc_samples=10**400)
 
     @pytest.mark.parametrize("kind, name, value", [
         *[(kind, "budget", value) for kind in ("fb", "baseline-fb")
@@ -866,7 +889,7 @@ class TestChunkedBelief:
     @pytest.mark.parametrize("rule", list(FIXED_CONFIDENCE_RULES))
     def test_safeguard_termination_uses_every_row(self, rule):
         evaluator = synthetic([0.60, 0.61, 0.62], sd=0.02)
-        result = FIXED_CONFIDENCE_RULES[rule](evaluator, 5, delta=0.01, max_evals=45)
+        result = FIXED_CONFIDENCE_RULES[rule](evaluator, 5, delta=0.05, max_evals=45)
         assert result.terminated_by is TerminationReason.MAX_EVALS_SAFEGUARD
         rows = [e["rows"] for e in events_of(result, EventKind.BELIEF_UPDATED)]
         assert min(rows) < 2000

@@ -686,10 +686,13 @@ class TestMain:
         submitted = []
         monkeypatch.setattr(SyntheticEvaluator, "submit", lambda self, req: submitted.append(req))
         trace = tmp_path / "t.jsonl"
-        for command in (["fc"], ["fc-batch", "--batch-size", "2"], ["baseline-fc"],
+        # replicate refuses a trace path first, so it runs without one.
+        for command in (["fc", "--trace", str(trace)],
+                        ["fc-batch", "--batch-size", "2", "--trace", str(trace)],
+                        ["baseline-fc", "--trace", str(trace)],
                         ["replicate", "--mode", "fc", "--replications", "2"]):
             code = main(command + ["--delta", str(delta), "--mc-samples", str(mc_samples),
-                                   "--synthetic", arms_file, "--trace", str(trace)])
+                                   "--synthetic", arms_file])
             err = capsys.readouterr().err
             assert code == 1, command
             assert f"error: mc_samples: must be at least 1/delta^2 = {round(1 / delta**2)} " in err

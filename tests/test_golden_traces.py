@@ -1,10 +1,12 @@
 """Golden traces: pinned SHA-256 digests of campaign traces.
 
 Every mode runs against every evaluator back-end at two seeds, and the event
-lines of each trace must hash to the digest recorded here. The header line is
-left out of the digest because it embeds the arm file, the CSV file and the
-child command with absolute paths, which change with the checkout. The
-campaign's in-memory trace must equal the file's parsed event lines.
+lines of each trace must hash to the digest recorded here. A child that fails
+the first attempt of every request must give the subprocess digest, since
+every mode resubmits a failed evaluation once with the same seeds. The header
+line is left out of the digest because it embeds the arm file, the CSV file
+and the child command with absolute paths, which change with the checkout.
+The campaign's in-memory trace must equal the file's parsed event lines.
 
 A change that alters any digest changes campaign behaviour; it must say why
 in its commit message before the digest here is updated.
@@ -100,6 +102,8 @@ def sources(tmp_path_factory):
         "synthetic": {"kind": "synthetic", "arms_file": str(arms)},
         "replay": {"kind": "replay", "csv_file": str(scores)},
         "subprocess": {"kind": "subprocess", "command": shlex.join([sys.executable, ECHO_CHILD])},
+        "subprocess-flaky": {"kind": "subprocess",
+                             "command": shlex.join([sys.executable, ECHO_CHILD, "--flaky"])},
     }
 
 
@@ -109,7 +113,7 @@ def event_digest(path) -> str:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("evaluator", EVALUATORS)
+@pytest.mark.parametrize("evaluator", [*EVALUATORS, "subprocess-flaky"])
 @pytest.mark.parametrize("mode", list(MODES))
 def test_trace_matches_golden_digest(mode, evaluator, seed, sources, tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
@@ -125,7 +129,7 @@ def test_trace_matches_golden_digest(mode, evaluator, seed, sources, tmp_path, c
     )
     result, _ = run_campaign(config)
     capsys.readouterr()
-    assert event_digest(trace) == DIGESTS[f"{mode}/{evaluator}/{seed}"]
+    assert event_digest(trace) == DIGESTS[f"{mode}/{evaluator.removesuffix('-flaky')}/{seed}"]
     # The in-memory trace holds the same events as the file's lines.
     lines = trace.read_bytes().splitlines()
     assert list(result.trace) == [json.loads(line) for line in lines[1:]]

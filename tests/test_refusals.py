@@ -80,6 +80,13 @@ def test_tiny_delta_is_refused_by_the_resolution_guard(delta, expected, tmp_path
     assert line.startswith(expected)
 
 
+def test_mc_samples_past_a_float_is_refused_by_the_draw_matrix_cap(tmp_path, capsys):
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    line = refusal(["fc", "--delta", "1e-300", "--synthetic", arms,
+                    "--mc-samples", str(10**400)], capsys)
+    assert line.startswith("error: mc_samples: must be at most 67108864 for 2 models, ")
+
+
 def test_scores_whose_statistics_overflow_are_refused(tmp_path, capsys):
     # Each score is finite, but a model's second one overflows its sq_dev_sum.
     arms = write(tmp_path, "arms.json", json.dumps([
@@ -164,6 +171,14 @@ def test_trace_path_that_is_the_input_file_is_refused(flag, name, content, link,
     assert (tmp_path / "input").read_text() == content
 
 
+def test_trace_path_with_a_nul_byte_is_refused(tmp_path, capsys):
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    config = write(tmp_path, "config.json", json.dumps({"trace_path": "t\u0000x"}))
+    line = refusal(["fc", "--delta", "0.2", "--mc-samples", "500", "--synthetic", arms,
+                    "--config", config], capsys)
+    assert line == "error: trace_path: embedded null byte"
+
+
 def echo_child(*flags):
     return " ".join([sys.executable, ECHO_CHILD, *flags])
 
@@ -207,3 +222,11 @@ def test_missing_program_is_refused(program, code, tmp_path, capsys):
                     "--mc-samples", "500"], capsys)
     assert line.startswith(f"error: evaluator.command: failed to spawn evaluator [{program!r}]: "
                            f"[Errno {code}] ")
+
+
+def test_command_with_a_nul_byte_is_refused(tmp_path, capsys):
+    config = write(tmp_path, "config.json", json.dumps({
+        "evaluator": {"kind": "subprocess", "command": "py\u0000thon"}, "models": ["a", "b"]}))
+    line = refusal(["fc", "--delta", "0.2", "--mc-samples", "500", "--config", config], capsys)
+    assert line == ("error: evaluator.command: failed to spawn evaluator ['py\\x00thon']: "
+                    "embedded null byte")
