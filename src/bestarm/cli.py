@@ -14,7 +14,6 @@ import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterator, Literal, Optional, Sequence, Union, get_args, get_origin
 
 from .algorithms import (  # the entry points are looked up by name in _run
@@ -43,6 +42,7 @@ from .evaluators import (
     SubprocessEvaluator,
     SyntheticEvaluator,
     load_arm_file,
+    read_json,
     read_replay_csv,
 )
 from .posterior import DEFAULT_MC_SAMPLES, IDENTITY, TransformMode
@@ -92,7 +92,8 @@ def _load_transform(path: str, value) -> TransformMode:
     epsilon = value.get("epsilon", 1e-6)
     if not _is_a(epsilon, float):
         raise ConfigError(f"{path}.epsilon", f"must be a number, got {epsilon!r}")
-    kind = value.get("kind")
+    if (kind := value.get("kind")) is None:
+        raise ConfigError(f"{path}.kind", "required, must be one of ('identity', 'logit')")
     try:
         return TransformMode(kind, epsilon) if kind == "logit" else TransformMode(kind)
     except ValueError as e:
@@ -165,8 +166,7 @@ class CampaignConfig(_Section):
     evaluator: EvaluatorConfig
     models: Optional[list[str]] = _leaf(
         None, dump=list, flag="--models", metavar="a,b,c",
-        type=lambda text: [m for m in text.split(",") if m] if text else None,
-        help="comma-separated candidate model names")
+        type=lambda text: [m for m in text.split(",") if m], help="comma-separated candidate model names")
     campaign_seed: int = _leaf(0, flag="--seed", type=int, metavar="U64", help="campaign seed")
     mc_samples: int = _leaf(DEFAULT_MC_SAMPLES, flag="--mc-samples", type=int,
                             metavar="N", help="Monte-Carlo rounds per belief update")
@@ -207,10 +207,10 @@ def _type_name(hint) -> str:
 
 def _from_dict(cls, data, path: str = "", args: Optional[argparse.Namespace] = None):
     """Build and check a config section from its JSON form or a section of its
-    class: it is an object; the flags in ``args`` lie over it (a null inner section
-    is empty, and one flag of a leaf some kinds require implies the first of them,
-    unless a flag sets the kind); it has no unknown key; each leaf passes its
-    required, ``load``, type and kind checks, leaving its value to the library."""
+    class: it is an object; flags in ``args`` lie over it (a null inner section is
+    empty; a flag of a leaf some kinds require sets the kind to the first, unless a
+    flag sets it); it has no unknown key; each leaf passes its required, ``load``,
+    type and kind checks, leaving its value to the library (unused if another kind's)."""
     fs = fields(cls)
     if isinstance(data, cls) or data is None and args is not None and path:
         data = {} if data is None else vars(data)
@@ -225,7 +225,7 @@ def _from_dict(cls, data, path: str = "", args: Optional[argparse.Namespace] = N
             elif flag is not None:
                 if kinds and f.metadata["required"] and not hasattr(args, path + "kind"):
                     implied += 1
-                    data = data if data.get("kind") in kinds else {"kind": kinds[0]}
+                    data["kind"] = kinds[0]
                 data[f.name] = flag
         if implied > 1:
             flags = ", ".join(f.metadata["flag"] for f in fs if f.metadata.get("required"))
@@ -368,8 +368,8 @@ def _run(config: CampaignConfig, build: Callable[[], Evaluator]) -> SelectionRes
     try:
         with _leaf_errors("mode", ModeConfig):
             check_arguments(entry, evaluator, config.campaign_seed, **params)
-            trace = (write_trace(config.trace_path, config, evaluator.models) if config.trace_path
-                     else contextlib.nullcontext())
+            trace = (contextlib.nullcontext() if config.trace_path is None
+                     else write_trace(config.trace_path, config, evaluator.models))
             with trace as on_event:
                 return globals()[entry](evaluator, config.campaign_seed, on_event=on_event, **params)
     finally:
@@ -532,12 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> CampaignConfig:
-    """Merge the config file (if any) with flags; flags win. A trace path
-    that is the config file is refused, since the trace would replace it."""
-    data = (_read("config", args.config, lambda path: json.loads(Path(path).read_text("utf-8")))
-            if args.config else {})
+    """Merge the config file (if any), read by ``read_json``, with flags; flags
+    win. A trace path that is the config file is refused, as it would replace it."""
+    data = {} if args.config is None else _read("config", args.config, read_json)
     config = _from_dict(CampaignConfig, data, args=args)
-    if args.config and config.trace_path and _same_file(config.trace_path, args.config):
+    if None not in (args.config, config.trace_path) and _same_file(config.trace_path, args.config):
         raise ConfigError("trace_path", f"{config.trace_path!r} is the --config file, "
                           "the run's input file")
     return config

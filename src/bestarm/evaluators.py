@@ -140,9 +140,24 @@ def parse_arm_entries(entries: list) -> dict[str, Distribution]:
     return out
 
 
-def load_arm_file(path: str) -> dict[str, Distribution]:
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def read_json(path: str):
+    """Parse the UTF-8 JSON file at ``path``, refusing a key repeated within one object."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_arm_entries(json.load(fh))
+        return json.load(fh, object_pairs_hook=_unique_keys)
+
+
+def load_arm_file(path: str) -> dict[str, Distribution]:
+    """Read an arm file with ``read_json`` and parse it with ``parse_arm_entries``."""
+    return parse_arm_entries(read_json(path))
 
 
 class Evaluator(ABC):

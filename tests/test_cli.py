@@ -290,6 +290,22 @@ class TestOneWalk:
             CampaignConfig.from_dict({"mode": None, "evaluator": {"kind": "synthetic",
                                                                    "arms_file": pair_arms_file}})
 
+    def test_a_kind_flag_ignores_another_kinds_keys(self, pair_arms_file, tmp_path, capsys):
+        # The flag sets evaluator.kind over a valid subprocess section; its keys
+        # are checked, then left out of the header, as if there were no file.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"evaluator": {"kind": "subprocess",
+                                                  "command": "python3 child.py", "timeout": 5}}))
+        argv = ["fc", "--delta", "0.2", "--synthetic", pair_arms_file, "--mc-samples", "500"]
+        traces = [tmp_path / "plain.jsonl", tmp_path / "over-file.jsonl"]
+        assert main(argv + ["--trace", str(traces[0])]) == 0
+        assert main(argv + ["--trace", str(traces[1]), "--config", str(path)]) == 0
+        capsys.readouterr()
+        headers = [t.read_text().splitlines()[0] for t in traces]
+        assert headers[0] == headers[1]
+        assert json.loads(headers[1])["config"]["evaluator"] == {"kind": "synthetic",
+                                                                 "arms_file": pair_arms_file}
+
 
 class TestRunCampaign:
     def test_summary_matches_result(self, arms_file, capsys):

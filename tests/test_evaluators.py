@@ -623,6 +623,22 @@ class TestSubprocessEvaluator:
             ev.close()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SyntheticEvaluator({"a": Gaussian(0.5, 0.1)}, ["a"]),
+    lambda: ReplayEvaluator({"a": [0.5]}, ["a"]),
+    lambda: SubprocessEvaluator(echo_command(), ["a"], timeout=10),
+], ids=["synthetic", "replay", "subprocess"])
+def test_collect_with_nothing_pending_is_refused(make):
+    ev = make()
+    try:
+        for _ in range(2):  # before any request and after the last one is collected
+            with pytest.raises(RuntimeError, match=r"^collect\(\) with no pending requests$"):
+                ev.collect()
+            evaluate(ev, request(ev.models[0], 0))
+    finally:
+        ev.close()
+
+
 # A reply that is close to valid explores more of the parser than random bytes.
 _REPLY_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),

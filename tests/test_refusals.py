@@ -230,3 +230,71 @@ def test_command_with_a_nul_byte_is_refused(tmp_path, capsys):
     line = refusal(["fc", "--delta", "0.2", "--mc-samples", "500", "--config", config], capsys)
     assert line == ("error: evaluator.command: failed to spawn evaluator ['py\\x00thon']: "
                     "embedded null byte")
+
+
+# An empty value is a value: it names a file that is not there, or no model.
+@pytest.mark.parametrize("flag, expected", [
+    ("--trace", "error: trace_path: [Errno 2] No such file or directory: ''"),
+    ("--config", "error: config: [Errno 2] No such file or directory: ''"),
+    ("--models", "error: models: need at least 1 candidate model"),
+], ids=["trace", "config", "models"])
+def test_an_empty_value_is_refused(flag, expected, tmp_path, capsys):
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    line = refusal(["fc", "--delta", "0.1", "--mc-samples", "1000", "--synthetic", arms,
+                    flag, ""], capsys)
+    assert line == expected
+
+
+def test_replicate_refuses_empty_models(tmp_path, capsys):
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    line = refusal(["replicate", "--mode", "fc", "--replications", "2", "--delta", "0.1",
+                    "--mc-samples", "1000", "--synthetic", arms, "--models", ""], capsys)
+    assert line == "error: models: need at least 1 candidate model"
+
+
+# A kind flag sets evaluator.kind; the file's other evaluator keys are checked.
+@pytest.mark.parametrize("extra, expected", [
+    ({"bogus": 1}, "error: evaluator.bogus: unknown key"),
+    ({"exhaustion": "nope"},
+     "error: evaluator.exhaustion: must be one of ('error', 'cycle', 'resample'), got 'nope'"),
+], ids=["unknown-key", "bad-exhaustion"])
+def test_a_kind_flag_checks_the_files_evaluator_section(extra, expected, tmp_path, capsys):
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    config = write(tmp_path, "config.json", json.dumps(
+        {"evaluator": {"kind": "replay", "csv_file": "x.csv", **extra}}))
+    line = refusal(["fc", "--delta", "0.1", "--mc-samples", "1000", "--synthetic", arms,
+                    "--config", config], capsys)
+    assert line == expected
+
+
+def test_a_key_repeated_in_the_config_file_is_refused(tmp_path, capsys):
+    # JSON keeps the last value, so this ran at delta 0.5.
+    config = write(tmp_path, "config.json",
+                   '{"mode": {"kind": "fc", "delta": 0.05, "delta": 0.5}, "mc_samples": 1000}')
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    line = refusal(["fc", "--synthetic", arms, "--config", config], capsys)
+    assert line == "error: config: duplicate key 'delta'"
+
+
+def test_a_key_repeated_in_an_arm_entry_is_refused(tmp_path, capsys):
+    # JSON keeps the last value, so a was the worse arm.
+    arms = write(tmp_path, "arms.json",
+                 '[{"name": "a", "family": "gaussian", "mean": 0.6, "mean": 0.4, "sd": 0.01},'
+                 ' {"name": "b", "family": "gaussian", "mean": 0.5, "sd": 0.01}]')
+    line = refusal(["fc", "--delta", "0.1", "--mc-samples", "1000", "--synthetic", arms], capsys)
+    assert line == "error: evaluator.arms_file: duplicate key 'mean'"
+
+
+@pytest.mark.parametrize("transform, expected", [
+    ({}, "error: transform.kind: required, must be one of ('identity', 'logit')"),
+    ({"kind": None}, "error: transform.kind: required, must be one of ('identity', 'logit')"),
+    ("cubic", "error: transform: unknown transform kind 'cubic'"),
+    ({"kind": "logit", "epsilon": 0.7},
+     "error: transform: logit epsilon must be in (0, 0.5), got 0.7"),
+], ids=["no-kind", "null-kind", "cubic", "epsilon"])
+def test_a_bad_transform_is_refused(transform, expected, tmp_path, capsys):
+    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
+    config = write(tmp_path, "config.json", json.dumps({"transform": transform}))
+    line = refusal(["fc", "--delta", "0.1", "--mc-samples", "1000", "--synthetic", arms,
+                    "--config", config], capsys)
+    assert line == expected
