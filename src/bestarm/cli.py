@@ -536,7 +536,7 @@ def config_from_args(args: argparse.Namespace) -> CampaignConfig:
     win. A trace path that is the config file is refused, as it would replace it."""
     data = {} if args.config is None else _read("config", args.config, read_json)
     config = _from_dict(CampaignConfig, data, args=args)
-    if None not in (args.config, config.trace_path) and _same_file(config.trace_path, args.config):
+    if args.config is not None and config.trace_path is not None and _same_file(config.trace_path, args.config):
         raise ConfigError("trace_path", f"{config.trace_path!r} is the --config file, "
                           "the run's input file")
     return config

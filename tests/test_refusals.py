@@ -233,23 +233,21 @@ def test_command_with_a_nul_byte_is_refused(tmp_path, capsys):
 
 
 # An empty value is a value: it names a file that is not there, or no model.
-@pytest.mark.parametrize("flag, expected", [
-    ("--trace", "error: trace_path: [Errno 2] No such file or directory: ''"),
-    ("--config", "error: config: [Errno 2] No such file or directory: ''"),
-    ("--models", "error: models: need at least 1 candidate model"),
-], ids=["trace", "config", "models"])
-def test_an_empty_value_is_refused(flag, expected, tmp_path, capsys):
+FC = ["fc", "--delta", "0.1", "--mc-samples", "1000"]
+REPLICATE = ["replicate", "--mode", "fc", "--replications", "2", "--delta", "0.1",
+             "--mc-samples", "1000"]
+
+
+@pytest.mark.parametrize("prefix, flag, expected", [
+    (FC, "--trace", "error: trace_path: [Errno 2] No such file or directory: ''"),
+    (FC, "--config", "error: config: [Errno 2] No such file or directory: ''"),
+    (FC, "--models", "error: models: need at least 1 candidate model"),
+    (REPLICATE, "--models", "error: models: need at least 1 candidate model"),
+], ids=["trace", "config", "models", "replicate-models"])
+def test_an_empty_value_is_refused(prefix, flag, expected, tmp_path, capsys):
     arms = write(tmp_path, "arms.json", json.dumps(PAIR))
-    line = refusal(["fc", "--delta", "0.1", "--mc-samples", "1000", "--synthetic", arms,
-                    flag, ""], capsys)
+    line = refusal([*prefix, "--synthetic", arms, flag, ""], capsys)
     assert line == expected
-
-
-def test_replicate_refuses_empty_models(tmp_path, capsys):
-    arms = write(tmp_path, "arms.json", json.dumps(PAIR))
-    line = refusal(["replicate", "--mode", "fc", "--replications", "2", "--delta", "0.1",
-                    "--mc-samples", "1000", "--synthetic", arms, "--models", ""], capsys)
-    assert line == "error: models: need at least 1 candidate model"
 
 
 # A kind flag sets evaluator.kind; the file's other evaluator keys are checked.
