@@ -45,7 +45,7 @@ from .evaluators import (
     read_json,
     read_replay_csv,
 )
-from .posterior import DEFAULT_MC_SAMPLES, IDENTITY, TransformMode
+from .posterior import DEFAULT_MC_SAMPLES, TransformMode
 
 # Each mode kind's subcommand help, and the name of its entry point.
 _MODES = {
@@ -65,43 +65,15 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str:
                list[str]: "a list of strings", type(None): "null"}
 
 
-def _leaf(default=MISSING, *, kinds=None, required=False, load=None, dump=None, flag=None,
-          **flag_args):
+def _leaf(default=MISSING, *, kinds=None, required=False, flag=None, **flag_args):
     """Declare one config leaf; its annotation is its type.
 
-    ``kinds`` names the mode or evaluator kinds the leaf belongs to (None:
-    all); only they serialise it (unless None) and, if ``required``, demand
-    it. ``load(path, value)`` and ``dump`` convert a leaf whose JSON form is
-    not its type; ``load`` also checks that form.
+    ``kinds`` names the section kinds the leaf belongs to (None: all); only
+    they serialise it (unless None), accept its ``flag`` and, if ``required``,
+    demand it.
     """
-    meta = dict(kinds=kinds, required=required, load=load, dump=dump, flag=flag,
-                flag_args=flag_args)
+    meta = dict(kinds=kinds, required=required, flag=flag, flag_args=flag_args)
     return field(default=default, metadata=meta)
-
-
-def _load_transform(path: str, value) -> TransformMode:
-    if isinstance(value, TransformMode):
-        return value
-    if isinstance(value, str):
-        value = {"kind": value}
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"must be a string or object, got {value!r}")
-    extra = [k for k in value if k not in ("kind", "epsilon")]
-    if extra:
-        raise ConfigError(f"{path}.{extra[0]}", "unknown key")
-    epsilon = value.get("epsilon", 1e-6)
-    if not _is_a(epsilon, float):
-        raise ConfigError(f"{path}.epsilon", f"must be a number, got {epsilon!r}")
-    if (kind := value.get("kind")) is None:
-        raise ConfigError(f"{path}.kind", "required, must be one of ('identity', 'logit')")
-    try:
-        return TransformMode(kind, epsilon) if kind == "logit" else TransformMode(kind)
-    except ValueError as e:
-        raise ConfigError(path, str(e)) from None
-
-
-def _dump_transform(t: TransformMode) -> dict:
-    return {"kind": t.kind, "epsilon": t.epsilon} if t.kind == "logit" else {"kind": t.kind}
 
 
 class _Section:
@@ -114,11 +86,7 @@ class _Section:
             value, kinds = getattr(self, f.name), f.metadata.get("kinds")
             if kinds is not None and (kind not in kinds or value is None):
                 continue
-            if _is_section(f.type):
-                value = value.to_dict()
-            elif f.metadata["dump"] and value is not None:
-                value = f.metadata["dump"](value)
-            out[f.name] = value
+            out[f.name] = value.to_dict() if _is_section(f.type) else value
         return out
 
 
@@ -158,6 +126,16 @@ class EvaluatorConfig(_Section):
                                      help="longest wait for any reply of the evaluator child")
 
 
+# Frozen, so that an instance can be the default of CampaignConfig.transform.
+@dataclass(frozen=True)
+class TransformConfig(_Section):
+    """Which transform each score passes through as it is folded in."""
+
+    kind: Literal["identity", "logit"] = _leaf(flag="--transform", choices=["identity", "logit"],
+                                               help="score transform")
+    epsilon: float = _leaf(1e-6, kinds=("logit",))
+
+
 @dataclass
 class CampaignConfig(_Section):
     """Full resolved configuration of one selection campaign."""
@@ -165,14 +143,12 @@ class CampaignConfig(_Section):
     mode: ModeConfig
     evaluator: EvaluatorConfig
     models: Optional[list[str]] = _leaf(
-        None, dump=list, flag="--models", metavar="a,b,c",
+        None, flag="--models", metavar="a,b,c",
         type=lambda text: [m for m in text.split(",") if m], help="comma-separated candidate model names")
     campaign_seed: int = _leaf(0, flag="--seed", type=int, metavar="U64", help="campaign seed")
     mc_samples: int = _leaf(DEFAULT_MC_SAMPLES, flag="--mc-samples", type=int,
                             metavar="N", help="Monte-Carlo rounds per belief update")
-    transform: TransformMode = _leaf(IDENTITY, load=_load_transform, dump=_dump_transform,
-                                     flag="--transform", choices=["identity", "logit"],
-                                     help="score transform")
+    transform: TransformConfig = TransformConfig("identity")
     trace_path: Optional[str] = _leaf(None, flag="--trace", metavar="PATH",
                                       help="write the JSON-lines trace here")
 
@@ -208,9 +184,10 @@ def _type_name(hint) -> str:
 def _from_dict(cls, data, path: str = "", args: Optional[argparse.Namespace] = None):
     """Build and check a config section from its JSON form or a section of its
     class: it is an object; flags in ``args`` lie over it (a null inner section is
-    empty; a flag of a leaf some kinds require sets the kind to the first, unless a
-    flag sets it); it has no unknown key; each leaf passes its required, ``load``,
-    type and kind checks, leaving its value to the library (unused if another kind's)."""
+    empty, an absent one its default or empty; a flag of a leaf some kinds require
+    sets the kind to the first, unless a flag sets it); it has no unknown key; each
+    leaf passes its required, type and kind checks, leaving its value to the library.
+    A leaf of another kind is unused and reset to its default, and refused if a flag set it."""
     fs = fields(cls)
     if isinstance(data, cls) or data is None and args is not None and path:
         data = {} if data is None else vars(data)
@@ -221,7 +198,7 @@ def _from_dict(cls, data, path: str = "", args: Optional[argparse.Namespace] = N
         for f in fs:
             flag, kinds = getattr(args, path + f.name, None), f.metadata.get("kinds")
             if _is_section(f.type):
-                data.setdefault(f.name, None)
+                data.setdefault(f.name, None if f.default is MISSING else f.default)
             elif flag is not None:
                 if kinds and f.metadata["required"] and not hasattr(args, path + "kind"):
                     implied += 1
@@ -242,12 +219,14 @@ def _from_dict(cls, data, path: str = "", args: Optional[argparse.Namespace] = N
         value = data.get(f.name, f.default)
         if _is_section(f.type):
             value = _from_dict(f.type, value, name + ".", args)
-        elif meta["load"]:
-            value = meta["load"](name, value)
         elif not _is_a(value, f.type):
             raise ConfigError(name, f"must be {_type_name(f.type)}, got {value!r}")
         elif value is None and meta["required"] and kind in meta["kinds"]:
             raise ConfigError(name, f"required when kind is {kind!r}")
+        elif meta["kinds"] and kind not in meta["kinds"]:
+            if getattr(args, name, None) is not None:
+                raise ConfigError(name, f"{meta['flag']} does not apply when kind is {kind!r}")
+            value = f.default
         values[f.name] = value
     return cls(**values)
 
@@ -350,19 +329,21 @@ def format_summary(result: SelectionResult) -> str:
 
 
 def _run(config: CampaignConfig, build: Callable[[], Evaluator]) -> SelectionResult:
-    """Build the evaluator with ``build``, check the call, open the trace (if configured),
-    then run the mode's entry point with the mode's leaves as its keywords.
+    """Build the transform, then the evaluator with ``build``, check the call, open the
+    trace (if configured), then run the mode's entry point with the mode's leaves as its keywords.
 
     The entry point is looked up in this module's namespace at each call, so
     a wrapper set on ``bestarm.cli.ttts`` and the like sees every campaign.
-    A ConfigError naming a mode leaf is re-raised under its config path.
+    A ConfigError naming a leaf of the transform, evaluator or mode section is
+    re-raised under its config path.
     """
     mode, entry = config.mode, _MODES[config.mode.kind][1]
     params = {f.name: getattr(mode, f.name) for f in fields(mode)
               if mode.kind in (f.metadata["kinds"] or ())}
     if mode.kind in _CONFIDENCE_KINDS:
         params["mc_samples"] = config.mc_samples
-    params["transform"] = config.transform
+    with _leaf_errors("transform", TransformConfig):
+        params["transform"] = TransformMode(**config.transform.to_dict())
     with _leaf_errors("evaluator", EvaluatorConfig):
         evaluator = build()
     try:

@@ -425,10 +425,12 @@ class SubprocessEvaluator(Evaluator):
                 f"evaluator child {status} with {len(self._pending)} requests outstanding",
                 stderr=self._stderr_text(),
             )
+        # Refused as read_json refuses a file: not UTF-8 or JSON, a key repeated
+        # within one object, an over-long int, deep nesting.
         try:
-            obj = json.loads(line.decode("utf-8"))
-        except (ValueError, RecursionError):  # not UTF-8 or JSON, an over-long int, deep nesting
-            raise EvaluatorFailure(f"malformed response line: {line.strip()!r}") from None
+            obj = json.loads(line.decode("utf-8"), object_pairs_hook=_unique_keys)
+        except (ValueError, RecursionError) as e:
+            raise EvaluatorFailure(f"malformed response line ({e}): {line.strip()!r}") from None
         if not isinstance(obj, dict):
             raise EvaluatorFailure(f"response must be a JSON object: {line.strip()!r}")
         return obj

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Belief, ModelStats, StreamPurpose, rng_stream
+from .core import Belief, ConfigError, ModelStats, StreamPurpose, rng_stream
 
 # Substituted for the sum of squared deviations when a model's scores are
 # (near-)constant, so the posterior scale stays positive.
@@ -57,16 +57,20 @@ class PosteriorParams:
 @dataclass(frozen=True)
 class TransformMode:
     """Score transform applied at ingestion: identity (``IDENTITY``), or
-    logit with clamping into [epsilon, 1 - epsilon]."""
+    logit with clamping into [epsilon, 1 - epsilon]. A kind, an epsilon that is
+    no number or a logit epsilon it refuses raises ``ConfigError`` naming ``kind``
+    or ``epsilon``."""
 
     kind: str
     epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in ("identity", "logit"):
-            raise ValueError(f"unknown transform kind {self.kind!r}")
+            raise ConfigError("kind", f"must be one of ('identity', 'logit'), got {self.kind!r}")
+        if isinstance(self.epsilon, bool) or not isinstance(self.epsilon, (int, float)):
+            raise ConfigError("epsilon", f"must be a number, got {self.epsilon!r}")
         if self.kind == "logit" and not (0.0 < self.epsilon < 0.5):
-            raise ValueError(f"logit epsilon must be in (0, 0.5), got {self.epsilon}")
+            raise ConfigError("epsilon", f"must be in (0, 0.5), got {self.epsilon}")
 
 
 IDENTITY = TransformMode("identity")

@@ -22,6 +22,7 @@ from bestarm.cli import (
     run_replications,
 )
 from bestarm.evaluators import SyntheticEvaluator
+from bestarm.posterior import IDENTITY, TransformMode
 
 ECHO_CHILD = os.path.join(os.path.dirname(__file__), "echo_child.py")
 
@@ -68,7 +69,7 @@ def fc_config(arms_file, **overrides):
 
 class TestConfig:
     def test_round_trip_identity(self, arms_file):
-        config = fc_config(arms_file, trace_path="t.jsonl", transform="logit")
+        config = fc_config(arms_file, trace_path="t.jsonl", transform={"kind": "logit"})
         reparsed = CampaignConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert reparsed == config
 
@@ -153,7 +154,7 @@ VALID_CONFIGS = st.fixed_dictionaries(
         "campaign_seed": st.integers(0, 2**64 - 1),
         "mc_samples": POSITIVE,
         "transform": st.one_of(
-            st.sampled_from(["identity", "logit"]),
+            st.fixed_dictionaries({"kind": st.sampled_from(["identity", "logit"])}),
             st.fixed_dictionaries({"kind": st.just("logit"),
                                    "epsilon": st.floats(0.0, 0.5, exclude_min=True, exclude_max=True)}),
             st.fixed_dictionaries({"kind": st.just("identity"), "epsilon": st.floats(0.0, 1.0)}),
@@ -255,10 +256,23 @@ class TestOneWalk:
     def test_runners_leave_their_config_as_it_was(self, run, pair_arms_file, capsys):
         config = CampaignConfig(cli.ModeConfig(kind="fc", delta=0.2),
                                 cli.EvaluatorConfig(kind="synthetic", arms_file=pair_arms_file),
-                                mc_samples=500, transform="logit")
+                                mc_samples=500, transform={"kind": "logit"})
         before = copy.deepcopy(config)
         run(config)
         assert config == before
+
+    # A TransformMode is the library's keyword, not the config's section: the
+    # runners take a TransformConfig or its JSON object, as a config file does.
+    @pytest.mark.parametrize("run", [run_campaign, lambda config: run_replications(config, 1)],
+                             ids=["run_campaign", "run_replications"])
+    @pytest.mark.parametrize("transform", [TransformMode("logit", 0.01), IDENTITY],
+                             ids=["logit", "identity"])
+    def test_runners_refuse_a_transform_mode(self, run, transform, pair_arms_file):
+        config = CampaignConfig(cli.ModeConfig(kind="fc", delta=0.2),
+                                cli.EvaluatorConfig(kind="synthetic", arms_file=pair_arms_file),
+                                mc_samples=500, transform=transform)
+        with pytest.raises(ConfigError, match=r"^transform: must be a JSON object$"):
+            run(config)
 
     def test_runners_refuse_a_config_instance_as_a_file(self, pair_arms_file):
         config = CampaignConfig(cli.ModeConfig(kind="fc", delta="0.2"),
@@ -305,6 +319,20 @@ class TestOneWalk:
         assert headers[0] == headers[1]
         assert json.loads(headers[1])["config"]["evaluator"] == {"kind": "synthetic",
                                                                  "arms_file": pair_arms_file}
+
+    # --transform sets transform.kind and keeps the file's epsilon, which only logit records.
+    @pytest.mark.parametrize("kind, recorded", [
+        ("logit", {"kind": "logit", "epsilon": 0.01}),
+        ("identity", {"kind": "identity"}),
+    ])
+    def test_the_transform_flag_sets_the_files_kind(self, kind, recorded, pair_arms_file, tmp_path,
+                                                   capsys):
+        path, trace = tmp_path / "config.json", tmp_path / "trace.jsonl"
+        path.write_text(json.dumps({"transform": {"kind": "logit", "epsilon": 0.01}}))
+        assert main(["fc", "--delta", "0.2", "--synthetic", pair_arms_file, "--mc-samples", "500",
+                     "--config", str(path), "--transform", kind, "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        assert json.loads(trace.read_text().splitlines()[0])["config"]["transform"] == recorded
 
 
 class TestRunCampaign:

@@ -56,7 +56,7 @@ ARGS = {
     "baseline-fb": (["baseline-fb", "--budget", "12", "--replay", "scores.csv", "--transform", "identity"], None),
     "baseline-fc": (["baseline-fc", "--delta", "0.2", "--synthetic", "arms.json", "--mc-samples", "1000"], None),
     "replicate": (["replicate", "--mode", "fc-batch", "--replications", "3", "--delta", "0.1",
-                   "--batch-size", "2", "--budget", "7", "--synthetic", "arms.json", "--true-best", "a"], None),
+                   "--batch-size", "2", "--synthetic", "arms.json", "--true-best", "a"], None),
 }
 
 CONFIGS = {

@@ -60,7 +60,8 @@ GOOD = {
     "sync": st.booleans(),
     "campaign_seed": st.one_of(st.integers(0, 1000), st.just(2**64 - 1)),
     "mc_samples": st.integers(100, 300),
-    "transform": st.sampled_from(["identity", "logit", {"kind": "logit", "epsilon": 0.01}]),
+    "transform": st.sampled_from([{"kind": "identity"}, {"kind": "logit"},
+                                  {"kind": "logit", "epsilon": 0.01}]),
 }
 # Values of the wrong type, out of range, or too small for the candidates.
 BAD = {
@@ -94,11 +95,10 @@ def cases(draw):
 def library_transform(value):
     """The TransformMode the config reads from ``value``, or ``value`` itself
     where the config refuses it."""
-    form = {"kind": value} if isinstance(value, str) else value
-    if not isinstance(form, dict) or set(form) - {"kind", "epsilon"}:
+    if not isinstance(value, dict) or set(value) - {"kind", "epsilon"}:
         return value
     try:
-        return TransformMode(form.get("kind"), form.get("epsilon", 1e-6))
+        return TransformMode(value.get("kind"), value.get("epsilon", 1e-6))
     except ValueError:
         return value
 
@@ -118,8 +118,8 @@ def run_cli(kind, values, arms_path, workdir):
         code = main([kind, "--config", config_path])
     if code == 1:
         path = err.getvalue().removeprefix("error: ").split(": ", 1)[0]
-        # A key inside the transform object, such as transform.epsilon, is
-        # part of the transform leaf.
+        # A leaf of the transform section, such as transform.epsilon, is part
+        # of the library's one transform keyword.
         return code, path if path.startswith("mode.") else path.split(".")[0]
     with open(trace, encoding="utf-8") as fh:
         return code, [json.loads(line) for line in fh][1:]
@@ -141,12 +141,12 @@ def run_library(kind, values, arms_path):
 @settings(max_examples=200, deadline=None)
 @given(cases())
 # A belief too coarse for delta, which few drawn cases reach with no other refusal.
-@example(("fc", 2, {"delta": 0.1, "max_evals": 20, "campaign_seed": 0, "transform": "identity",
-                    "mc_samples": 1}))
+@example(("fc", 2, {"delta": 0.1, "max_evals": 20, "campaign_seed": 0,
+                    "transform": {"kind": "identity"}, "mc_samples": 1}))
 @example(("baseline-fc", 3, {"delta": 0.25, "max_evals": 20, "campaign_seed": 0,
-                             "transform": "identity", "mc_samples": 1}))
+                             "transform": {"kind": "identity"}, "mc_samples": 1}))
 @example(("fc-batch", 2, {"delta": 0.1, "max_evals": 20, "batch_size": 2, "sync": False,
-                          "campaign_seed": 0, "transform": "identity", "mc_samples": 99}))
+                          "campaign_seed": 0, "transform": {"kind": "identity"}, "mc_samples": 99}))
 def test_main_and_the_library_refuse_the_same_leaf_or_run_the_same_campaign(case):
     kind, n_arms, values = case
     with tempfile.TemporaryDirectory() as workdir:

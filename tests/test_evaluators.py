@@ -428,6 +428,24 @@ class TestSubprocessEvaluator:
         finally:
             ev.close()
 
+    def test_repeated_key_in_a_reply_is_protocol_error(self):
+        # JSON keeps the last value, so this was taken as score 0.9.
+        reply = b'{"id": 0, "score": 0.5, "score": 0.9}'
+        ids, ev = self.make("--raw-reply", reply.hex(), timeout=10)
+        try:
+            with pytest.raises(EvaluatorFailure,
+                               match=r"^malformed response line \(duplicate key 'score'\): "):
+                evaluate(ev, request(ids[0], 0))
+        finally:
+            ev.close()
+
+    def test_repeated_key_in_the_handshake_is_protocol_error(self):
+        child = ("import sys; sys.stdin.readline(); "
+                 "print('{\"ok\": true, \"max_in_flight\": 1, \"max_in_flight\": 4}', flush=True); "
+                 "sys.stdin.read()")
+        with pytest.raises(EvaluatorFailure, match=r"\(duplicate key 'max_in_flight'\)"):
+            SubprocessEvaluator([sys.executable, "-c", child], ["a"], timeout=10)
+
     def test_bad_handshake(self):
         with pytest.raises(EvaluatorFailure, match="handshake rejected"):
             self.make("--bad-handshake")

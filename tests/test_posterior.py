@@ -7,6 +7,7 @@ from scipy import stats as scistats
 
 from bestarm import (
     IDENTITY,
+    ConfigError,
     ModelStats,
     PosteriorDraws,
     PosteriorParams,
@@ -414,3 +415,6 @@ class TestTransform:
             TransformMode("logit", 0.5)
         with pytest.raises(ValueError):
             TransformMode(kind="sigmoid")
+        for epsilon in ("x", None, [0.1], True):
+            with pytest.raises(ConfigError, match=r"^epsilon: must be a number, got "):
+                TransformMode("logit", epsilon)

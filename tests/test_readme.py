@@ -13,7 +13,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import bestarm
-from bestarm.cli import CampaignConfig, EvaluatorConfig, ModeConfig
+from bestarm.cli import CampaignConfig, _is_section
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -75,9 +75,9 @@ def test_entry_point_table_lists_each_keyword_with_its_default():
 def test_configuration_table_lists_every_leaf_in_declaration_order():
     section = README.read_text(encoding="utf-8").split("\n## Configuration\n")[1].split("\n## ")[0]
     listed = re.findall(r"^\| `([\w.]+)` \|", section, re.M)
-    sections = (ModeConfig, EvaluatorConfig)
-    leaves = [f"{f.name}.{g.name}" if f.type in sections else f.name
-              for f in fields(CampaignConfig) for g in (fields(f.type) if f.type in sections else [f])]
+    leaves = [f"{f.name}.{g.name}" if _is_section(f.type) else f.name
+              for f in fields(CampaignConfig)
+              for g in (fields(f.type) if _is_section(f.type) else [f])]
     assert listed == leaves
 
 

@@ -285,14 +285,31 @@ def test_a_key_repeated_in_an_arm_entry_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize("transform, expected", [
     ({}, "error: transform.kind: required, must be one of ('identity', 'logit')"),
-    ({"kind": None}, "error: transform.kind: required, must be one of ('identity', 'logit')"),
-    ("cubic", "error: transform: unknown transform kind 'cubic'"),
-    ({"kind": "logit", "epsilon": 0.7},
-     "error: transform: logit epsilon must be in (0, 0.5), got 0.7"),
-], ids=["no-kind", "null-kind", "cubic", "epsilon"])
+    ({"epsilon": 0.01}, "error: transform.kind: required, must be one of ('identity', 'logit')"),
+    ({"kind": None}, "error: transform.kind: must be one of ('identity', 'logit'), got None"),
+    ("cubic", "error: transform: must be a JSON object"),
+    ("logit", "error: transform: must be a JSON object"),
+    ({"kind": "logit", "epsilon": 0.7}, "error: transform.epsilon: must be in (0, 0.5), got 0.7"),
+], ids=["no-kind", "epsilon-only", "null-kind", "cubic", "logit-string", "epsilon"])
 def test_a_bad_transform_is_refused(transform, expected, tmp_path, capsys):
     arms = write(tmp_path, "arms.json", json.dumps(PAIR))
     config = write(tmp_path, "config.json", json.dumps({"transform": transform}))
     line = refusal(["fc", "--delta", "0.1", "--mc-samples", "1000", "--synthetic", arms,
                     "--config", config], capsys)
     assert line == expected
+
+
+# A flag sets a leaf; a leaf its section's kind does not use is refused, before
+# any file is read, so the arm file here need not exist.
+@pytest.mark.parametrize("argv, expected", [
+    ([*FC, "--synthetic", "no-such-arms.json", "--timeout", "5"],
+     "error: evaluator.timeout: --timeout does not apply when kind is 'synthetic'"),
+    ([*FC, "--replay", "no-such-scores.csv", "--timeout", "5"],
+     "error: evaluator.timeout: --timeout does not apply when kind is 'replay'"),
+    ([*REPLICATE, "--synthetic", "no-such-arms.json", "--budget", "7"],
+     "error: mode.budget: --budget does not apply when kind is 'fc'"),
+    ([*REPLICATE, "--synthetic", "no-such-arms.json", "--async"],
+     "error: mode.sync: --async does not apply when kind is 'fc'"),
+], ids=["timeout-synthetic", "timeout-replay", "replicate-budget", "replicate-async"])
+def test_a_flag_for_another_kind_is_refused(argv, expected, capsys):
+    assert refusal(argv, capsys) == expected
